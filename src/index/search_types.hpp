@@ -35,7 +35,10 @@ struct SearchStats {
   std::size_t levels = 0;
   /// Whether the root answered the traversal plan from its query cache.
   bool cache_hit = false;
-  /// Whether the whole subhypercube was covered (results are exhaustive).
+  /// Whether the search left nothing unvisited: no level (level-parallel)
+  /// or queued node (sequential) was cut off by the result limit. A
+  /// limited search that reaches its limit on its last level or node is
+  /// still complete, so this does not mean the results are exhaustive.
   bool complete = false;
   /// Protocol-message retransmissions triggered by loss timeouts (always 0
   /// on a lossless network or with retransmission disabled).

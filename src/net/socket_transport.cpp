@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 
+#include <algorithm>
 #include <cstring>
 
 namespace hkws::net {
@@ -80,6 +81,11 @@ bool SocketTransport::has_peer_address(EndpointId id) const {
   return addrs_.find(id) != addrs_.end();
 }
 
+void SocketTransport::set_payload_handler(PayloadHandler fn) {
+  std::lock_guard<std::mutex> lk(handlers_mu_);
+  payload_handler_ = std::move(fn);
+}
+
 bool SocketTransport::lookup_addr(EndpointId id, sockaddr_in* out) const {
   std::shared_lock<std::shared_mutex> lk(addrs_mu_);
   const auto it = addrs_.find(id);
@@ -99,7 +105,8 @@ void SocketTransport::send(EndpointId from, EndpointId to, std::string kind,
       std::lock_guard<std::mutex> lk(metrics_mu_);
       metrics_.count("net.local");
     }
-    enqueue_ready(std::move(deliver), to, /*counts_delivery=*/false);
+    Ready local{std::move(deliver), to, /*wire=*/false};
+    enqueue_ready({&local, 1});
     return;
   }
   if (!is_registered(to)) {
@@ -141,7 +148,7 @@ void SocketTransport::send(EndpointId from, EndpointId to, std::string kind,
   env.declared_bytes = payload_bytes;
   env.pad = static_cast<std::uint32_t>(
       std::min<std::size_t>(payload_bytes, common_.max_pad));
-  const std::vector<std::uint8_t> frame =
+  std::vector<std::uint8_t> frame =
       encode_frame(MsgKind::kEnvelope, WireMessage{env});
 
   {
@@ -151,36 +158,8 @@ void SocketTransport::send(EndpointId from, EndpointId to, std::string kind,
     metrics_.count("net.wire_bytes", frame.size());
     metrics_.count("msg." + kind);
   }
-
-  const WireResult res = wire_send(frame, nullptr);
-  if (res != WireResult::kOk) {
-    // The wire swallowed the frame (connection death, stop() racing a late
-    // send, or the backend's drop model): the message is lost, not
-    // delivered. Release the parked handler and attribute the loss; a dead
-    // connection is additionally a positive liveness signal the failure
-    // detector can act on immediately.
-    {
-      std::lock_guard<std::mutex> lk(handlers_mu_);
-      parked_.erase(msg_id);
-    }
-    {
-      std::lock_guard<std::mutex> lk(strand_mu_);
-      --inflight_;
-    }
-    idle_cv_.notify_all();
-    count_loss(kind, res);
-    if (res == WireResult::kConnDead) report_peer_down(to);
-  }
-  // Observe after the wire has decided the frame's fate, so SendRecord.lost
-  // is truthful — a frame the connection swallowed is never reported
-  // delivered.
-  std::lock_guard<std::mutex> lk(metrics_mu_);
-  if (observer_) {
-    const Time at = now();
-    observer_(kind,
-              SendRecord{at, from, to, payload_bytes, res != WireResult::kOk,
-                         at});
-  }
+  queue_frame(nullptr, std::move(frame),
+              OutFrame{0, msg_id, from, to, payload_bytes, std::move(kind)});
 }
 
 // --- Send (cross-process payload mode) --------------------------------------
@@ -194,7 +173,7 @@ void SocketTransport::send_payload(EndpointId from, EndpointId to,
     Transport::send_payload(from, to, kind, msg);
     return;
   }
-  const std::string kind_label = kind_name(kind);
+  std::string kind_label = kind_name(kind);
   std::vector<std::uint8_t> inner = encode_frame(kind, msg);
   if (inner.empty()) return;  // layout mismatch: programming error upstream
   const std::size_t declared = inner.size();
@@ -210,7 +189,7 @@ void SocketTransport::send_payload(EndpointId from, EndpointId to,
   env.declared_bytes = declared;
   env.payload = std::move(inner);
   env.pad = 0;  // the payload itself is the serialization cost
-  const std::vector<std::uint8_t> frame =
+  std::vector<std::uint8_t> frame =
       encode_frame(MsgKind::kEnvelope, WireMessage{std::move(env)});
 
   {
@@ -227,24 +206,113 @@ void SocketTransport::send_payload(EndpointId from, EndpointId to,
     if (it != peers_.end())
       it->second.sent.fetch_add(1, std::memory_order_relaxed);
   }
+  queue_frame(&remote, std::move(frame),
+              OutFrame{0, 0, from, to, declared, std::move(kind_label)});
+}
 
-  const WireResult res = wire_send(frame, &remote);
-  if (res == WireResult::kOk) {
-    // The frame is on its way to another process; this process's
-    // conservation identity closes at the wire (the receiver counts it as
-    // net.remote.in, not net.delivered).
+// --- Runs --------------------------------------------------------------------
+
+namespace {
+
+/// The transport whose dispatch strand is the calling thread, if any.
+thread_local const SocketTransport* strand_of = nullptr;
+
+bool same_destination(const std::optional<sockaddr_in>& a,
+                      const sockaddr_in* b) {
+  if (!a.has_value() || b == nullptr) return !a.has_value() && b == nullptr;
+  return a->sin_addr.s_addr == b->sin_addr.s_addr &&
+         a->sin_port == b->sin_port;
+}
+
+}  // namespace
+
+void SocketTransport::queue_frame(const sockaddr_in* remote,
+                                  std::vector<std::uint8_t> frame,
+                                  OutFrame out) {
+  if (strand_of != this) {
+    // No strand turn will end for this caller: write a run of one now.
+    Run one;
+    if (remote != nullptr) one.remote = *remote;
+    out.end = frame.size();
+    one.bytes = std::move(frame);
+    one.frames.push_back(std::move(out));
+    write_run(one);
+    return;
+  }
+  if (held_++ == 0) held_since_ = Clock::now();
+  auto it = std::find_if(runs_.begin(), runs_.end(), [remote](const Run& r) {
+    return same_destination(r.remote, remote);
+  });
+  if (it == runs_.end()) {
+    it = runs_.emplace(runs_.end());
+    if (remote != nullptr) it->remote = *remote;
+  }
+  it->bytes.insert(it->bytes.end(), frame.begin(), frame.end());
+  out.end = it->bytes.size();
+  it->frames.push_back(std::move(out));
+  if (it->bytes.size() >= kMaxRunBytes) {
+    held_ -= it->frames.size();
+    write_run(*it);
+  }
+}
+
+void SocketTransport::write_run(Run& run) {
+  std::vector<WireResult> fate(run.frames.size(), WireResult::kConnDead);
+  wire_write(run, fate);
+
+  // Losses first: release the parked handler, count the loss and its one
+  // cause, and flag a dead connection's endpoint. In-flight slots are
+  // released last, so wait_idle() never sees a loss it cannot count yet.
+  std::uint64_t released = 0;
+  std::uint64_t remote_ok = 0;
+  for (std::size_t i = 0; i < run.frames.size(); ++i) {
+    const OutFrame& f = run.frames[i];
+    if (fate[i] == WireResult::kOk) {
+      if (f.parked == 0) ++remote_ok;
+      continue;
+    }
+    bool ours = true;
+    if (f.parked != 0) {
+      // Not parked any more: the sweep already counted this frame lost.
+      std::lock_guard<std::mutex> lk(handlers_mu_);
+      ours = parked_.erase(f.parked) > 0;
+    }
+    if (ours) {
+      count_loss(f.kind, fate[i]);
+      if (f.parked != 0) ++released;
+    }
+    if (fate[i] == WireResult::kConnDead) report_peer_down(f.to);
+  }
+  {
     std::lock_guard<std::mutex> lk(metrics_mu_);
-    metrics_.count("net.delivered");
-  } else {
-    count_loss(kind_label, res);
-    if (res == WireResult::kConnDead) report_peer_down(to);
+    // A cross-process frame the wire accepted is on its way to another
+    // process; this process's conservation identity closes at the wire
+    // (the receiver counts it as net.remote.in, not net.delivered).
+    if (remote_ok > 0) metrics_.count("net.delivered", remote_ok);
+    if (observer_) {
+      const Time at = now();
+      for (std::size_t i = 0; i < run.frames.size(); ++i) {
+        const OutFrame& f = run.frames[i];
+        observer_(f.kind, SendRecord{at, f.from, f.to, f.declared,
+                                     fate[i] != WireResult::kOk, at});
+      }
+    }
   }
-  std::lock_guard<std::mutex> lk(metrics_mu_);
-  if (observer_) {
-    const Time at = now();
-    observer_(kind_label,
-              SendRecord{at, from, to, declared, res != WireResult::kOk, at});
+  if (released > 0) {
+    {
+      std::lock_guard<std::mutex> lk(strand_mu_);
+      inflight_ -= released;
+    }
+    idle_cv_.notify_all();
   }
+  run.bytes.clear();
+  run.frames.clear();
+}
+
+void SocketTransport::write_runs() {
+  held_ = 0;
+  for (Run& run : runs_)
+    if (!run.frames.empty()) write_run(run);
 }
 
 void SocketTransport::count_loss(const std::string& kind, WireResult why) {
@@ -275,44 +343,52 @@ void SocketTransport::report_peer_down(EndpointId to) {
   schedule_in(0, [cb = std::move(cb), to] { cb(to); });
 }
 
-void SocketTransport::enqueue_ready(Handler fn, EndpointId at,
-                                    bool counts_delivery) {
+void SocketTransport::enqueue_ready(std::span<Ready> batch) {
+  if (batch.empty()) return;
   {
     std::lock_guard<std::mutex> lk(strand_mu_);
     if (stopping_) return;
-    if (!counts_delivery) ++inflight_;  // wire sends already counted
-    ready_.emplace_back(
-        [this, fn = std::move(fn), at, counts_delivery] {
-          if (counts_delivery) {
-            std::lock_guard<std::mutex> lk2(metrics_mu_);
-            metrics_.count("net.delivered");
-          }
-          {
-            std::shared_lock<std::shared_mutex> lk2(peers_mu_);
-            const auto it = peers_.find(at);
-            if (it != peers_.end())
-              it->second.delivered.fetch_add(1, std::memory_order_relaxed);
-          }
-          fn();
-        },
-        at);
+    for (Ready& r : batch) {
+      if (!r.wire) ++inflight_;  // wire sends already counted
+      ready_.push_back(std::move(r));
+    }
   }
   strand_cv_.notify_one();
 }
 
 // --- Inbound envelopes (io threads) -----------------------------------------
 
-void SocketTransport::on_envelope(const EnvelopeMsg& env) {
-  // Test/fault hook: discard the next N inbound envelopes as if the frames
-  // had died on the read side of the wire.
-  std::uint64_t budget = drop_inbound_.load(std::memory_order_relaxed);
-  while (budget > 0 &&
-         !drop_inbound_.compare_exchange_weak(budget, budget - 1,
-                                              std::memory_order_relaxed)) {
-  }
-  if (budget > 0) return;
+void SocketTransport::on_envelopes(const std::vector<EnvelopeMsg>& batch) {
+  std::vector<Ready> ready;
+  ready.reserve(batch.size());
+  std::uint64_t stray = 0;
+  std::vector<MsgKind> remote_in;
+  // Redeem the batch's parked handlers under one hold of the table's lock,
+  // let go only to decode a payload envelope.
+  std::unique_lock<std::mutex> parked_lk(handlers_mu_);
+  const bool has_payload_handler = static_cast<bool>(payload_handler_);
+  for (const EnvelopeMsg& env : batch) {
+    // Test/fault hook: discard the next N inbound envelopes as if the
+    // frames had died on the read side of the wire.
+    std::uint64_t budget = drop_inbound_.load(std::memory_order_relaxed);
+    while (budget > 0 &&
+           !drop_inbound_.compare_exchange_weak(budget, budget - 1,
+                                                std::memory_order_relaxed)) {
+    }
+    if (budget > 0) continue;
 
-  if (!env.payload.empty()) {
+    if (env.payload.empty()) {
+      if (!parked_lk.owns_lock()) parked_lk.lock();
+      const auto it = parked_.find(env.msg_id);
+      if (it == parked_.end()) {
+        ++stray;  // unknown message id: a duplicate or stray frame
+        continue;
+      }
+      ready.push_back(Ready{std::move(it->second.fn), it->second.to, true});
+      parked_.erase(it);
+      continue;
+    }
+    if (parked_lk.owns_lock()) parked_lk.unlock();
     // Cross-process payload: decode the inner frame and dispatch it to the
     // payload handler on the strand. The sender's process counted delivery;
     // here it is remote traffic in.
@@ -320,41 +396,27 @@ void SocketTransport::on_envelope(const EnvelopeMsg& env) {
         decode_frame(env.payload.data(), env.payload.size());
     if (!inner.has_value() || inner->kind != env.inner_kind) {
       note_decode_error();
-      return;
+      continue;
     }
-    if (!payload_handler_) {
-      std::lock_guard<std::mutex> lk(metrics_mu_);
-      metrics_.count("net.stray");
-      return;
+    if (!has_payload_handler) {
+      ++stray;
+      continue;
     }
-    {
-      std::lock_guard<std::mutex> lk(metrics_mu_);
-      metrics_.count("net.remote.in");
-      metrics_.count("net.remote.in." + std::string(kind_name(inner->kind)));
-    }
-    enqueue_ready(
+    remote_in.push_back(inner->kind);
+    ready.push_back(Ready{
         [this, from = env.from, to = env.to, kind = inner->kind,
          msg = std::move(inner->msg)] { payload_handler_(from, to, kind, msg); },
-        env.to, /*counts_delivery=*/false);
-    return;
+        env.to, false});
   }
-
-  Handler h;
-  EndpointId at = 0;
-  {
-    std::lock_guard<std::mutex> lk(handlers_mu_);
-    const auto it = parked_.find(env.msg_id);
-    if (it == parked_.end()) {
-      // Unknown message id: a duplicate or stray frame. Count and drop.
-      std::lock_guard<std::mutex> mlk(metrics_mu_);
-      metrics_.count("net.stray");
-      return;
-    }
-    h = std::move(it->second.fn);
-    at = it->second.to;
-    parked_.erase(it);
+  if (parked_lk.owns_lock()) parked_lk.unlock();
+  if (stray > 0 || !remote_in.empty()) {
+    std::lock_guard<std::mutex> lk(metrics_mu_);
+    if (stray > 0) metrics_.count("net.stray", stray);
+    if (!remote_in.empty()) metrics_.count("net.remote.in", remote_in.size());
+    for (MsgKind k : remote_in)
+      metrics_.count(std::string("net.remote.in.") + kind_name(k));
   }
-  enqueue_ready(std::move(h), at, /*counts_delivery=*/true);
+  enqueue_ready(ready);
 }
 
 void SocketTransport::sweep_parked() {
@@ -372,15 +434,17 @@ void SocketTransport::sweep_parked() {
     }
   }
   if (dead.empty()) return;
+  // The envelope never came back: the frame died on the wire. Attribute
+  // like any other connection loss — but no peer-down report; a lost frame
+  // is packet death, not positive evidence the destination process died.
+  // Count before releasing the slots, so wait_idle() never returns ahead
+  // of the counters.
+  for (const ParkedEntry& e : dead) count_loss(e.kind, WireResult::kConnDead);
   {
     std::lock_guard<std::mutex> lk(strand_mu_);
     inflight_ -= std::min<std::uint64_t>(inflight_, dead.size());
   }
   idle_cv_.notify_all();
-  // The envelope never came back: the frame died on the wire. Attribute
-  // like any other connection loss — but no peer-down report; a lost frame
-  // is packet death, not positive evidence the destination process died.
-  for (const ParkedEntry& e : dead) count_loss(e.kind, WireResult::kConnDead);
 }
 
 void SocketTransport::note_decode_error() {
@@ -391,22 +455,44 @@ void SocketTransport::note_decode_error() {
 // --- Dispatch strand --------------------------------------------------------
 
 void SocketTransport::dispatch_loop() {
+  strand_of = this;
   std::unique_lock<std::mutex> lk(strand_mu_);
-  while (true) {
-    if (stopping_) break;
-    const Clock::time_point now_tp = Clock::now();
-
-    if (!ready_.empty()) {
-      auto [fn, at] = std::move(ready_.front());
-      ready_.pop_front();
+  while (!stopping_) {
+    // The turn ends — its runs go out — when the ready queue is empty, so
+    // always before a due timer runs or the strand sleeps. A busy strand
+    // still writes once its oldest queued frame has waited a tick: holding
+    // frames longer would idle the io thread that reads them back.
+    if (unwritten_ &&
+        (ready_.empty() || Clock::now() - held_since_ >= common_.tick)) {
       lk.unlock();
-      fn();
+      write_runs();
       lk.lock();
-      --inflight_;
+      unwritten_ = false;
       idle_cv_.notify_all();
       continue;
     }
-    if (!schedule_.empty() && schedule_.begin()->first.first <= now_tp) {
+    if (!ready_.empty()) {
+      Ready r = std::move(ready_.front());
+      ready_.pop_front();
+      lk.unlock();
+      if (r.wire) {
+        std::lock_guard<std::mutex> mlk(metrics_mu_);
+        metrics_.count("net.delivered");
+      }
+      {
+        std::shared_lock<std::shared_mutex> plk(peers_mu_);
+        const auto it = peers_.find(r.at);
+        if (it != peers_.end())
+          it->second.delivered.fetch_add(1, std::memory_order_relaxed);
+      }
+      r.fn();
+      lk.lock();
+      --inflight_;
+      unwritten_ = held_ > 0;
+      idle_cv_.notify_all();
+      continue;
+    }
+    if (!schedule_.empty() && schedule_.begin()->first.first <= Clock::now()) {
       auto it = schedule_.begin();
       TimerEntry entry = std::move(it->second);
       if (entry.id != 0) timer_keys_.erase(entry.id);
@@ -416,6 +502,7 @@ void SocketTransport::dispatch_loop() {
       lk.lock();
       // Plain events count toward idleness until their handler has run.
       if (entry.id == 0) --pending_events_;
+      unwritten_ = held_ > 0;
       idle_cv_.notify_all();
       continue;
     }
@@ -428,6 +515,10 @@ void SocketTransport::dispatch_loop() {
       strand_cv_.wait(lk);
     }
   }
+  lk.unlock();
+  // Frames still queued when the runtime stopped: the wire refuses them,
+  // so they settle as counted losses instead of vanishing.
+  write_runs();
 }
 
 // --- Time and timers --------------------------------------------------------
@@ -497,8 +588,8 @@ bool SocketTransport::drain_and_stop(std::chrono::milliseconds timeout) {
 bool SocketTransport::wait_idle(std::chrono::milliseconds timeout) {
   std::unique_lock<std::mutex> lk(strand_mu_);
   return idle_cv_.wait_for(lk, timeout, [this] {
-    return stopping_ ||
-           (inflight_ == 0 && ready_.empty() && pending_events_ == 0);
+    return stopping_ || (inflight_ == 0 && ready_.empty() &&
+                         pending_events_ == 0 && !unwritten_);
   });
 }
 

@@ -4,6 +4,17 @@
 //
 //   * the dispatch strand: one thread executing delivered handlers and due
 //     timers serialized, the simulator's single-event-loop discipline;
+//   * runs: the strand does not write the frames its handlers send one by
+//     one. It queues them in a run per wire destination (the loopback
+//     self-wire, or one remote process's address) and writes each run
+//     with one backend call when its turn ends — when its ready queue is
+//     empty, before it runs a due timer, and before it sleeps. A run is
+//     also written as soon as it holds kMaxRunBytes, and every run once
+//     its oldest frame has waited one tick, so a strand that never drains
+//     its queue cannot hold frames back. A send from any other thread is a
+//     run of one, written before send() returns. Inbound, the io thread
+//     hands every envelope decoded from one read to the strand under one
+//     lock;
 //   * the parked-handler table: closure-based send() parks the delivery
 //     handler, ships an addressed envelope through the backend's wire, and
 //     redeems the handler by message id when the envelope returns. Entries
@@ -18,16 +29,18 @@
 //     and dispatches to its payload handler on its own strand;
 //   * accounting: the simulator's counters and conservation identity
 //     (net.messages == net.delivered + net.lost) per process, with every
-//     loss attributed to exactly one cause counter. Outbound cross-process
-//     messages count net.delivered at the sender once the wire accepts the
-//     frame (plus net.remote.out); the receiving process counts only
-//     net.remote.in — so each process's identity closes over traffic it
-//     originated.
+//     loss attributed to exactly one cause counter. A frame counts
+//     net.messages, net.bytes, net.wire_bytes and msg.<kind> when it is
+//     sent; its fate (and the send observer's record of it) is settled
+//     when its run is written. Outbound cross-process messages count
+//     net.delivered at the sender once the wire accepts the frame (plus
+//     net.remote.out); the receiving process counts only net.remote.in —
+//     so each process's identity closes over traffic it originated.
 //
-// Backends implement the wire: wire_send() writes one encoded envelope
-// frame either to the loopback self-wire (remote == nullptr) or to a
-// remote process's address, and their io threads feed received envelopes
-// back through on_envelope() and call sweep_parked() periodically.
+// Backends implement the wire: wire_write() writes one run either to the
+// self-wire or to a remote process's address and reports which of its
+// frames the wire accepted; their io threads feed the envelopes of each
+// read back through on_envelopes() and call sweep_parked() periodically.
 #pragma once
 
 #include <netinet/in.h>
@@ -39,7 +52,9 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -68,6 +83,10 @@ class SocketTransport : public Transport {
     std::chrono::milliseconds parked_ttl{3000};
   };
 
+  /// A strand run is written once it holds this many bytes, even if the
+  /// turn has not ended: bounds the memory a burst holds in user space.
+  static constexpr std::size_t kMaxRunBytes = 64 * 1024;
+
   ~SocketTransport() override;
 
   SocketTransport(const SocketTransport&) = delete;
@@ -84,6 +103,9 @@ class SocketTransport : public Transport {
 
   bool set_peer_address(EndpointId id, const PeerAddr& addr) override;
   bool has_peer_address(EndpointId id) const override;
+  /// Installs the handler under the lock the io thread checks it under, so
+  /// the install happens before every delivery of a later read.
+  void set_payload_handler(PayloadHandler fn) override;
   void send_payload(EndpointId from, EndpointId to, MsgKind kind,
                     const WireMessage& msg) override;
 
@@ -94,13 +116,17 @@ class SocketTransport : public Transport {
 
   sim::Metrics& metrics() override { return metrics_; }
   const sim::Metrics& metrics() const override { return metrics_; }
+  /// The observer runs when a frame's run is written — on the strand for
+  /// frames its handlers sent, inside send() otherwise — with the frame's
+  /// true fate. It must not send.
   void set_send_observer(SendObserver fn) override;
 
   // --- Runtime control ----------------------------------------------------
 
-  /// Blocks until no message is in flight, the dispatch queue is empty, and
-  /// no plain scheduled event (schedule_in) is pending — cancelable timers
-  /// (retransmission guards) do not count. Returns false on timeout.
+  /// Blocks until no message is in flight, the dispatch queue is empty, the
+  /// strand holds no unwritten run, and no plain scheduled event
+  /// (schedule_in) is pending — cancelable timers (retransmission guards)
+  /// do not count. Returns false on timeout.
   bool wait_idle(std::chrono::milliseconds timeout);
 
   /// Stops the runtime: closes sockets, joins threads, drops queued work.
@@ -151,11 +177,29 @@ class SocketTransport : public Transport {
     kDropped,   ///< backend drop model discarded it (net.dropped.fault)
   };
 
-  /// Writes one encoded envelope frame. `remote` is nullptr for the
-  /// loopback self-wire (parked-handler mode) or the owning process's
-  /// address for cross-process payload frames.
-  virtual WireResult wire_send(const std::vector<std::uint8_t>& frame,
-                               const sockaddr_in* remote) = 0;
+  /// One queued frame: where it ends in its run's bytes, and what settling
+  /// its fate needs.
+  struct OutFrame {
+    std::size_t end = 0;       ///< offset just past the frame in Run::bytes
+    std::uint64_t parked = 0;  ///< parked handler's message id; 0: payload
+    EndpointId from = 0;
+    EndpointId to = 0;
+    std::size_t declared = 0;  ///< payload bytes the observer reports
+    std::string kind;
+  };
+
+  /// Encoded envelope frames bound for one wire destination, back to back
+  /// in send order.
+  struct Run {
+    std::optional<sockaddr_in> remote;  ///< empty: the loopback self-wire
+    std::vector<std::uint8_t> bytes;
+    std::vector<OutFrame> frames;
+  };
+
+  /// Writes `run` to its destination. `fate` holds one entry per frame,
+  /// pre-filled kConnDead; the backend marks each frame the wire accepted
+  /// kOk, and each frame its drop model discarded kDropped.
+  virtual void wire_write(const Run& run, std::vector<WireResult>& fate) = 0;
 
   /// Launches the dispatch thread (call once sockets are up).
   void start_dispatch();
@@ -166,10 +210,10 @@ class SocketTransport : public Transport {
   void join_dispatch();
   bool stopping() const { return halted_.load(std::memory_order_acquire); }
 
-  /// Inbound envelope from the backend's io thread: redeems a parked
-  /// handler (empty payload) or decodes + dispatches a cross-process
-  /// payload message (non-empty payload).
-  void on_envelope(const EnvelopeMsg& env);
+  /// The envelopes one read decoded, in arrival order: redeems parked
+  /// handlers (empty payload) and decodes cross-process payload messages
+  /// (non-empty payload), then hands them all to the strand at once.
+  void on_envelopes(const std::vector<EnvelopeMsg>& batch);
 
   /// Releases parked entries past their deadline as net.dropped.conn.
   /// Backends call this from their io loop (each poll timeout tick).
@@ -201,6 +245,13 @@ class SocketTransport : public Transport {
     Clock::time_point deadline;   ///< sweep releases past this
   };
 
+  /// A handler queued for the strand.
+  struct Ready {
+    Handler fn;
+    EndpointId at = 0;
+    bool wire = false;  ///< a parked wire delivery: counts net.delivered
+  };
+
   /// Schedule key: (deadline, insertion seq) — FIFO among equal deadlines,
   /// the simulator's tie-break discipline.
   using ScheduleKey = std::pair<Clock::time_point, std::uint64_t>;
@@ -211,7 +262,16 @@ class SocketTransport : public Transport {
   };
 
   void dispatch_loop();
-  void enqueue_ready(Handler fn, EndpointId at, bool counts_delivery);
+  /// Pushes `batch` onto the ready queue under one lock, with one notify.
+  void enqueue_ready(std::span<Ready> batch);
+  /// Hands an encoded frame to the wire: on the strand, onto the turn's
+  /// run for its destination; on any other thread, as a run of one.
+  void queue_frame(const sockaddr_in* remote, std::vector<std::uint8_t> frame,
+                   OutFrame out);
+  /// Writes `run`, settles every frame's fate, and empties it.
+  void write_run(Run& run);
+  /// The strand's end-of-turn write: every non-empty run.
+  void write_runs();
   void report_peer_down(EndpointId to);
   /// Counts one wire loss: net.lost[.kind], net.dropped[.kind], plus the
   /// cause counter (net.dropped.conn or net.dropped.fault).
@@ -238,18 +298,24 @@ class SocketTransport : public Transport {
   mutable std::mutex strand_mu_;
   std::condition_variable strand_cv_;
   std::condition_variable idle_cv_;
-  std::deque<std::pair<Handler, EndpointId>> ready_;  ///< delivered, FIFO
+  std::deque<Ready> ready_;  ///< delivered, FIFO
   std::map<ScheduleKey, TimerEntry> schedule_;  ///< timers + plain events
   std::unordered_map<TimerId, ScheduleKey> timer_keys_;  ///< cancel index
   std::uint64_t pending_events_ = 0;  ///< schedule_ entries with id == 0
   std::uint64_t next_timer_ = 1;
   std::uint64_t next_seq_ = 0;
   std::uint64_t inflight_ = 0;  ///< sent-not-yet-executed messages
+  bool unwritten_ = false;      ///< the strand's runs hold queued frames
   bool stopping_ = false;
   std::atomic<bool> halted_{false};  ///< lock-free mirror of stopping_
 
-  // Accounting (metrics_mu_ also serializes the observer, matching the
-  // sim's synchronous-from-send() contract).
+  // The strand's runs, one per destination written to; touched only by the
+  // dispatch thread. Emptied runs stay, keeping their buffers.
+  std::vector<Run> runs_;
+  std::size_t held_ = 0;           ///< frames queued in runs_
+  Clock::time_point held_since_;   ///< when the oldest of them was queued
+
+  // Accounting (metrics_mu_ also serializes the observer).
   mutable std::mutex metrics_mu_;
   sim::Metrics metrics_;
   SendObserver observer_;

@@ -16,19 +16,20 @@ namespace {
 
 constexpr std::size_t kReadChunk = 64 * 1024;
 
-/// Full write with partial-write/EINTR handling. MSG_NOSIGNAL so a peer
-/// closing mid-write surfaces as EPIPE, not a process signal.
-bool write_all(int fd, const std::uint8_t* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
+/// Full write with partial-write/EINTR handling; returns the bytes the
+/// socket took (short of `len` only if the connection failed). MSG_NOSIGNAL
+/// so a peer closing mid-write surfaces as EPIPE, not a process signal.
+std::size_t write_all(int fd, const std::uint8_t* data, std::size_t len) {
+  std::size_t done = 0;
+  while (done < len) {
+    const ssize_t n = ::send(fd, data + done, len - done, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return false;
+      break;
     }
-    data += static_cast<std::size_t>(n);
-    len -= static_cast<std::size_t>(n);
+    done += static_cast<std::size_t>(n);
   }
-  return true;
+  return done;
 }
 
 std::uint64_t addr_key(const sockaddr_in& sa) {
@@ -42,8 +43,6 @@ TcpTransport::TcpTransport(Config cfg)
     : SocketTransport(CommonConfig{cfg.tick, cfg.max_pad, cfg.parked_ttl}),
       cfg_(cfg),
       backoff_rng_(cfg.seed) {
-  if (cfg_.wire_connections < 1) cfg_.wire_connections = 1;
-
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) throw std::runtime_error("TcpTransport: socket failed");
   const int one = 1;
@@ -67,20 +66,17 @@ TcpTransport::TcpTransport(Config cfg)
     throw std::runtime_error("TcpTransport: pipe failed");
   }
 
-  // The self-wire: a small pool of loopback connections the senders
+  // The self-wire: a small pool of loopback connections the runs
   // round-robin across. connect() succeeds against the listen backlog even
   // before the io thread accepts, but retry with seeded exponential backoff
   // anyway — the same policy a cross-process sender uses against a peer
   // that is still starting up.
-  out_mu_ = std::make_unique<std::mutex[]>(
-      static_cast<std::size_t>(cfg_.wire_connections));
-  for (int i = 0; i < cfg_.wire_connections; ++i) {
-    const int fd = connect_loopback();
+  for (int& fd : out_fds_) {
+    fd = connect_loopback();
     if (fd < 0) {
       stop();
       throw std::runtime_error("TcpTransport: loopback connect failed");
     }
-    out_fds_.push_back(fd);
   }
 
   io_thread_ = std::thread([this] { io_loop(); });
@@ -140,7 +136,7 @@ void TcpTransport::stop() {
   if (io_thread_.joinable()) io_thread_.join();
   // Tear the out-fds down under their lane locks: a racing late send sees
   // fd == -1 and counts a connection loss instead of writing a dead fd.
-  for (std::size_t lane = 0; lane < out_fds_.size(); ++lane) {
+  for (std::size_t lane = 0; lane < kSelfWireLanes; ++lane) {
     std::lock_guard<std::mutex> lk(out_mu_[lane]);
     close_fd(out_fds_[lane]);
   }
@@ -158,45 +154,44 @@ void TcpTransport::stop() {
 
 // --- The wire ---------------------------------------------------------------
 
-SocketTransport::WireResult TcpTransport::wire_send(
-    const std::vector<std::uint8_t>& frame, const sockaddr_in* remote) {
-  if (stopping()) return WireResult::kConnDead;
-  if (remote == nullptr) {
-    // Self-wire: round-robin over the loopback lanes. Guard the lane math —
-    // a send racing stop() (or a constructor that never built lanes) must
-    // count a loss, not divide by zero.
-    const std::size_t lanes = out_fds_.size();
-    if (lanes == 0) return WireResult::kConnDead;
+void TcpTransport::wire_write(const Run& run, std::vector<WireResult>& fate) {
+  if (stopping()) return;
+  std::size_t written = 0;
+  if (!run.remote.has_value()) {
+    // Self-wire: the runs round-robin over the loopback lanes. A lane torn
+    // down by stop() (fd == -1) takes nothing: the run is a counted loss.
     const std::size_t lane =
-        round_robin_.fetch_add(1, std::memory_order_relaxed) % lanes;
+        round_robin_.fetch_add(1, std::memory_order_relaxed) % kSelfWireLanes;
     std::lock_guard<std::mutex> lk(out_mu_[lane]);
-    if (out_fds_[lane] < 0) return WireResult::kConnDead;
-    return write_all(out_fds_[lane], frame.data(), frame.size())
-               ? WireResult::kOk
-               : WireResult::kConnDead;
+    if (out_fds_[lane] >= 0)
+      written = write_all(out_fds_[lane], run.bytes.data(), run.bytes.size());
+  } else {
+    // Cross-process: one ordered stream per destination address,
+    // established lazily and re-established after failure (a restarted
+    // process gets a fresh connection on the next run).
+    RemoteConn* rc;
+    {
+      std::lock_guard<std::mutex> lk(remotes_mu_);
+      auto& slot = remotes_[addr_key(*run.remote)];
+      if (!slot) slot = std::make_unique<RemoteConn>();
+      rc = slot.get();
+    }
+    std::lock_guard<std::mutex> lk(rc->mu);
+    if (rc->fd < 0) rc->fd = connect_to(*run.remote);
+    if (rc->fd >= 0) {
+      written = write_all(rc->fd, run.bytes.data(), run.bytes.size());
+      if (written < run.bytes.size()) close_fd(rc->fd);
+    }
   }
-  // Cross-process: one ordered stream per destination address, established
-  // lazily and re-established after failure (a restarted process gets a
-  // fresh connection on the next frame).
-  RemoteConn* rc;
-  {
-    std::lock_guard<std::mutex> lk(remotes_mu_);
-    auto& slot = remotes_[addr_key(*remote)];
-    if (!slot) slot = std::make_unique<RemoteConn>();
-    rc = slot.get();
-  }
-  std::lock_guard<std::mutex> lk(rc->mu);
-  if (rc->fd < 0) rc->fd = connect_to(*remote);
-  if (rc->fd < 0) return WireResult::kConnDead;
-  if (!write_all(rc->fd, frame.data(), frame.size())) {
-    close_fd(rc->fd);
-    return WireResult::kConnDead;
-  }
-  return WireResult::kOk;
+  // The frames wholly inside the bytes the socket took are sent; the rest
+  // of the run died with the connection (PROTOCOL.md's frame boundary).
+  for (std::size_t i = 0; i < run.frames.size() && run.frames[i].end <= written;
+       ++i)
+    fate[i] = WireResult::kOk;
 }
 
 void TcpTransport::sever_wire() {
-  for (std::size_t lane = 0; lane < out_fds_.size(); ++lane) {
+  for (std::size_t lane = 0; lane < kSelfWireLanes; ++lane) {
     std::lock_guard<std::mutex> lk(out_mu_[lane]);
     if (out_fds_[lane] >= 0) ::shutdown(out_fds_[lane], SHUT_RDWR);
   }
@@ -209,7 +204,8 @@ void TcpTransport::sever_wire() {
 
 // --- IO thread --------------------------------------------------------------
 
-bool TcpTransport::drain_buffer(std::vector<std::uint8_t>& buf) {
+bool TcpTransport::drain_buffer(std::vector<std::uint8_t>& buf,
+                                std::vector<EnvelopeMsg>& out) {
   std::size_t off = 0;
   while (true) {
     const std::optional<std::size_t> need =
@@ -219,13 +215,12 @@ bool TcpTransport::drain_buffer(std::vector<std::uint8_t>& buf) {
       return false;  // malformed header: drop the connection
     }
     if (*need == 0 || *need > buf.size() - off) break;  // incomplete frame
-    const std::optional<DecodedFrame> frame =
-        decode_frame(buf.data() + off, *need);
+    std::optional<DecodedFrame> frame = decode_frame(buf.data() + off, *need);
     if (!frame.has_value() || frame->kind != MsgKind::kEnvelope) {
       note_decode_error();
       return false;
     }
-    on_envelope(std::get<EnvelopeMsg>(frame->msg));
+    out.push_back(std::get<EnvelopeMsg>(std::move(frame->msg)));
     off += *need;
   }
   if (off > 0) buf.erase(buf.begin(), buf.begin() + static_cast<long>(off));
@@ -238,6 +233,7 @@ void TcpTransport::io_loop() {
     std::vector<std::uint8_t> buf;
   };
   std::vector<Conn> conns;
+  std::vector<EnvelopeMsg> batch;  // the envelopes one recv() completed
 
   while (true) {
     if (stopping()) break;
@@ -266,7 +262,10 @@ void TcpTransport::io_loop() {
       const ssize_t n = ::recv(c.fd, chunk, sizeof(chunk), 0);
       if (n > 0) {
         c.buf.insert(c.buf.end(), chunk, chunk + n);
-        if (!drain_buffer(c.buf)) {
+        const bool ok = drain_buffer(c.buf, batch);
+        on_envelopes(batch);  // what decoded cleanly, even before an error
+        batch.clear();
+        if (!ok) {
           ::close(c.fd);
           c.fd = -1;  // decode error: drop below
         }

@@ -4,12 +4,14 @@
 //
 // Architecture (per instance):
 //
-//   caller threads ──send()──► envelope codec ──write──► loopback TCP ─┐
-//                                                                      │
+//   strand / caller threads ──send()──► envelope codec ──► run per
+//     destination ──one write per run──► loopback TCP ─┐
+//                                                      │
 //   io thread: poll() over the listen socket + accepted connections ◄──┘
 //     reads byte streams, reassembles frames (net/wire.hpp), redeems the
 //     parked delivery handler by message id — or, for frames carrying a
-//     payload, decodes the inner message — and enqueues for dispatch
+//     payload, decodes the inner message — and enqueues everything one
+//     read decoded for dispatch at once
 //
 //   dispatch thread ("the strand"): executes delivered handlers and due
 //     timers one at a time, in arrival/deadline order
@@ -27,7 +29,9 @@
 // Threading contract, accounting parity, and time semantics are the
 // SocketTransport base contract. This class owns only the sockets: the
 // listen socket + self-wire lanes, lazily-connected per-address remote
-// connections, and the io thread that feeds frames back to the base.
+// connections, and the io thread that feeds frames back to the base. A
+// run is written on one stream; if the connection dies partway, the frames
+// wholly written count as sent and the rest of the run is lost whole.
 #pragma once
 
 #include <chrono>
@@ -50,9 +54,6 @@ class TcpTransport final : public SocketTransport {
     /// constants are written in ticks (sim convention: ~1ms); the default
     /// compresses them 10x so loss-recovery tests stay fast.
     std::chrono::microseconds tick{100};
-    /// Parallel loopback connections (sends round-robin across them, so
-    /// concurrent senders do not serialize on one stream).
-    int wire_connections = 2;
     /// Connection establishment: attempts and exponential backoff bounds.
     int connect_attempts = 20;
     std::chrono::milliseconds connect_backoff{2};
@@ -83,20 +84,25 @@ class TcpTransport final : public SocketTransport {
   void stop() override;
 
   /// Test/fault hook: shuts down every outbound wire connection (self-wire
-  /// lanes and remote connections), so each subsequent wire send fails
-  /// deterministically (and is accounted net.dropped.conn,
+  /// lanes and remote connections), so every frame of each subsequent run
+  /// write fails deterministically (and is accounted net.dropped.conn,
   /// SendRecord.lost = true). Frames already written still drain to the
   /// reader — the cut is clean at a frame boundary, never mid-frame.
   void sever_wire();
 
  private:
-  WireResult wire_send(const std::vector<std::uint8_t>& frame,
-                       const sockaddr_in* remote) override;
+  /// Self-wire lanes: parallel loopback connections. Runs round-robin
+  /// across them, so concurrent senders do not serialize on one stream.
+  static constexpr std::size_t kSelfWireLanes = 2;
+
+  void wire_write(const Run& run, std::vector<WireResult>& fate) override;
 
   void io_loop();
-  /// Parses complete frames out of a connection's read buffer; returns
-  /// false when the connection must be dropped (decode error).
-  bool drain_buffer(std::vector<std::uint8_t>& buf);
+  /// Parses the complete frames at the front of a connection's read buffer
+  /// into `out`; returns false when the connection must be dropped (decode
+  /// error).
+  bool drain_buffer(std::vector<std::uint8_t>& buf,
+                    std::vector<EnvelopeMsg>& out);
   int connect_loopback();
   int connect_to(const sockaddr_in& addr);
   void close_fd(int& fd);
@@ -112,14 +118,14 @@ class TcpTransport final : public SocketTransport {
   Config cfg_;
 
   // Sockets. listen_fd_ accepts; out_fds_ are the self-wire client ends
-  // sends write to (each guarded by its own write mutex so concurrent
-  // senders can use distinct streams in parallel); accepted connections
-  // live in the io thread only.
+  // runs are written to (each guarded by its own write mutex so concurrent
+  // senders can use distinct streams in parallel; -1 until connected and
+  // after stop); accepted connections live in the io thread only.
   int listen_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};  ///< unblocks the io thread's poll on stop
   std::uint16_t port_ = 0;
-  std::vector<int> out_fds_;
-  std::unique_ptr<std::mutex[]> out_mu_;
+  int out_fds_[kSelfWireLanes] = {-1, -1};
+  std::mutex out_mu_[kSelfWireLanes];
   std::atomic<std::uint64_t> round_robin_{0};
 
   // Outbound connections to other processes, keyed by (ip, port).

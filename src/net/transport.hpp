@@ -194,8 +194,12 @@ class Transport {
   virtual const sim::Metrics& metrics() const = 0;
 
   /// Installs (or, with nullptr, removes) a per-send observer — the tracing
-  /// hook (see src/obs). Invoked synchronously from send(); keep it cheap.
-  /// The observer must outlive the transport or be removed first.
+  /// hook (see src/obs). The simulator invokes it synchronously from
+  /// send(). The socket backends invoke it once the frame's fate is known:
+  /// on the dispatch strand when the run holding the frame is written (for
+  /// sends its handlers made), inside send() for sends from other threads.
+  /// Keep it cheap, and do not send from it. The observer must outlive the
+  /// transport or be removed first.
   virtual void set_send_observer(SendObserver fn) = 0;
 
  protected:

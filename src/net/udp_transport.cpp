@@ -82,28 +82,36 @@ void UdpTransport::stop() {
   }
 }
 
-SocketTransport::WireResult UdpTransport::wire_send(
-    const std::vector<std::uint8_t>& frame, const sockaddr_in* remote) {
-  if (stopping()) return WireResult::kConnDead;
-  if (frame.size() > kMaxDatagram) return WireResult::kConnDead;
-  const sockaddr_in dest = remote != nullptr ? *remote : self_addr_;
+void UdpTransport::wire_write(const Run& run, std::vector<WireResult>& fate) {
+  if (stopping()) return;
+  const sockaddr_in dest = run.remote.value_or(self_addr_);
 
   std::lock_guard<std::mutex> lk(send_mu_);
-  if (fd_ < 0) return WireResult::kConnDead;
-  // The seeded drop model: the frame dies here, exactly where a real
-  // congested path would discard the datagram.
-  const std::uint64_t ppm = drop_ppm_.load(std::memory_order_relaxed);
-  if (ppm > 0 && drop_rng_.next_below(1000000) < ppm)
-    return WireResult::kDropped;
-  const ssize_t n =
-      ::sendto(fd_, frame.data(), frame.size(), 0,
-               reinterpret_cast<const sockaddr*>(&dest), sizeof(dest));
-  return n == static_cast<ssize_t>(frame.size()) ? WireResult::kOk
-                                                 : WireResult::kConnDead;
+  if (fd_ < 0) return;
+  // One datagram per frame, each with its own fate.
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < run.frames.size(); ++i) {
+    const std::uint8_t* data = run.bytes.data() + begin;
+    const std::size_t len = run.frames[i].end - begin;
+    begin = run.frames[i].end;
+    if (len > kMaxDatagram) continue;  // cannot be carried: kConnDead
+    // The seeded drop model: the frame dies here, exactly where a real
+    // congested path would discard the datagram.
+    const std::uint64_t ppm = drop_ppm_.load(std::memory_order_relaxed);
+    if (ppm > 0 && drop_rng_.next_below(1000000) < ppm) {
+      fate[i] = WireResult::kDropped;
+      continue;
+    }
+    const ssize_t n =
+        ::sendto(fd_, data, len, 0, reinterpret_cast<const sockaddr*>(&dest),
+                 sizeof(dest));
+    if (n == static_cast<ssize_t>(len)) fate[i] = WireResult::kOk;
+  }
 }
 
 void UdpTransport::io_loop() {
   std::vector<std::uint8_t> buf(64 * 1024);
+  std::vector<EnvelopeMsg> batch;  // the envelopes one drain received
   while (true) {
     if (stopping()) break;
     sweep_parked();
@@ -120,14 +128,16 @@ void UdpTransport::io_loop() {
       if (n <= 0) break;
       // One datagram, one frame: no reassembly. A malformed or truncated
       // datagram is counted and dropped; the socket lives on.
-      const std::optional<DecodedFrame> frame =
+      std::optional<DecodedFrame> frame =
           decode_frame(buf.data(), static_cast<std::size_t>(n));
       if (!frame.has_value() || frame->kind != MsgKind::kEnvelope) {
         note_decode_error();
         continue;
       }
-      on_envelope(std::get<EnvelopeMsg>(frame->msg));
+      batch.push_back(std::get<EnvelopeMsg>(std::move(frame->msg)));
     }
+    on_envelopes(batch);
+    batch.clear();
   }
 }
 

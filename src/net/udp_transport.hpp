@@ -7,20 +7,22 @@
 //
 // Architecture (per instance): one loopback UDP socket, bound ephemeral.
 // Self-wire frames (parked-handler sends) and cross-process payload frames
-// (peer-address table) both go out as single datagrams via sendto(); the
-// io thread recvfrom()s whole envelopes — no stream reassembly, datagram
-// boundaries are frame boundaries — and feeds them to the SocketTransport
-// base exactly like the TCP backend.
+// (peer-address table) both go out as single datagrams via sendto(), one
+// per frame of each run the base writes; the io thread recvfrom()s whole
+// envelopes — no stream reassembly, datagram boundaries are frame
+// boundaries — and feeds everything one drain of the socket received to
+// the SocketTransport base at once, exactly like the TCP backend.
 //
 // Loss semantics (docs/ROBUSTNESS.md):
-//  * the seeded drop model discards a frame at send time — counted
+//  * the seeded drop model discards a frame when its run is written —
+//    frame by frame — counted
 //    net.dropped.fault + net.lost, like a sim drop model, with no
 //    peer-down report (packet loss is not peer death);
 //  * a frame the kernel or the read side swallows (buffer overrun,
 //    drop_inbound) leaks no state: the parked-handler sweep releases the
 //    sender's slot as net.dropped.conn after parked_ttl;
 //  * frames larger than one datagram (kMaxDatagram) cannot be carried and
-//    are counted net.dropped.conn at send.
+//    are counted net.dropped.conn when their run is written.
 // Either way the conservation identity net.messages == net.delivered +
 // net.lost closes per process; retransmission above (OverlayIndex /
 // PeerSlice step timers) is what masks the loss from the application.
@@ -78,8 +80,7 @@ class UdpTransport final : public SocketTransport {
   void stop() override;
 
  private:
-  WireResult wire_send(const std::vector<std::uint8_t>& frame,
-                       const sockaddr_in* remote) override;
+  void wire_write(const Run& run, std::vector<WireResult>& fate) override;
   void io_loop();
 
   Config cfg_;

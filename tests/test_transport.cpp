@@ -11,7 +11,9 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -497,6 +499,149 @@ TEST(TcpTransport, SendAfterStopIsCountedLossNotCrash) {
   EXPECT_EQ(t.metrics().counter("net.messages"),
             t.metrics().counter("net.delivered") +
                 t.metrics().counter("net.lost"));
+}
+
+// --- Runs: the strand's end-of-turn write ------------------------------------
+
+// The frames one strand turn sends queue in a run and go out together when
+// the turn ends: nothing is written (or observed) inside the turn, and then
+// every frame arrives, each with one truthful observer record.
+TEST(TcpTransport, StrandTurnSendsGoOutAsOneRun) {
+  TcpTransport t(fast_config());
+  constexpr int kN = 50;
+  for (EndpointId id = 0; id <= kN; ++id) t.register_endpoint(id);
+  std::mutex mu;
+  std::vector<SendRecord> seen;
+  t.set_send_observer([&](const std::string&, const SendRecord& rec) {
+    std::lock_guard<std::mutex> lk(mu);
+    seen.push_back(rec);
+  });
+  std::atomic<int> ran{0};
+  std::size_t seen_in_turn = 0;
+  t.schedule_in(0, [&] {
+    for (EndpointId to = 1; to <= kN; ++to)
+      t.send(0, to, "kws.t_query", 64, [&ran] { ++ran; });
+    std::lock_guard<std::mutex> lk(mu);
+    seen_in_turn = seen.size();
+  });
+  ASSERT_TRUE(t.wait_idle(kIdle));
+  EXPECT_EQ(seen_in_turn, 0u);  // queued, not yet written
+  EXPECT_EQ(ran.load(), kN);
+  EXPECT_EQ(t.metrics().counter("net.messages"), std::uint64_t{kN});
+  EXPECT_EQ(t.metrics().counter("net.delivered"), std::uint64_t{kN});
+  EXPECT_EQ(t.metrics().counter("net.lost"), 0u);
+  std::lock_guard<std::mutex> lk(mu);
+  ASSERT_EQ(seen.size(), std::size_t{kN});
+  std::set<EndpointId> to;
+  for (const SendRecord& r : seen) {
+    EXPECT_FALSE(r.lost);
+    to.insert(r.to);
+  }
+  EXPECT_EQ(to.size(), std::size_t{kN});  // one record per destination
+}
+
+// A run written into a dead connection is lost whole: every frame counts
+// one net.dropped.conn loss and one lost observer record, its parked
+// handler is released unrun, and each endpoint is reported down once.
+TEST(TcpTransport, SeveredWireLosesEveryFrameOfAStrandRun) {
+  TcpTransport t(fast_config());
+  for (EndpointId id = 1; id <= 4; ++id) t.register_endpoint(id);
+  std::mutex mu;
+  std::vector<SendRecord> seen;
+  std::vector<EndpointId> down;
+  t.set_send_observer([&](const std::string&, const SendRecord& rec) {
+    std::lock_guard<std::mutex> lk(mu);
+    seen.push_back(rec);
+  });
+  t.set_peer_down_observer([&](EndpointId ep) {
+    std::lock_guard<std::mutex> lk(mu);
+    down.push_back(ep);
+  });
+  t.sever_wire();
+  constexpr int kN = 12;
+  std::atomic<int> ran{0};
+  t.schedule_in(0, [&] {
+    for (int i = 0; i < kN; ++i)
+      t.send(1, static_cast<EndpointId>(2 + i % 3), "kws.t_query", 64,
+             [&ran] { ++ran; });
+  });
+  ASSERT_TRUE(t.wait_idle(kIdle));
+  EXPECT_EQ(ran.load(), 0);
+  EXPECT_EQ(t.metrics().counter("net.messages"), std::uint64_t{kN});
+  EXPECT_EQ(t.metrics().counter("net.delivered"), 0u);
+  EXPECT_EQ(t.metrics().counter("net.lost"), std::uint64_t{kN});
+  EXPECT_EQ(t.metrics().counter("net.dropped.conn"), std::uint64_t{kN});
+  EXPECT_EQ(t.metrics().counter("net.dropped.fault"), 0u);
+  std::lock_guard<std::mutex> lk(mu);
+  ASSERT_EQ(seen.size(), std::size_t{kN});
+  for (const SendRecord& r : seen) EXPECT_TRUE(r.lost);
+  std::sort(down.begin(), down.end());
+  EXPECT_EQ(down, (std::vector<EndpointId>{2, 3, 4}));
+}
+
+// One turn sending far more than a run's cap writes a run each time the
+// cap is reached, while the io thread keeps reading: every frame arrives
+// and nothing deadlocks, even past what the socket buffers hold.
+TEST(TcpTransport, TurnPastTheRunCapIsDeliveredInFull) {
+  TcpTransport t(fast_config());
+  t.register_endpoint(1);
+  t.register_endpoint(2);
+  constexpr int kN = 2000;
+  constexpr std::size_t kBytes = 4096;  // padded in full: ~8 MB in one turn
+  static_assert(kN * kBytes > 64 * SocketTransport::kMaxRunBytes);
+  std::atomic<int> ran{0};
+  t.schedule_in(0, [&] {
+    for (int i = 0; i < kN; ++i)
+      t.send(1, 2, "kws.insert", kBytes, [&ran] { ++ran; });
+  });
+  ASSERT_TRUE(t.wait_idle(std::chrono::seconds{30}));
+  EXPECT_EQ(ran.load(), kN);
+  EXPECT_EQ(t.metrics().counter("net.delivered"), std::uint64_t{kN});
+  EXPECT_EQ(t.metrics().counter("net.lost"), 0u);
+  EXPECT_GT(t.metrics().counter("net.wire_bytes"), kN * kBytes);
+  EXPECT_EQ(t.decode_errors(), 0u);
+}
+
+// wait_idle() must not report idle while the strand still holds frames in
+// user space. Payload frames to another process count net.delivered, and
+// reach the observer, when the wire takes them: at idle every one of them
+// must have been written and settled. The slow observer stretches the
+// write, so returning early cannot go unnoticed.
+TEST(TcpTransport, WaitIdleCoversTheStrandsUnwrittenRun) {
+  TcpTransport a(fast_config());
+  TcpTransport b(fast_config());
+  a.register_endpoint(1);
+  b.register_endpoint(2);
+  ASSERT_TRUE(a.set_peer_address(2, PeerAddr{"127.0.0.1", b.port()}));
+  std::atomic<int> observed{0};
+  a.set_send_observer([&observed](const std::string&, const SendRecord&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{1});
+    ++observed;
+  });
+  std::atomic<int> got{0};
+  b.set_payload_handler(
+      [&got](EndpointId, EndpointId, MsgKind, const WireMessage&) { ++got; });
+  constexpr int kN = 20;
+  std::promise<void> queued;
+  a.schedule_in(0, [&] {
+    for (int i = 0; i < kN; ++i)
+      a.send_payload(1, 2, MsgKind::kKwsTCont,
+                     WireMessage{ControlMsg{5, 9, 2, false}});
+    queued.set_value();
+    // Hold the turn open: the run stays unwritten while wait_idle starts.
+    std::this_thread::sleep_for(std::chrono::milliseconds{50});
+  });
+  queued.get_future().wait();
+  ASSERT_TRUE(a.wait_idle(kIdle));
+  EXPECT_EQ(observed.load(), kN);
+  EXPECT_EQ(a.metrics().counter("net.delivered"), std::uint64_t{kN});
+  EXPECT_EQ(a.metrics().counter("net.messages"), std::uint64_t{kN});
+  const auto until = std::chrono::steady_clock::now() + kIdle;
+  while (got.load() < kN && std::chrono::steady_clock::now() < until)
+    std::this_thread::sleep_for(std::chrono::milliseconds{1});
+  EXPECT_EQ(got.load(), kN);
+  ASSERT_TRUE(b.wait_idle(kIdle));
+  EXPECT_EQ(b.metrics().counter("net.remote.in"), std::uint64_t{kN});
 }
 
 // --- Cross-process payload delivery -----------------------------------------

@@ -8,6 +8,7 @@
 // binary under ThreadSanitizer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -106,6 +107,48 @@ TEST(UdpTransport, SeededLossIsDeterministic) {
   }
   EXPECT_EQ(lost_counts[0], lost_counts[1]);
   EXPECT_GT(lost_counts[0], 0u);
+}
+
+// The drop model decides frame by frame inside a run: one strand turn's
+// frames go out as one run, the dropped ones count net.dropped.fault, the
+// rest are delivered, and the same seed drops the same frames again.
+TEST(UdpTransport, SeededLossInOneRunIsAttributedPerFrame) {
+  constexpr int kN = 100;
+  std::vector<std::vector<bool>> lost_flags;
+  for (int run = 0; run < 2; ++run) {
+    UdpTransport::Config cfg = fast_config();
+    cfg.drop_rate = 0.3;
+    cfg.seed = 11;
+    UdpTransport t(cfg);
+    t.register_endpoint(1);
+    t.register_endpoint(2);
+    std::mutex mu;
+    std::vector<bool> flags;
+    t.set_send_observer([&](const std::string&, const SendRecord& rec) {
+      std::lock_guard<std::mutex> lk(mu);
+      flags.push_back(rec.lost);
+    });
+    std::atomic<std::uint64_t> ran{0};
+    t.schedule_in(0, [&] {
+      for (int i = 0; i < kN; ++i)
+        t.send(1, 2, "kws.t_query", 64, [&ran] { ++ran; });
+    });
+    ASSERT_TRUE(t.wait_idle(kIdle));
+    const std::uint64_t lost = counter(t, "net.lost");
+    EXPECT_GT(lost, 0u);
+    EXPECT_LT(lost, std::uint64_t{kN});
+    EXPECT_EQ(counter(t, "net.dropped.fault"), lost);
+    EXPECT_EQ(counter(t, "net.dropped.conn"), 0u);
+    EXPECT_EQ(counter(t, "net.delivered"), kN - lost);
+    EXPECT_EQ(ran.load(), kN - lost);
+    std::lock_guard<std::mutex> lk(mu);
+    ASSERT_EQ(flags.size(), std::size_t{kN});
+    EXPECT_EQ(static_cast<std::uint64_t>(
+                  std::count(flags.begin(), flags.end(), true)),
+              lost);
+    lost_flags.push_back(flags);
+  }
+  EXPECT_EQ(lost_flags[0], lost_flags[1]);
 }
 
 // set_drop_rate() re-arms the model at runtime: tests publish lossless,
