@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 namespace hkws::net {
 
@@ -40,24 +41,22 @@ void SocketTransport::join_dispatch() {
   if (dispatch_thread_.joinable()) dispatch_thread_.join();
 }
 
-// --- Endpoints (reader-writer-locked per-peer state) ------------------------
+// --- Endpoints (reader-writer-locked membership) ----------------------------
 
 void SocketTransport::register_endpoint(EndpointId id) {
   std::unique_lock<std::shared_mutex> lk(peers_mu_);
-  peers_[id].registered = true;
+  registered_.insert(id);
   down_reported_[id] = false;  // a re-registered peer may be reported again
 }
 
 void SocketTransport::unregister_endpoint(EndpointId id) {
   std::unique_lock<std::shared_mutex> lk(peers_mu_);
-  const auto it = peers_.find(id);
-  if (it != peers_.end()) it->second.registered = false;
+  registered_.erase(id);
 }
 
 bool SocketTransport::is_registered(EndpointId id) const {
   std::shared_lock<std::shared_mutex> lk(peers_mu_);
-  const auto it = peers_.find(id);
-  return it != peers_.end() && it->second.registered;
+  return registered_.contains(id);
 }
 
 // --- Peer-address table -----------------------------------------------------
@@ -101,19 +100,16 @@ void SocketTransport::send(EndpointId from, EndpointId to, std::string kind,
   if (from == to) {
     // Local call: no wire traffic, async delivery — the simulator's
     // contract, preserved so protocol code behaves identically.
-    {
-      std::lock_guard<std::mutex> lk(metrics_mu_);
-      metrics_.count("net.local");
-    }
-    Ready local{std::move(deliver), to, /*wire=*/false};
+    bump(kLocal);
+    Ready local{std::move(deliver), /*wire=*/false};
     enqueue_ready({&local, 1});
     return;
   }
+  const KindId id = kind_id(kind);
   if (!is_registered(to)) {
-    std::lock_guard<std::mutex> lk(metrics_mu_);
-    metrics_.count("net.dropped");
-    metrics_.count("net.dropped." + kind);
-    metrics_.count("net.dropped.unregistered");
+    bump(kDropped);
+    bump(kDroppedKind, id);
+    bump(kDroppedUnregistered);
     return;
   }
 
@@ -124,42 +120,31 @@ void SocketTransport::send(EndpointId from, EndpointId to, std::string kind,
   {
     std::lock_guard<std::mutex> lk(handlers_mu_);
     msg_id = next_msg_++;
-    parked_.emplace(msg_id, ParkedEntry{std::move(deliver), to, kind,
-                                        Clock::now() + common_.parked_ttl});
+    if (parked_.empty()) parked_base_ = msg_id;
+    // Ids payload sends took while handlers were parked stay holes.
+    parked_.resize(msg_id - parked_base_);
+    parked_.push_back(
+        ParkedEntry{std::move(deliver), id, Clock::now() + common_.parked_ttl});
   }
   {
     std::lock_guard<std::mutex> lk(strand_mu_);
     ++inflight_;
   }
-  {
-    std::shared_lock<std::shared_mutex> lk(peers_mu_);
-    const auto it = peers_.find(from);
-    if (it != peers_.end())
-      it->second.sent.fetch_add(1, std::memory_order_relaxed);
-  }
 
   EnvelopeMsg env;
-  const std::optional<MsgKind> known = kind_of(kind);
-  env.inner_kind = known.value_or(MsgKind::kOpaque);
-  if (!known.has_value()) env.label = kind;
+  if (id < kKindCount) {
+    env.inner_kind = kind_at(id);
+  } else {
+    env.inner_kind = MsgKind::kOpaque;
+    env.label = std::move(kind);
+  }
   env.msg_id = msg_id;
   env.from = from;
   env.to = to;
   env.declared_bytes = payload_bytes;
   env.pad = static_cast<std::uint32_t>(
       std::min<std::size_t>(payload_bytes, common_.max_pad));
-  std::vector<std::uint8_t> frame =
-      encode_frame(MsgKind::kEnvelope, WireMessage{env});
-
-  {
-    std::lock_guard<std::mutex> lk(metrics_mu_);
-    metrics_.count("net.messages");
-    metrics_.count("net.bytes", payload_bytes);
-    metrics_.count("net.wire_bytes", frame.size());
-    metrics_.count("msg." + kind);
-  }
-  queue_frame(nullptr, std::move(frame),
-              OutFrame{0, msg_id, from, to, payload_bytes, std::move(kind)});
+  emit(nullptr, env, id);
 }
 
 // --- Send (cross-process payload mode) --------------------------------------
@@ -173,12 +158,10 @@ void SocketTransport::send_payload(EndpointId from, EndpointId to,
     Transport::send_payload(from, to, kind, msg);
     return;
   }
-  std::string kind_label = kind_name(kind);
-  std::vector<std::uint8_t> inner = encode_frame(kind, msg);
-  if (inner.empty()) return;  // layout mismatch: programming error upstream
-  const std::size_t declared = inner.size();
-
   EnvelopeMsg env;
+  env.payload = encode_frame(kind, msg);
+  // Empty: a layout mismatch, a programming error upstream.
+  if (env.payload.empty()) return;
   env.inner_kind = kind;
   {
     std::lock_guard<std::mutex> lk(handlers_mu_);
@@ -186,28 +169,10 @@ void SocketTransport::send_payload(EndpointId from, EndpointId to,
   }
   env.from = from;
   env.to = to;
-  env.declared_bytes = declared;
-  env.payload = std::move(inner);
+  env.declared_bytes = env.payload.size();
   env.pad = 0;  // the payload itself is the serialization cost
-  std::vector<std::uint8_t> frame =
-      encode_frame(MsgKind::kEnvelope, WireMessage{std::move(env)});
-
-  {
-    std::lock_guard<std::mutex> lk(metrics_mu_);
-    metrics_.count("net.messages");
-    metrics_.count("net.bytes", declared);
-    metrics_.count("net.wire_bytes", frame.size());
-    metrics_.count("msg." + kind_label);
-    metrics_.count("net.remote.out");
-  }
-  {
-    std::shared_lock<std::shared_mutex> lk(peers_mu_);
-    const auto it = peers_.find(from);
-    if (it != peers_.end())
-      it->second.sent.fetch_add(1, std::memory_order_relaxed);
-  }
-  queue_frame(&remote, std::move(frame),
-              OutFrame{0, 0, from, to, declared, std::move(kind_label)});
+  bump(kRemoteOut);
+  emit(&remote, env, static_cast<KindId>(kind_index(kind)));
 }
 
 // --- Runs --------------------------------------------------------------------
@@ -226,38 +191,45 @@ bool same_destination(const std::optional<sockaddr_in>& a,
 
 }  // namespace
 
-void SocketTransport::queue_frame(const sockaddr_in* remote,
-                                  std::vector<std::uint8_t> frame,
-                                  OutFrame out) {
-  if (strand_of != this) {
-    // No strand turn will end for this caller: write a run of one now.
-    Run one;
-    if (remote != nullptr) one.remote = *remote;
-    out.end = frame.size();
-    one.bytes = std::move(frame);
-    one.frames.push_back(std::move(out));
+void SocketTransport::emit(const sockaddr_in* remote, const EnvelopeMsg& env,
+                           KindId kind) {
+  const bool on_strand = strand_of == this;
+  Run one;  // off the strand: no turn will end for this caller
+  Run* run = &one;
+  if (on_strand) {
+    auto it = std::find_if(runs_.begin(), runs_.end(), [remote](const Run& r) {
+      return same_destination(r.remote, remote);
+    });
+    if (it == runs_.end()) {
+      it = runs_.emplace(runs_.end());
+      if (remote != nullptr) it->remote = *remote;
+    }
+    run = &*it;
+  } else if (remote != nullptr) {
+    one.remote = *remote;
+  }
+  bump(kMessages);
+  bump(kBytes, env.declared_bytes);
+  bump(kWireBytes, append_envelope(run->bytes, env));
+  bump(kMsgKind, kind);
+  // A payload envelope parks nothing: its message id redeems no handler.
+  run->frames.push_back(OutFrame{run->bytes.size(),
+                                 env.payload.empty() ? env.msg_id : 0,
+                                 env.from, env.to, env.declared_bytes, kind});
+  if (!on_strand) {
     write_run(one);
     return;
   }
   if (held_++ == 0) held_since_ = Clock::now();
-  auto it = std::find_if(runs_.begin(), runs_.end(), [remote](const Run& r) {
-    return same_destination(r.remote, remote);
-  });
-  if (it == runs_.end()) {
-    it = runs_.emplace(runs_.end());
-    if (remote != nullptr) it->remote = *remote;
-  }
-  it->bytes.insert(it->bytes.end(), frame.begin(), frame.end());
-  out.end = it->bytes.size();
-  it->frames.push_back(std::move(out));
-  if (it->bytes.size() >= kMaxRunBytes) {
-    held_ -= it->frames.size();
-    write_run(*it);
+  if (run->bytes.size() >= kMaxRunBytes) {
+    held_ -= run->frames.size();
+    write_run(*run);
   }
 }
 
 void SocketTransport::write_run(Run& run) {
-  std::vector<WireResult> fate(run.frames.size(), WireResult::kConnDead);
+  thread_local std::vector<WireResult> fate;
+  fate.assign(run.frames.size(), WireResult::kConnDead);
   wire_write(run, fate);
 
   // Losses first: release the parked handler, count the loss and its one
@@ -274,8 +246,9 @@ void SocketTransport::write_run(Run& run) {
     bool ours = true;
     if (f.parked != 0) {
       // Not parked any more: the sweep already counted this frame lost.
+      ParkedEntry gone;
       std::lock_guard<std::mutex> lk(handlers_mu_);
-      ours = parked_.erase(f.parked) > 0;
+      ours = unpark(f.parked, &gone);
     }
     if (ours) {
       count_loss(f.kind, fate[i]);
@@ -283,18 +256,19 @@ void SocketTransport::write_run(Run& run) {
     }
     if (fate[i] == WireResult::kConnDead) report_peer_down(f.to);
   }
+  // A cross-process frame the wire accepted is on its way to another
+  // process; this process's conservation identity closes at the wire (the
+  // receiver counts it as net.remote.in, not net.delivered).
+  if (remote_ok > 0) bump(kDelivered, remote_ok);
   {
-    std::lock_guard<std::mutex> lk(metrics_mu_);
-    // A cross-process frame the wire accepted is on its way to another
-    // process; this process's conservation identity closes at the wire
-    // (the receiver counts it as net.remote.in, not net.delivered).
-    if (remote_ok > 0) metrics_.count("net.delivered", remote_ok);
+    std::lock_guard<std::mutex> lk(observer_mu_);
     if (observer_) {
       const Time at = now();
       for (std::size_t i = 0; i < run.frames.size(); ++i) {
         const OutFrame& f = run.frames[i];
-        observer_(f.kind, SendRecord{at, f.from, f.to, f.declared,
-                                     fate[i] != WireResult::kOk, at});
+        observer_(kind_label(f.kind),
+                  SendRecord{at, f.from, f.to, f.declared,
+                             fate[i] != WireResult::kOk, at});
       }
     }
   }
@@ -315,13 +289,11 @@ void SocketTransport::write_runs() {
     if (!run.frames.empty()) write_run(run);
 }
 
-void SocketTransport::count_loss(const std::string& kind, WireResult why) {
-  std::lock_guard<std::mutex> lk(metrics_mu_);
-  metrics_.count("net.lost");
-  metrics_.count("net.lost." + kind);
-  metrics_.count("net.dropped." + kind);
-  metrics_.count(why == WireResult::kDropped ? "net.dropped.fault"
-                                             : "net.dropped.conn");
+void SocketTransport::count_loss(KindId kind, WireResult why) {
+  bump(kLost);
+  bump(kLostKind, kind);
+  bump(kDroppedKind, kind);
+  bump(why == WireResult::kDropped ? kDroppedFault : kDroppedConn);
 }
 
 void SocketTransport::report_peer_down(EndpointId to) {
@@ -334,7 +306,7 @@ void SocketTransport::report_peer_down(EndpointId to) {
   }
   PeerDownObserver cb;
   {
-    std::lock_guard<std::mutex> lk(metrics_mu_);
+    std::lock_guard<std::mutex> lk(observer_mu_);
     cb = peer_down_;
   }
   if (!cb) return;
@@ -362,7 +334,7 @@ void SocketTransport::on_envelopes(const std::vector<EnvelopeMsg>& batch) {
   std::vector<Ready> ready;
   ready.reserve(batch.size());
   std::uint64_t stray = 0;
-  std::vector<MsgKind> remote_in;
+  std::uint64_t remote_in = 0;
   // Redeem the batch's parked handlers under one hold of the table's lock,
   // let go only to decode a payload envelope.
   std::unique_lock<std::mutex> parked_lk(handlers_mu_);
@@ -379,13 +351,12 @@ void SocketTransport::on_envelopes(const std::vector<EnvelopeMsg>& batch) {
 
     if (env.payload.empty()) {
       if (!parked_lk.owns_lock()) parked_lk.lock();
-      const auto it = parked_.find(env.msg_id);
-      if (it == parked_.end()) {
+      ParkedEntry e;
+      if (!unpark(env.msg_id, &e)) {
         ++stray;  // unknown message id: a duplicate or stray frame
         continue;
       }
-      ready.push_back(Ready{std::move(it->second.fn), it->second.to, true});
-      parked_.erase(it);
+      ready.push_back(Ready{std::move(e.fn), true});
       continue;
     }
     if (parked_lk.owns_lock()) parked_lk.unlock();
@@ -402,35 +373,43 @@ void SocketTransport::on_envelopes(const std::vector<EnvelopeMsg>& batch) {
       ++stray;
       continue;
     }
-    remote_in.push_back(inner->kind);
+    ++remote_in;
+    bump(kRemoteInKind, static_cast<KindId>(kind_index(inner->kind)));
     ready.push_back(Ready{
         [this, from = env.from, to = env.to, kind = inner->kind,
          msg = std::move(inner->msg)] { payload_handler_(from, to, kind, msg); },
-        env.to, false});
+        false});
   }
   if (parked_lk.owns_lock()) parked_lk.unlock();
-  if (stray > 0 || !remote_in.empty()) {
-    std::lock_guard<std::mutex> lk(metrics_mu_);
-    if (stray > 0) metrics_.count("net.stray", stray);
-    if (!remote_in.empty()) metrics_.count("net.remote.in", remote_in.size());
-    for (MsgKind k : remote_in)
-      metrics_.count(std::string("net.remote.in.") + kind_name(k));
-  }
+  if (stray > 0) bump(kStray, stray);
+  if (remote_in > 0) bump(kRemoteIn, remote_in);
   enqueue_ready(ready);
+}
+
+bool SocketTransport::unpark(std::uint64_t id, ParkedEntry* out) {
+  if (id < parked_base_ || id - parked_base_ >= parked_.size()) return false;
+  ParkedEntry& e = parked_[id - parked_base_];
+  if (!e.fn) return false;
+  *out = std::move(e);
+  e.fn = nullptr;
+  while (!parked_.empty() && !parked_.front().fn) {
+    parked_.pop_front();
+    ++parked_base_;
+  }
+  return true;
 }
 
 void SocketTransport::sweep_parked() {
   std::vector<ParkedEntry> dead;
   const Clock::time_point now_tp = Clock::now();
   {
+    // Deadlines grow with the id: the expired entries are at the front.
     std::lock_guard<std::mutex> lk(handlers_mu_);
-    for (auto it = parked_.begin(); it != parked_.end();) {
-      if (it->second.deadline <= now_tp) {
-        dead.push_back(std::move(it->second));
-        it = parked_.erase(it);
-      } else {
-        ++it;
-      }
+    while (!parked_.empty() && (!parked_.front().fn ||
+                                parked_.front().deadline <= now_tp)) {
+      if (parked_.front().fn) dead.push_back(std::move(parked_.front()));
+      parked_.pop_front();
+      ++parked_base_;
     }
   }
   if (dead.empty()) return;
@@ -445,11 +424,6 @@ void SocketTransport::sweep_parked() {
     inflight_ -= std::min<std::uint64_t>(inflight_, dead.size());
   }
   idle_cv_.notify_all();
-}
-
-void SocketTransport::note_decode_error() {
-  std::lock_guard<std::mutex> lk(metrics_mu_);
-  ++decode_errors_;
 }
 
 // --- Dispatch strand --------------------------------------------------------
@@ -475,16 +449,7 @@ void SocketTransport::dispatch_loop() {
       Ready r = std::move(ready_.front());
       ready_.pop_front();
       lk.unlock();
-      if (r.wire) {
-        std::lock_guard<std::mutex> mlk(metrics_mu_);
-        metrics_.count("net.delivered");
-      }
-      {
-        std::shared_lock<std::shared_mutex> plk(peers_mu_);
-        const auto it = peers_.find(r.at);
-        if (it != peers_.end())
-          it->second.delivered.fetch_add(1, std::memory_order_relaxed);
-      }
+      if (r.wire) bump(kDelivered);
       r.fn();
       lk.lock();
       --inflight_;
@@ -562,15 +527,111 @@ bool SocketTransport::cancel_timer(TimerId id) {
   return true;
 }
 
+// --- Counters ----------------------------------------------------------------
+
+namespace {
+
+// In SocketTransport::Counter and SocketTransport::Family order.
+const char* const kCounterNames[] = {
+    "net.messages",
+    "net.bytes",
+    "net.wire_bytes",
+    "net.delivered",
+    "net.local",
+    "net.dropped",
+    "net.dropped.unregistered",
+    "net.dropped.conn",
+    "net.dropped.fault",
+    "net.lost",
+    "net.remote.out",
+    "net.remote.in",
+    "net.stray",
+};
+const char* const kFamilyPrefixes[] = {"msg.", "net.lost.", "net.dropped.",
+                                       "net.remote.in."};
+
+}  // namespace
+
+struct SocketTransport::Names {
+  std::array<std::string, kSlotCount> slot;
+  std::array<std::string, kKindCount> kind;
+
+  static const Names& get() {
+    static const Names names = [] {
+      static_assert(std::size(kCounterNames) == kCounterCount);
+      static_assert(std::size(kFamilyPrefixes) == kFamilyCount);
+      Names n;
+      for (std::size_t c = 0; c < kCounterCount; ++c)
+        n.slot[c] = kCounterNames[c];
+      for (std::size_t k = 0; k < kKindCount; ++k) {
+        n.kind[k] = kind_name(kind_at(k));
+        for (std::size_t f = 0; f < kFamilyCount; ++f)
+          n.slot[kCounterCount + f * kKindCount + k] =
+              kFamilyPrefixes[f] + n.kind[k];
+      }
+      return n;
+    }();
+    return names;
+  }
+};
+
+void SocketTransport::bump(Family f, KindId kind, std::uint64_t delta) {
+  if (kind < kKindCount) {
+    slots_[kCounterCount + f * kKindCount + kind].fetch_add(
+        delta, std::memory_order_relaxed);
+    return;
+  }
+  std::lock_guard<std::mutex> lk(counts_mu_);
+  label_counts_[kFamilyPrefixes[f] + labels_[kind - kKindCount]] += delta;
+}
+
+SocketTransport::KindId SocketTransport::kind_id(const std::string& kind) {
+  if (const std::optional<MsgKind> known = kind_of(kind))
+    return static_cast<KindId>(kind_index(*known));
+  std::lock_guard<std::mutex> lk(counts_mu_);
+  const auto [it, fresh] = label_ids_.try_emplace(
+      kind, static_cast<KindId>(kKindCount + labels_.size()));
+  if (fresh) labels_.push_back(kind);
+  return it->second;
+}
+
+const std::string& SocketTransport::kind_label(KindId kind) const {
+  if (kind < kKindCount) return Names::get().kind[kind];
+  std::lock_guard<std::mutex> lk(counts_mu_);
+  return labels_[kind - kKindCount];  // a deque: the reference stays valid
+}
+
+void SocketTransport::fold_counts() const {
+  const Names& names = Names::get();
+  std::lock_guard<std::mutex> lk(counts_mu_);
+  for (std::size_t i = 0; i < kSlotCount; ++i) {
+    if (slots_[i].load(std::memory_order_relaxed) == 0) continue;
+    metrics_.count(names.slot[i],
+                   slots_[i].exchange(0, std::memory_order_relaxed));
+  }
+  for (const auto& [name, delta] : label_counts_) metrics_.count(name, delta);
+  label_counts_.clear();
+}
+
+sim::Metrics& SocketTransport::metrics() {
+  fold_counts();
+  return metrics_;
+}
+
+const sim::Metrics& SocketTransport::metrics() const {
+  fold_counts();
+  return metrics_;
+}
+
 // --- Accounting / control ---------------------------------------------------
 
 void SocketTransport::set_send_observer(SendObserver fn) {
-  std::lock_guard<std::mutex> lk(metrics_mu_);
+  std::lock_guard<std::mutex> lk(observer_mu_);
   observer_ = std::move(fn);
 }
 
 void SocketTransport::set_peer_down_observer(PeerDownObserver fn) {
-  std::lock_guard<std::mutex> lk(metrics_mu_);
+  std::lock_guard<std::mutex> lk(observer_mu_);
   peer_down_ = std::move(fn);
 }
 
@@ -594,8 +655,7 @@ bool SocketTransport::wait_idle(std::chrono::milliseconds timeout) {
 }
 
 std::uint64_t SocketTransport::decode_errors() const {
-  std::lock_guard<std::mutex> lk(metrics_mu_);
-  return decode_errors_;
+  return decode_errors_.load(std::memory_order_relaxed);
 }
 
 void SocketTransport::drop_inbound(std::uint64_t n) {

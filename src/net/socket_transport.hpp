@@ -36,6 +36,13 @@
 //     net.delivered at the sender once the wire accepts the frame (plus
 //     net.remote.out); the receiving process counts only net.remote.in —
 //     so each process's identity closes over traffic it originated.
+//     The transport never writes the Metrics registry while it carries a
+//     message: every thread bumps lock-free slots, one per net.* counter
+//     and one per (counter, registered kind), and the counters of opaque
+//     kinds collect in a locked side table. metrics() folds both into the
+//     registry before returning it, so every read is exact, and the
+//     registry has one writer: the thread calling metrics() — the strand,
+//     or any thread once the runtime is idle.
 //
 // Backends implement the wire: wire_write() writes one run either to the
 // self-wire or to a remote process's address and reports which of its
@@ -45,6 +52,7 @@
 
 #include <netinet/in.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -58,6 +66,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -114,8 +123,11 @@ class SocketTransport : public Transport {
   TimerId set_timer(Time delay, Handler fn) override;
   bool cancel_timer(TimerId id) override;
 
-  sim::Metrics& metrics() override { return metrics_; }
-  const sim::Metrics& metrics() const override { return metrics_; }
+  /// Folds the transport's pending counts into the registry, then returns
+  /// it. Call it from the strand, or once the runtime is idle: the returned
+  /// registry is not locked.
+  sim::Metrics& metrics() override;
+  const sim::Metrics& metrics() const override;
   /// The observer runs when a frame's run is written — on the strand for
   /// frames its handlers sent, inside send() otherwise — with the frame's
   /// true fate. It must not send.
@@ -177,6 +189,10 @@ class SocketTransport : public Transport {
     kDropped,   ///< backend drop model discarded it (net.dropped.fault)
   };
 
+  /// A message kind as the transport counts it: a registered kind's dense
+  /// index (kind_index), or kKindCount + i for the i-th opaque label seen.
+  using KindId = std::uint32_t;
+
   /// One queued frame: where it ends in its run's bytes, and what settling
   /// its fate needs.
   struct OutFrame {
@@ -185,7 +201,7 @@ class SocketTransport : public Transport {
     EndpointId from = 0;
     EndpointId to = 0;
     std::size_t declared = 0;  ///< payload bytes the observer reports
-    std::string kind;
+    KindId kind = 0;
   };
 
   /// Encoded envelope frames bound for one wire destination, back to back
@@ -224,31 +240,25 @@ class SocketTransport : public Transport {
   bool lookup_addr(EndpointId id, sockaddr_in* out) const;
 
   /// Counts one failed envelope/payload decode (decode_errors()).
-  void note_decode_error();
+  void note_decode_error() {
+    decode_errors_.fetch_add(1, std::memory_order_relaxed);
+  }
 
   const CommonConfig& common() const noexcept { return common_; }
 
  private:
-  /// Per-peer node state. Counters are atomic: sends bump them under the
-  /// shared (reader) side of peers_mu_, concurrently.
-  struct PeerState {
-    bool registered = false;
-    std::atomic<std::uint64_t> sent{0};       ///< wire messages originated
-    std::atomic<std::uint64_t> delivered{0};  ///< handlers executed here
-  };
-
-  /// A parked delivery handler waiting for its envelope to return.
+  /// A parked delivery handler waiting for its envelope to return. An
+  /// entry without a handler is a hole: redeemed, released, or an id a
+  /// payload send used.
   struct ParkedEntry {
     Handler fn;
-    EndpointId to = 0;
-    std::string kind;             ///< for loss attribution if swept
+    KindId kind = 0;              ///< for loss attribution if swept
     Clock::time_point deadline;   ///< sweep releases past this
   };
 
   /// A handler queued for the strand.
   struct Ready {
     Handler fn;
-    EndpointId at = 0;
     bool wire = false;  ///< a parked wire delivery: counts net.delivered
   };
 
@@ -261,37 +271,88 @@ class SocketTransport : public Transport {
     Handler fn;
   };
 
+  /// The net.* counters the transport keeps in slots.
+  enum Counter : std::size_t {
+    kMessages,
+    kBytes,
+    kWireBytes,
+    kDelivered,
+    kLocal,
+    kDropped,
+    kDroppedUnregistered,
+    kDroppedConn,
+    kDroppedFault,
+    kLost,
+    kRemoteOut,
+    kRemoteIn,
+    kStray,
+    kCounterCount
+  };
+  /// The per-kind counter families (<prefix><kind>), one slot per
+  /// registered kind each.
+  enum Family : std::size_t {
+    kMsgKind,         ///< msg.<kind>
+    kLostKind,        ///< net.lost.<kind>
+    kDroppedKind,     ///< net.dropped.<kind>
+    kRemoteInKind,    ///< net.remote.in.<kind>
+    kFamilyCount
+  };
+  static constexpr std::size_t kSlotCount =
+      kCounterCount + kFamilyCount * kKindCount;
+
   void dispatch_loop();
   /// Pushes `batch` onto the ready queue under one lock, with one notify.
   void enqueue_ready(std::span<Ready> batch);
-  /// Hands an encoded frame to the wire: on the strand, onto the turn's
-  /// run for its destination; on any other thread, as a run of one.
-  void queue_frame(const sockaddr_in* remote, std::vector<std::uint8_t> frame,
-                   OutFrame out);
+  /// Encodes `env` onto the end of its run — on the strand, the turn's run
+  /// for `remote` (nullptr: the self-wire); on any other thread, a run of
+  /// one, written before returning — and counts it sent as `kind`.
+  void emit(const sockaddr_in* remote, const EnvelopeMsg& env, KindId kind);
   /// Writes `run`, settles every frame's fate, and empties it.
   void write_run(Run& run);
   /// The strand's end-of-turn write: every non-empty run.
   void write_runs();
   void report_peer_down(EndpointId to);
+  /// Moves the handler parked under message id `id` into `out`; false if
+  /// none is (handlers_mu_ held).
+  bool unpark(std::uint64_t id, ParkedEntry* out);
+
+  void bump(Counter c, std::uint64_t delta = 1) {
+    slots_[c].fetch_add(delta, std::memory_order_relaxed);
+  }
+  /// Counts `delta` on <family prefix><kind>: a slot for registered kinds,
+  /// the locked side table for opaque labels.
+  void bump(Family f, KindId kind, std::uint64_t delta = 1);
   /// Counts one wire loss: net.lost[.kind], net.dropped[.kind], plus the
   /// cause counter (net.dropped.conn or net.dropped.fault).
-  void count_loss(const std::string& kind, WireResult why);
+  void count_loss(KindId kind, WireResult why);
+  /// The KindId of a send() label; interns opaque labels.
+  KindId kind_id(const std::string& kind);
+  /// The label a KindId stands for (stable reference).
+  const std::string& kind_label(KindId kind) const;
+  /// Moves every pending count into metrics_ (the body of metrics()).
+  void fold_counts() const;
+  /// Each slot's counter name and each registered kind's label, built once.
+  struct Names;
 
   CommonConfig common_;
   Clock::time_point start_;
 
-  // Per-peer endpoint state: reader-writer lock, sends read, membership
+  // Registered endpoints: reader-writer lock, sends read, membership
   // writes.
   mutable std::shared_mutex peers_mu_;
-  std::unordered_map<EndpointId, PeerState> peers_;
+  std::unordered_set<EndpointId> registered_;
 
   // Endpoints owned by other processes, keyed to their socket address.
   mutable std::shared_mutex addrs_mu_;
   std::unordered_map<EndpointId, sockaddr_in> addrs_;
 
-  // Parked delivery handlers keyed by envelope message id.
+  // Parked delivery handlers in message-id order: parked_[i] holds id
+  // parked_base_ + i. Ids and deadlines both grow along the deque, so
+  // holes are popped once they reach the front and the sweep looks only
+  // there.
   std::mutex handlers_mu_;
-  std::unordered_map<std::uint64_t, ParkedEntry> parked_;
+  std::deque<ParkedEntry> parked_;
+  std::uint64_t parked_base_ = 1;
   std::uint64_t next_msg_ = 1;
 
   // Dispatch strand state.
@@ -315,12 +376,22 @@ class SocketTransport : public Transport {
   std::size_t held_ = 0;           ///< frames queued in runs_
   Clock::time_point held_since_;   ///< when the oldest of them was queued
 
-  // Accounting (metrics_mu_ also serializes the observer).
-  mutable std::mutex metrics_mu_;
-  sim::Metrics metrics_;
+  // Accounting. Slots are bumped lock-free by every thread; counts_mu_
+  // guards the opaque labels and their pending counts, and serializes
+  // folds into metrics_.
+  mutable std::array<std::atomic<std::uint64_t>, kSlotCount> slots_{};
+  mutable std::mutex counts_mu_;
+  std::deque<std::string> labels_;  ///< opaque labels; KindId kKindCount + i
+  std::unordered_map<std::string, KindId> label_ids_;
+  mutable std::map<std::string, std::uint64_t> label_counts_;  ///< pending
+  mutable sim::Metrics metrics_;
+  std::atomic<std::uint64_t> decode_errors_{0};
+
+  // The send and peer-down observers (observer_mu_ also serializes calls
+  // to the send observer).
+  std::mutex observer_mu_;
   SendObserver observer_;
   PeerDownObserver peer_down_;
-  std::uint64_t decode_errors_ = 0;
 
   // Endpoints already reported down (avoids a storm of peer-down callbacks
   // when many frames hit the same dead connection). Guarded by peers_mu_.

@@ -1,6 +1,9 @@
 #include "net/wire.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
+#include <type_traits>
 #include <unordered_map>
 
 namespace hkws::net {
@@ -8,24 +11,47 @@ namespace {
 
 // --- Primitives -------------------------------------------------------------
 
+/// Appends one frame, field by field in little-endian order, to the end of
+/// a byte vector the caller owns. The vector is grown ahead of the write
+/// position and trimmed back to it by end_frame(), so a field costs one
+/// bounds check and one store, and a buffer reused across frames stops
+/// allocating.
 class Writer {
  public:
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v) {
-    out_.push_back(static_cast<std::uint8_t>(v));
-    out_.push_back(static_cast<std::uint8_t>(v >> 8));
+  explicit Writer(std::vector<std::uint8_t>& out)
+      : out_(out), start_(out.size()), pos_(out.size()) {}
+
+  /// Writes the frame header; end_frame() patches its body length.
+  void begin_frame(MsgKind kind) {
+    u16(kWireMagic);
+    u8(kWireVersion);
+    u8(0);
+    u16(static_cast<std::uint16_t>(kind));
+    u16(0);
+    length_at_ = pos_;
+    u32(0);
   }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i)
-      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  /// Patches the body length and trims the vector to the frame. Returns
+  /// the frame size, or 0 (and the vector as it was) if the body exceeds
+  /// kMaxBody.
+  std::size_t end_frame() {
+    const std::size_t body = pos_ - length_at_ - 4;
+    if (body > kMaxBody) {
+      out_.resize(start_);
+      return 0;
+    }
+    store_le(out_.data() + length_at_, static_cast<std::uint32_t>(body));
+    out_.resize(pos_);
+    return pos_ - start_;
   }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i)
-      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+
+  void u8(std::uint8_t v) { *room(1) = v; }
+  void u16(std::uint16_t v) { put_le(v); }
+  void u32(std::uint32_t v) { put_le(v); }
+  void u64(std::uint64_t v) { put_le(v); }
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
-    out_.insert(out_.end(), s.begin(), s.end());
+    raw(s.data(), s.size());
   }
   void strings(const std::vector<std::string>& v) {
     u32(static_cast<std::uint32_t>(v.size()));
@@ -37,12 +63,42 @@ class Writer {
   }
   void bytes(const std::vector<std::uint8_t>& v) {
     u32(static_cast<std::uint32_t>(v.size()));
-    out_.insert(out_.end(), v.begin(), v.end());
+    raw(v.data(), v.size());
   }
-  std::vector<std::uint8_t> take() { return std::move(out_); }
+  /// `n` zero bytes, written as one fill.
+  void zeros(std::size_t n) {
+    if (n > 0) std::memset(room(n), 0, n);
+  }
 
  private:
-  std::vector<std::uint8_t> out_;
+  template <typename T>
+  static void store_le(std::uint8_t* p, T v) {
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+      p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  template <typename T>
+  void put_le(T v) {
+    store_le(room(sizeof(T)), v);
+  }
+  void raw(const void* data, std::size_t n) {
+    if (n > 0) std::memcpy(room(n), data, n);
+  }
+  /// Reserves the next `n` bytes and returns where they start. Grows by at
+  /// least what this writer has written so far, so a frame costs O(log n)
+  /// resizes however long the vector already is.
+  std::uint8_t* room(std::size_t n) {
+    if (out_.size() - pos_ < n)
+      out_.resize(pos_ + std::max({n, pos_ - start_, kMinGrowth}));
+    std::uint8_t* p = out_.data() + pos_;
+    pos_ += n;
+    return p;
+  }
+
+  static constexpr std::size_t kMinGrowth = 128;
+  std::vector<std::uint8_t>& out_;
+  std::size_t start_;
+  std::size_t pos_;
+  std::size_t length_at_ = 0;  ///< offset of the header's body length
 };
 
 /// Bounds-checked reader. Every accessor validates the remaining length
@@ -291,7 +347,7 @@ void put(Writer& w, const EnvelopeMsg& m) {
   w.u64(m.declared_bytes);
   w.bytes(m.payload);
   w.u32(m.pad);
-  for (std::uint32_t i = 0; i < m.pad; ++i) w.u8(0);
+  w.zeros(m.pad);
 }
 
 template <typename T>
@@ -550,13 +606,32 @@ const KindEntry kKinds[] = {
     {MsgKind::kEnvelope, "net.envelope", layout_of<EnvelopeMsg>()},
 };
 
+static_assert(std::extent_v<decltype(kKinds)> == kKindCount);
+
+constexpr std::size_t kMaxKindId = 128;  // kEnvelope, the largest id
+
 const KindEntry* entry_of(MsgKind kind) {
-  for (const auto& e : kKinds)
-    if (e.kind == kind) return &e;
-  return nullptr;
+  const std::size_t i = kind_index(kind);
+  return i < kKindCount ? &kKinds[i] : nullptr;
 }
 
 }  // namespace
+
+std::size_t kind_index(MsgKind kind) {
+  // On-wire id -> position in kKinds.
+  static const std::array<std::uint8_t, kMaxKindId + 1> dense = [] {
+    std::array<std::uint8_t, kMaxKindId + 1> d;
+    d.fill(static_cast<std::uint8_t>(kKindCount));
+    for (std::size_t i = 0; i < kKindCount; ++i)
+      d[static_cast<std::size_t>(kKinds[i].kind)] =
+          static_cast<std::uint8_t>(i);
+    return d;
+  }();
+  const auto id = static_cast<std::size_t>(kind);
+  return id <= kMaxKindId ? dense[id] : kKindCount;
+}
+
+MsgKind kind_at(std::size_t index) { return kKinds[index].kind; }
 
 const char* kind_name(MsgKind kind) {
   const KindEntry* e = entry_of(kind);
@@ -575,23 +650,22 @@ std::optional<MsgKind> kind_of(const std::string& name) {
 }
 
 std::vector<std::uint8_t> encode_frame(MsgKind kind, const WireMessage& msg) {
+  std::vector<std::uint8_t> out;
   const KindEntry* e = entry_of(kind);
-  if (e == nullptr || e->layout != msg.index()) return {};
-  Writer body;
-  std::visit([&body](const auto& m) { put(body, m); }, msg);
-  std::vector<std::uint8_t> b = body.take();
-  if (b.size() > kMaxBody) return {};
-
-  Writer w;
-  w.u16(kWireMagic);
-  w.u8(kWireVersion);
-  w.u8(0);
-  w.u16(static_cast<std::uint16_t>(kind));
-  w.u16(0);
-  w.u32(static_cast<std::uint32_t>(b.size()));
-  std::vector<std::uint8_t> out = w.take();
-  out.insert(out.end(), b.begin(), b.end());
+  if (e == nullptr || e->layout != msg.index()) return out;
+  Writer w(out);
+  w.begin_frame(kind);
+  std::visit([&w](const auto& m) { put(w, m); }, msg);
+  w.end_frame();
   return out;
+}
+
+std::size_t append_envelope(std::vector<std::uint8_t>& out,
+                            const EnvelopeMsg& env) {
+  Writer w(out);
+  w.begin_frame(MsgKind::kEnvelope);
+  put(w, env);
+  return w.end_frame();
 }
 
 std::optional<std::size_t> frame_size(const std::uint8_t* data,

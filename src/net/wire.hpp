@@ -30,6 +30,7 @@
 // contract under ASan/UBSan.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -108,6 +109,16 @@ enum class MsgKind : std::uint16_t {
   // Transport envelope (TcpTransport framing; carries any inner kind).
   kEnvelope = 128,
 };
+
+/// Number of registered kinds (net.envelope included, kOpaque not).
+inline constexpr std::size_t kKindCount = 38;
+
+/// Dense position of a registered kind, in [0, kKindCount): per-kind state
+/// can live in flat arrays. kKindCount for kOpaque and unknown values.
+std::size_t kind_index(MsgKind kind);
+
+/// The registered kind at dense position `index` (< kKindCount).
+MsgKind kind_at(std::size_t index);
 
 /// Wire name of a kind — exactly the `msg.<kind>` metrics label of
 /// docs/PROTOCOL.md. Returns "" for kOpaque and unknown values.
@@ -355,6 +366,14 @@ using WireMessage =
 /// match `kind`'s layout (checked; mismatch returns an empty vector, which
 /// encode never otherwise produces).
 std::vector<std::uint8_t> encode_frame(MsgKind kind, const WireMessage& msg);
+
+/// Appends the frame encode_frame(MsgKind::kEnvelope, env) returns to the
+/// end of `out`, leaving the bytes already there untouched, and returns its
+/// size (0, with `out` as it was, if the body would exceed kMaxBody). The
+/// socket transports' per-message encode: a buffer reused across frames
+/// stops allocating once it has grown to its working size.
+std::size_t append_envelope(std::vector<std::uint8_t>& out,
+                            const EnvelopeMsg& env);
 
 struct DecodedFrame {
   MsgKind kind = MsgKind::kOpaque;

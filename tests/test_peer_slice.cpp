@@ -10,6 +10,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -41,14 +42,14 @@ TcpTransport::Config fast_tcp() {
 }
 
 /// One-shot result mailbox: the search callback fires on the transport's
-/// dispatch strand, the test thread blocks here.
+/// dispatch strand, the test thread blocks here. put() notifies while it
+/// holds the lock: the woken test thread may return and destroy the box as
+/// soon as it can take the lock.
 class ResultBox {
  public:
   void put(SearchResult r) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      result_ = std::move(r);
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    result_ = std::move(r);
     cv_.notify_all();
   }
   std::optional<SearchResult> take(std::chrono::milliseconds timeout) {
@@ -64,14 +65,13 @@ class ResultBox {
   std::optional<SearchResult> result_;
 };
 
-/// Counts publish/withdraw acks up to an expected total.
+/// Counts publish/withdraw acks up to an expected total (notifying under
+/// the lock, like ResultBox).
 class AckLatch {
  public:
   void hit() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++count_;
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    ++count_;
     cv_.notify_all();
   }
   bool wait(std::size_t target, std::chrono::milliseconds timeout) {
@@ -84,6 +84,27 @@ class AckLatch {
   std::condition_variable cv_;
   std::size_t count_ = 0;
 };
+
+/// The slice's object count, read on its transport's dispatch strand: the
+/// strand owns PeerSlice's tables, and may still be writing them (a
+/// retransmitted insert) when the test thread has its acks.
+std::size_t local_objects(const PeerSlice& slice, net::Transport& t) {
+  struct Box {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::optional<std::size_t> count;
+  };
+  auto box = std::make_shared<Box>();  // outlives a timed-out wait
+  t.schedule_in(0, [box, &slice] {
+    std::lock_guard<std::mutex> lock(box->mu);
+    box->count = slice.local_object_count();
+    box->cv.notify_all();
+  });
+  std::unique_lock<std::mutex> lock(box->mu);
+  if (!box->cv.wait_for(lock, kWait, [&] { return box->count.has_value(); }))
+    ADD_FAILURE() << "the strand never ran the count";
+  return box->count.value_or(0);
+}
 
 /// A deterministic corpus: keyword sets drawn from a small vocabulary so
 /// superset queries have real multi-node traversals.
@@ -202,7 +223,7 @@ TEST(PeerSlice, SingleProcessSliceMatchesLogicalIndex) {
   AckLatch acks;
   for (const auto& [o, k] : corpus) slice.publish(o, k, [&acks] { acks.hit(); });
   ASSERT_TRUE(acks.wait(corpus.size(), kWait));
-  EXPECT_EQ(slice.local_object_count(), logical.object_count());
+  EXPECT_EQ(local_objects(slice, t), logical.object_count());
 
   for (const KeywordSet& q : make_queries(corpus)) {
     for (std::size_t threshold : {std::size_t{0}, std::size_t{1},
@@ -241,10 +262,11 @@ TEST(PeerSlice, SplitOverlayMatchesLogicalIndexByteForByte) {
   for (const auto& [o, k] : corpus) a.publish(o, k, [&acks] { acks.hit(); });
   ASSERT_TRUE(acks.wait(corpus.size(), kWait));
   // Every object landed in exactly one slice of the overlay.
-  EXPECT_EQ(a.local_object_count() + b.local_object_count(),
-            logical.object_count());
-  EXPECT_GT(a.local_object_count(), 0u);
-  EXPECT_GT(b.local_object_count(), 0u);
+  const std::size_t in_a = local_objects(a, ta);
+  const std::size_t in_b = local_objects(b, tb);
+  EXPECT_EQ(in_a + in_b, logical.object_count());
+  EXPECT_GT(in_a, 0u);
+  EXPECT_GT(in_b, 0u);
 
   const auto queries = make_queries(corpus);
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {
@@ -280,7 +302,7 @@ TEST(PeerSlice, SplitOverlayMatchesLogicalIndexByteForByte) {
     ++withdrawn;
   }
   ASSERT_TRUE(removed.wait(withdrawn, kWait));
-  EXPECT_EQ(a.local_object_count() + b.local_object_count(),
+  EXPECT_EQ(local_objects(a, ta) + local_objects(b, tb),
             logical.object_count());
   for (std::size_t qi = 0; qi < queries.size(); qi += 3) {
     SCOPED_TRACE("post-withdraw " + queries[qi].words().front());
@@ -334,7 +356,7 @@ TEST(PeerSlice, SplitOverlaySurvivesSeededUdpLossWithRetransmission) {
   AckLatch acks;
   for (const auto& [o, k] : corpus) a.publish(o, k, [&acks] { acks.hit(); });
   ASSERT_TRUE(acks.wait(corpus.size(), kWait));
-  EXPECT_EQ(a.local_object_count() + b.local_object_count(),
+  EXPECT_EQ(local_objects(a, ta) + local_objects(b, tb),
             logical.object_count());
 
   // Arm the drop model on both slices and search through the loss.

@@ -478,6 +478,46 @@ TEST(TcpTransport, ParkedHandlerSweepReclaimsFramesDeadOnTheWire) {
   EXPECT_TRUE(t.drain_and_stop(std::chrono::milliseconds{2000}));
 }
 
+// Regression for the two-writer race on the counter registry: the io
+// thread's parked-handler sweep counted its losses into the std::map that
+// protocol code writes through metrics() on the strand. A strand handler
+// keeps inserting counters through metrics() until the sweep's losses show
+// up there, and the round repeats until the sweep certainly landed inside
+// that loop. Under TSan (the CI tsan job) this reported a data race before
+// the sweep's counts moved off the registry.
+TEST(TcpTransport, SweepCountsLossesWhileTheStrandWritesMetrics) {
+  TcpTransport::Config cfg = fast_config();
+  cfg.parked_ttl = std::chrono::milliseconds{50};
+  TcpTransport t(cfg);
+  t.register_endpoint(1);
+  t.register_endpoint(2);
+  constexpr std::uint64_t kPerRound = 200;
+  std::uint64_t lost = 0;
+  bool overlapped = false;  // written on the strand, read after wait_idle
+  for (int round = 0; round < 10 && !overlapped; ++round) {
+    lost += kPerRound;
+    t.drop_inbound(kPerRound);  // every frame of the round dies on the wire
+    for (std::uint64_t i = 0; i < kPerRound; ++i)
+      t.send(1, 2, "kws.t_query", 16, [] {});
+    t.schedule_in(0, [&t, &overlapped, lost] {
+      const auto give_up = std::chrono::steady_clock::now() + 5s;
+      const bool before_sweep = t.metrics().counter("net.lost") < lost;
+      for (std::uint64_t i = 0; t.metrics().counter("net.lost") < lost &&
+                                std::chrono::steady_clock::now() < give_up;
+           ++i)
+        t.metrics().count("strand." + std::to_string(i % 256));
+      overlapped = before_sweep && t.metrics().counter("net.lost") == lost;
+    });
+    ASSERT_TRUE(t.wait_idle(kIdle));
+  }
+  EXPECT_TRUE(overlapped);
+  EXPECT_EQ(t.metrics().counter("net.lost"), lost);
+  EXPECT_EQ(t.metrics().counter("net.lost.kws.t_query"), lost);
+  EXPECT_EQ(t.metrics().counter("net.dropped.conn"), lost);
+  EXPECT_EQ(t.metrics().counter("net.messages"),
+            t.metrics().counter("net.delivered") + lost);
+}
+
 // Regression for the lane-selection division by zero: send() racing stop()
 // used to compute `round_robin_ % out_fds_.size()` after the lanes were
 // torn down. Sends after stop must be counted losses, not crashes.

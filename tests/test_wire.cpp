@@ -122,6 +122,190 @@ TEST(Wire, RoundTripEveryKind) {
   }
 }
 
+/// The checked-in encoding of sample_frames(), in order: the wire format
+/// pinned byte for byte, so an encoder (or decoder) rewrite that changed the
+/// layout on both sides — which every round-trip test would still pass —
+/// fails here.
+const char* const kGoldenFrames[] = {
+    // dolr.insert
+    "484b01000100000018000000f0debc9a785634122a0000000000000007000000"
+    "00000000",
+    // dolr.replicate
+    "484b01000200000018000000f0debc9a785634122a0000000000000007000000"
+    "00000000",
+    // dolr.delete
+    "484b01000300000018000000f0debc9a785634122a0000000000000007000000"
+    "00000000",
+    // dolr.unreplicate
+    "484b01000400000018000000f0debc9a785634122a0000000000000007000000"
+    "00000000",
+    // dolr.read
+    "484b010005000000100000002a000000000000000900000000000000",
+    // dolr.reply
+    "484b010006000000240000002a00000000000000030000000100000000000000"
+    "0200000000000000ffffffff00000000",
+    // kws.insert
+    "484b010010000000380000002a0000000000000003000000070000006b657977"
+    "6f72640600000073656172636803000000646874019000000000000003000000"
+    "00000000",
+    // kws.delete
+    "484b010011000000380000002a0000000000000003000000070000006b657977"
+    "6f72640600000073656172636803000000646874019000000000000003000000"
+    "00000000",
+    // hc.insert
+    "484b010040000000380000002a0000000000000003000000070000006b657977"
+    "6f72640600000073656172636803000000646874019000000000000003000000"
+    "00000000",
+    // hc.delete
+    "484b010041000000380000002a0000000000000003000000070000006b657977"
+    "6f72640600000073656172636803000000646874019000000000000003000000"
+    "00000000",
+    // kws.pin
+    "484b010018000000240000000500000000000000030000000000000002000000"
+    "05000000657861637403000000736574",
+    // hc.pin
+    "484b010042000000240000000500000000000000030000000000000002000000"
+    "05000000657861637403000000736574",
+    // kws.pin_reply
+    "484b010019000000570000000500000000000000110000000000000003000000"
+    "0700000000000000020000000800000064617461626173650400000070656572"
+    "5b0000000000000001000000070000006f7665726c61790c0000000000000000"
+    "000000",
+    // kws.results
+    "484b010023000000570000000500000000000000110000000000000003000000"
+    "0700000000000000020000000800000064617461626173650400000070656572"
+    "5b0000000000000001000000070000006f7665726c61790c0000000000000000"
+    "000000",
+    // kws.c_results
+    "484b010034000000570000000500000000000000110000000000000003000000"
+    "0700000000000000020000000800000064617461626173650400000070656572"
+    "5b0000000000000001000000070000006f7665726c61790c0000000000000000"
+    "000000",
+    // hc.pin_reply
+    "484b010043000000570000000500000000000000110000000000000003000000"
+    "0700000000000000020000000800000064617461626173650400000070656572"
+    "5b0000000000000001000000070000006f7665726c61790c0000000000000000"
+    "000000",
+    // hc.results
+    "484b010045000000570000000500000000000000110000000000000003000000"
+    "0700000000000000020000000800000064617461626173650400000070656572"
+    "5b0000000000000001000000070000006f7665726c61790c0000000000000000"
+    "000000",
+    // kws.t_query
+    "484b010020000000370000000500000000000000110000000000000003000000"
+    "000000000a000000000000000200000000000000020000000100000061020000"
+    "006262",
+    // kws.c_query
+    "484b010032000000370000000500000000000000110000000000000003000000"
+    "000000000a000000000000000200000000000000020000000100000061020000"
+    "006262",
+    // hc.s_query
+    "484b010044000000370000000500000000000000110000000000000003000000"
+    "000000000a000000000000000200000000000000020000000100000061020000"
+    "006262",
+    // kws.t_cont
+    "484b010021000000190000000500000000000000110000000000000004000000"
+    "0000000001",
+    // kws.t_stop
+    "484b010022000000190000000500000000000000110000000000000004000000"
+    "0000000001",
+    // kws.c_cont
+    "484b010033000000190000000500000000000000110000000000000004000000"
+    "0000000001",
+    // hc.s_done
+    "484b010046000000190000000500000000000000110000000000000004000000"
+    "0000000001",
+    // kws.done
+    "484b0100240000001000000005000000000000000c00000000000000",
+    // kws.c_done
+    "484b0100350000001000000005000000000000000c00000000000000",
+    // hc.done
+    "484b0100470000001000000005000000000000000c00000000000000",
+    // kws.s_reply
+    "484b010025000000710000000500000000000000040000000000000009000000"
+    "0000000003000000000000000100000000000000010003000000070000000000"
+    "00000200000008000000646174616261736504000000706565725b0000000000"
+    "000001000000070000006f7665726c61790c0000000000000000000000",
+    // kws.visit_batch
+    "484b0100280000003b00000005000000000000000a0000000000000003000000"
+    "030000000000000009000000000000000c000000000000000200000001000000"
+    "61020000006262",
+    // kws.batch_results
+    "484b010029000000670000000500000000000000020000000300000000000000"
+    "0300000007000000000000000200000008000000646174616261736504000000"
+    "706565725b0000000000000001000000070000006f7665726c61790c00000000"
+    "00000000000000090000000000000000000000",
+    // kws.batch_reply
+    "484b01002a0000002e0000000500000000000000020000000300000000000000"
+    "0200000000000000000900000000000000000000000000000001",
+    // kws.c_open
+    "484b0100300000001e0000004d00000000000000030000000000000001000000"
+    "0600000062726f777365",
+    // kws.c_next
+    "484b010031000000100000004d000000000000001400000000000000",
+    // dht.join
+    "484b010050000000100000000b000000000000000200000000000000",
+    // dht.fix_finger
+    "484b0100510000000c0000000b000000000000001e000000",
+    // fe.query
+    "484b0100600000001d0000000400000000000000010200000003000000776562"
+    "05000000696e646578",
+    // fe.reply
+    "484b01006100000050000000017b000000000000000300000007000000000000"
+    "000200000008000000646174616261736504000000706565725b000000000000"
+    "0001000000070000006f7665726c61790c0000000000000000000000",
+    // net.envelope, parked: pad 16
+    "484b0100800000003a0000002000630000000000000003000000000000000700"
+    "0000000000000002000000000000000000001000000000000000000000000000"
+    "000000000000",
+    // net.envelope, parked opaque label: pad 8
+    "484b0100800000004000000000000a0000006d61696e742e70696e6764000000"
+    "0000000001000000000000000200000000000000080000000000000000000000"
+    "080000000000000000000000",
+    // net.envelope, addressed: kws.t_query frame as payload
+    "484b0100800000006d0000002000650000000000000003000000000000000700"
+    "000000000000430000000000000043000000484b010020000000370000000500"
+    "000000000000110000000000000003000000000000000a000000000000000200"
+    "00000000000002000000010000006102000000626200000000",
+};
+
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> unhex(const std::string& text) {
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i + 1 < text.size(); i += 2)
+    out.push_back(static_cast<std::uint8_t>(
+        std::stoi(text.substr(i, 2), nullptr, 16)));
+  return out;
+}
+
+TEST(Wire, EveryKindEncodesToItsCheckedInBytes) {
+  const auto frames = sample_frames();
+  ASSERT_EQ(frames.size(), std::size(kGoldenFrames));
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const auto& [kind, msg] = frames[i];
+    SCOPED_TRACE(testing::Message()
+                 << "frame " << i << ": " << kind_name(kind));
+    EXPECT_EQ(hex(encode_frame(kind, msg)), kGoldenFrames[i]);
+    // The pinned bytes decode to the message: the decoder is held to the
+    // layout independently of the encoder.
+    const std::vector<std::uint8_t> golden = unhex(kGoldenFrames[i]);
+    const auto decoded = decode_frame(golden.data(), golden.size());
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(decoded->kind, kind);
+    EXPECT_EQ(decoded->frame_size, golden.size());
+    EXPECT_EQ(decoded->msg, msg);
+  }
+}
+
 TEST(Wire, KindNamesRoundTrip) {
   for (const auto& [kind, msg] : sample_frames()) {
     const std::string name = kind_name(kind);
