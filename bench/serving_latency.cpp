@@ -53,6 +53,7 @@
 #include "engine/load_driver.hpp"
 #include "engine/query_engine.hpp"
 #include "maint/maintenance.hpp"
+#include "net/fault_model.hpp"
 #include "obs/trace.hpp"
 #include "obs/windowed.hpp"
 #include "workload/arrivals.hpp"
@@ -540,7 +541,7 @@ LossCheck loss_correctness(const workload::Corpus& corpus,
   // The same cluster seeds, now with 1% loss switched on after publishing.
   Setup lossy(opts, 0x5e41a1);
   lossy.publish(corpus);
-  lossy.net->set_drop_model(std::make_unique<sim::BernoulliDrop>(0.01));
+  lossy.net->set_fault_model(std::make_unique<net::BernoulliDrop>(0.01));
 
   engine::EngineConfig cfg;
   cfg.max_in_flight = 128;

@@ -18,16 +18,16 @@
 // same accounting convention as OverlayIndex's done notification:
 // stats.messages == LogicalIndex's count + 1.)
 //
-// Loss tolerance (the UDP backend, FaultTransport): every guarded step —
-// publish/withdraw, pin, search initiation, each coordinator visit, the
-// final reply — carries a retransmission timer (`step_timeout` ticks,
-// `max_retries` attempts). Steps are idempotent: duplicate inserts are
-// absorbed by IndexTable::add, re-scanned visits return identical results
-// against a quiescent index, and the coordinator keeps finished replies
-// as tombstones so a stale initiation retransmit re-sends the answer
-// instead of re-running the search. Publishes are acknowledged (kws.done
-// back to the publisher) — on a lossy wire, settle all publishes before
-// querying.
+// Loss tolerance (the UDP backend, any installed net::FaultModel): every
+// guarded step — publish/withdraw, pin, search initiation, each
+// coordinator visit, the final reply — carries a retransmission timer
+// (`step_timeout` ticks, `max_retries` attempts). Steps are idempotent:
+// duplicate inserts are absorbed by IndexTable::add, re-scanned visits
+// return identical results against a quiescent index, and the coordinator
+// keeps finished replies as tombstones so a stale initiation retransmit
+// re-sends the answer instead of re-running the search. Publishes are
+// acknowledged (kws.done back to the publisher) — on a lossy wire, settle
+// all publishes before querying.
 //
 // Threading: every public operation marshals onto the transport's dispatch
 // strand (schedule_in(0)), where the payload handler and all timers also

@@ -113,24 +113,6 @@ void SocketTransport::send(EndpointId from, EndpointId to, std::string kind,
     return;
   }
 
-  // Park the delivery handler; the io thread redeems it by message id when
-  // the envelope comes back off the socket. The deadline bounds how long a
-  // frame the wire swallowed can hold its in-flight slot (sweep_parked).
-  std::uint64_t msg_id;
-  {
-    std::lock_guard<std::mutex> lk(handlers_mu_);
-    msg_id = next_msg_++;
-    if (parked_.empty()) parked_base_ = msg_id;
-    // Ids payload sends took while handlers were parked stay holes.
-    parked_.resize(msg_id - parked_base_);
-    parked_.push_back(
-        ParkedEntry{std::move(deliver), id, Clock::now() + common_.parked_ttl});
-  }
-  {
-    std::lock_guard<std::mutex> lk(strand_mu_);
-    ++inflight_;
-  }
-
   EnvelopeMsg env;
   if (id < kKindCount) {
     env.inner_kind = kind_at(id);
@@ -138,13 +120,33 @@ void SocketTransport::send(EndpointId from, EndpointId to, std::string kind,
     env.inner_kind = MsgKind::kOpaque;
     env.label = std::move(kind);
   }
-  env.msg_id = msg_id;
   env.from = from;
   env.to = to;
   env.declared_bytes = payload_bytes;
   env.pad = static_cast<std::uint32_t>(
       std::min<std::size_t>(payload_bytes, common_.max_pad));
+  if (const FaultActions fault = inspect(from, to, id); !fault.clean()) {
+    send_faulted(fault, std::nullopt, std::move(env), id, std::move(deliver));
+    return;
+  }
+  env.msg_id = park(std::move(deliver), id);
   emit(nullptr, env, id);
+}
+
+std::uint64_t SocketTransport::park(Handler deliver, KindId kind) {
+  // The io thread redeems the handler by message id when the envelope comes
+  // back off the socket. The deadline bounds how long a frame the wire
+  // swallowed can hold its in-flight slot (sweep_parked).
+  std::uint64_t msg_id;
+  {
+    std::lock_guard<std::mutex> lk(handlers_mu_);
+    msg_id = parked_base_ + parked_.size();
+    parked_.push_back(ParkedEntry{std::move(deliver), kind,
+                                  Clock::now() + common_.parked_ttl});
+  }
+  std::lock_guard<std::mutex> lk(strand_mu_);
+  ++inflight_;
+  return msg_id;
 }
 
 // --- Send (cross-process payload mode) --------------------------------------
@@ -163,16 +165,74 @@ void SocketTransport::send_payload(EndpointId from, EndpointId to,
   // Empty: a layout mismatch, a programming error upstream.
   if (env.payload.empty()) return;
   env.inner_kind = kind;
-  {
-    std::lock_guard<std::mutex> lk(handlers_mu_);
-    env.msg_id = next_msg_++;
-  }
   env.from = from;
   env.to = to;
   env.declared_bytes = env.payload.size();
   env.pad = 0;  // the payload itself is the serialization cost
   bump(kRemoteOut);
-  emit(&remote, env, static_cast<KindId>(kind_index(kind)));
+  const auto id = static_cast<KindId>(kind_index(kind));
+  if (const FaultActions fault = inspect(from, to, id); !fault.clean()) {
+    send_faulted(fault, remote, std::move(env), id, nullptr);
+    return;
+  }
+  emit(&remote, env, id);
+}
+
+// --- Fault injection --------------------------------------------------------
+
+void SocketTransport::set_fault_model(std::unique_ptr<FaultModel> model,
+                                      std::uint64_t seed) {
+  std::lock_guard<std::mutex> lk(fault_mu_);
+  fault_armed_.store(model != nullptr, std::memory_order_relaxed);
+  fault_ = std::move(model);
+  fault_rng_ = Rng(seed);
+  fault_seq_ = 0;
+}
+
+FaultActions SocketTransport::inspect(EndpointId from, EndpointId to,
+                                      KindId kind) {
+  if (!fault_armed_.load(std::memory_order_relaxed)) return {};
+  const std::string& label = kind_label(kind);
+  std::lock_guard<std::mutex> lk(fault_mu_);
+  if (fault_ == nullptr) return {};
+  return fault_->inspect(from, to, label, fault_seq_++, fault_rng_);
+}
+
+void SocketTransport::send_faulted(const FaultActions& fault,
+                                   std::optional<sockaddr_in> remote,
+                                   EnvelopeMsg env, KindId kind,
+                                   Handler deliver) {
+  if (fault.drop) {
+    // Never written: the message counts as sent (the protocol paid for it)
+    // and as lost to fault injection, with a lost record for the observer.
+    bump(kMessages);
+    bump(kBytes, env.declared_bytes);
+    bump(kMsgKind, kind);
+    count_loss(kind, kDroppedFault);
+    std::lock_guard<std::mutex> lk(observer_mu_);
+    if (observer_) {
+      const Time at = now();
+      observer_(kind_label(kind), SendRecord{at, env.from, env.to,
+                                             env.declared_bytes, true, at});
+    }
+    return;
+  }
+  if (fault.duplicates != 0) bump(kDup, fault.duplicates);
+  // Every copy is a frame of its own; a closure copy parks its own handler.
+  auto send_copies = [this, copies = 1 + fault.duplicates, remote,
+                      env = std::move(env), kind,
+                      deliver = std::move(deliver)]() mutable {
+    for (std::uint32_t i = 0; i < copies; ++i) {
+      if (env.payload.empty()) env.msg_id = park(deliver, kind);
+      emit(remote.has_value() ? &*remote : nullptr, env, kind);
+    }
+  };
+  if (fault.extra_delay == 0) {
+    send_copies();
+    return;
+  }
+  bump(kDelayed);
+  schedule_in(fault.extra_delay, std::move(send_copies));
 }
 
 // --- Runs --------------------------------------------------------------------
@@ -212,10 +272,9 @@ void SocketTransport::emit(const sockaddr_in* remote, const EnvelopeMsg& env,
   bump(kBytes, env.declared_bytes);
   bump(kWireBytes, append_envelope(run->bytes, env));
   bump(kMsgKind, kind);
-  // A payload envelope parks nothing: its message id redeems no handler.
-  run->frames.push_back(OutFrame{run->bytes.size(),
-                                 env.payload.empty() ? env.msg_id : 0,
-                                 env.from, env.to, env.declared_bytes, kind});
+  // A payload envelope parks nothing: its message id is 0.
+  run->frames.push_back(OutFrame{run->bytes.size(), env.msg_id, env.from,
+                                 env.to, env.declared_bytes, kind});
   if (!on_strand) {
     write_run(one);
     return;
@@ -251,10 +310,10 @@ void SocketTransport::write_run(Run& run) {
       ours = unpark(f.parked, &gone);
     }
     if (ours) {
-      count_loss(f.kind, fate[i]);
+      count_loss(f.kind, kDroppedConn);
       if (f.parked != 0) ++released;
     }
-    if (fate[i] == WireResult::kConnDead) report_peer_down(f.to);
+    report_peer_down(f.to);
   }
   // A cross-process frame the wire accepted is on its way to another
   // process; this process's conservation identity closes at the wire (the
@@ -289,11 +348,10 @@ void SocketTransport::write_runs() {
     if (!run.frames.empty()) write_run(run);
 }
 
-void SocketTransport::count_loss(KindId kind, WireResult why) {
+void SocketTransport::count_loss(KindId kind, Counter cause) {
   bump(kLost);
   bump(kLostKind, kind);
-  bump(kDroppedKind, kind);
-  bump(why == WireResult::kDropped ? kDroppedFault : kDroppedConn);
+  bump(cause);
 }
 
 void SocketTransport::report_peer_down(EndpointId to) {
@@ -418,7 +476,7 @@ void SocketTransport::sweep_parked() {
   // is packet death, not positive evidence the destination process died.
   // Count before releasing the slots, so wait_idle() never returns ahead
   // of the counters.
-  for (const ParkedEntry& e : dead) count_loss(e.kind, WireResult::kConnDead);
+  for (const ParkedEntry& e : dead) count_loss(e.kind, kDroppedConn);
   {
     std::lock_guard<std::mutex> lk(strand_mu_);
     inflight_ -= std::min<std::uint64_t>(inflight_, dead.size());
@@ -543,6 +601,8 @@ const char* const kCounterNames[] = {
     "net.dropped.conn",
     "net.dropped.fault",
     "net.lost",
+    "net.dup",
+    "net.delayed",
     "net.remote.out",
     "net.remote.in",
     "net.stray",

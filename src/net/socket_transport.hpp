@@ -25,8 +25,14 @@
 //   * the peer-address table: endpoints owned by other processes, mapped
 //     to their socket addresses. send_payload() to an addressed endpoint
 //     serializes the real message (wire codec frame inside the envelope's
-//     payload field) and routes it to the owning process, which decodes it
-//     and dispatches to its payload handler on its own strand;
+//     payload field, message id 0) and routes it to the owning process,
+//     which decodes it and dispatches to its payload handler on its own
+//     strand;
+//   * fault injection: an installed net::FaultModel (set_fault_model)
+//     inspects every wire send — send() after its local and unregistered
+//     checks, send_payload() for addressed destinations — and its drops,
+//     duplicates and delays are applied here, in the send path, with this
+//     class's own accounting (src/net/fault_model.hpp);
 //   * accounting: the simulator's counters and conservation identity
 //     (net.messages == net.delivered + net.lost) per process, with every
 //     loss attributed to exactly one cause counter. A frame counts
@@ -59,6 +65,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
@@ -70,6 +77,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "net/fault_model.hpp"
 #include "net/transport.hpp"
 #include "net/wire.hpp"
 
@@ -130,8 +139,17 @@ class SocketTransport : public Transport {
   const sim::Metrics& metrics() const override;
   /// The observer runs when a frame's run is written — on the strand for
   /// frames its handlers sent, inside send() otherwise — with the frame's
-  /// true fate. It must not send.
+  /// true fate; for a send the fault model drops, inside send(). It must
+  /// not send.
   void set_send_observer(SendObserver fn) override;
+
+  // --- Fault injection ----------------------------------------------------
+
+  /// Installs (or, with nullptr, removes) the fault model: every wire send
+  /// from now on is numbered from 0 and inspected, with an Rng seeded by
+  /// `seed` (semantics and accounting: src/net/fault_model.hpp).
+  void set_fault_model(std::unique_ptr<FaultModel> model,
+                       std::uint64_t seed = 1);
 
   // --- Runtime control ----------------------------------------------------
 
@@ -186,7 +204,6 @@ class SocketTransport : public Transport {
   enum class WireResult {
     kOk,        ///< accepted by the socket
     kConnDead,  ///< connection dead / socket gone (net.dropped.conn)
-    kDropped,   ///< backend drop model discarded it (net.dropped.fault)
   };
 
   /// A message kind as the transport counts it: a registered kind's dense
@@ -214,7 +231,7 @@ class SocketTransport : public Transport {
 
   /// Writes `run` to its destination. `fate` holds one entry per frame,
   /// pre-filled kConnDead; the backend marks each frame the wire accepted
-  /// kOk, and each frame its drop model discarded kDropped.
+  /// kOk.
   virtual void wire_write(const Run& run, std::vector<WireResult>& fate) = 0;
 
   /// Launches the dispatch thread (call once sockets are up).
@@ -248,8 +265,7 @@ class SocketTransport : public Transport {
 
  private:
   /// A parked delivery handler waiting for its envelope to return. An
-  /// entry without a handler is a hole: redeemed, released, or an id a
-  /// payload send used.
+  /// entry without a handler is a hole: redeemed or released.
   struct ParkedEntry {
     Handler fn;
     KindId kind = 0;              ///< for loss attribution if swept
@@ -283,6 +299,8 @@ class SocketTransport : public Transport {
     kDroppedConn,
     kDroppedFault,
     kLost,
+    kDup,
+    kDelayed,
     kRemoteOut,
     kRemoteIn,
     kStray,
@@ -307,6 +325,16 @@ class SocketTransport : public Transport {
   /// for `remote` (nullptr: the self-wire); on any other thread, a run of
   /// one, written before returning — and counts it sent as `kind`.
   void emit(const sockaddr_in* remote, const EnvelopeMsg& env, KindId kind);
+  /// Parks `deliver` under the next message id, returned, and counts the
+  /// message in flight.
+  std::uint64_t park(Handler deliver, KindId kind);
+  /// The fault model's verdict on one wire send (clean if none installed).
+  FaultActions inspect(EndpointId from, EndpointId to, KindId kind);
+  /// Applies a non-clean verdict to `env`, bound for `remote` (empty: the
+  /// self-wire); a closure send's `deliver` is parked once per copy.
+  void send_faulted(const FaultActions& fault,
+                    std::optional<sockaddr_in> remote, EnvelopeMsg env,
+                    KindId kind, Handler deliver);
   /// Writes `run`, settles every frame's fate, and empties it.
   void write_run(Run& run);
   /// The strand's end-of-turn write: every non-empty run.
@@ -322,9 +350,9 @@ class SocketTransport : public Transport {
   /// Counts `delta` on <family prefix><kind>: a slot for registered kinds,
   /// the locked side table for opaque labels.
   void bump(Family f, KindId kind, std::uint64_t delta = 1);
-  /// Counts one wire loss: net.lost[.kind], net.dropped[.kind], plus the
-  /// cause counter (net.dropped.conn or net.dropped.fault).
-  void count_loss(KindId kind, WireResult why);
+  /// Counts one wire loss: net.lost[.kind] plus its cause counter
+  /// (kDroppedConn or kDroppedFault).
+  void count_loss(KindId kind, Counter cause);
   /// The KindId of a send() label; interns opaque labels.
   KindId kind_id(const std::string& kind);
   /// The label a KindId stands for (stable reference).
@@ -347,13 +375,21 @@ class SocketTransport : public Transport {
   std::unordered_map<EndpointId, sockaddr_in> addrs_;
 
   // Parked delivery handlers in message-id order: parked_[i] holds id
-  // parked_base_ + i. Ids and deadlines both grow along the deque, so
-  // holes are popped once they reach the front and the sweep looks only
-  // there.
+  // parked_base_ + i, and the next send parks id parked_base_ +
+  // parked_.size(). Ids and deadlines both grow along the deque, so holes
+  // are popped once they reach the front and the sweep looks only there.
   std::mutex handlers_mu_;
   std::deque<ParkedEntry> parked_;
   std::uint64_t parked_base_ = 1;
-  std::uint64_t next_msg_ = 1;
+
+  // Fault injection: fault_armed_ mirrors fault_ != nullptr, so a send
+  // with no model installed costs one relaxed load; fault_mu_ guards the
+  // rest.
+  std::atomic<bool> fault_armed_{false};
+  std::mutex fault_mu_;
+  std::unique_ptr<FaultModel> fault_;
+  Rng fault_rng_;
+  std::uint64_t fault_seq_ = 0;  ///< the model's next wire sequence number
 
   // Dispatch strand state.
   mutable std::mutex strand_mu_;

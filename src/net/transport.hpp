@@ -17,14 +17,14 @@
 // Three implementations ship today:
 //  * sim::Network — the deterministic discrete-event simulator (see
 //    src/sim/network.hpp). It *is* the SimTransport: the event queue
-//    supplies virtual time, latency/drop/fault models shape the fabric, and
+//    supplies virtual time, latency and fault models shape the fabric, and
 //    seeded RNG keeps runs bit-identical.
 //  * net::TcpTransport — the real runtime (see src/net/tcp_transport.hpp):
 //    loopback TCP sockets, an I/O thread pool, wall-clock timers, and the
 //    binary envelope codec of src/net/wire.hpp on every wire message.
 //  * net::UdpTransport — the lossy datagram runtime (see
 //    src/net/udp_transport.hpp): one socket per process, every envelope a
-//    datagram, with a seeded drop model standing in for real packet loss.
+//    datagram.
 // The TCP/UDP backends share net::SocketTransport (strand, timers, parked
 // handlers, peer-address routing); both deliver cross-process payload
 // messages to other processes listed in the peer-address table.
@@ -34,15 +34,18 @@
 //  * Local sends (from == to) are free: delivered asynchronously but not
 //    counted as network messages ("net.local").
 //  * Sends to unregistered endpoints are silently discarded and counted as
-//    "net.dropped" / "net.dropped.<kind>" (models absent peers).
+//    "net.dropped" / "net.dropped.<kind>" (models absent peers). That
+//    per-kind family counts these discards only.
 //  * Every discarded or lost message is attributed to exactly one cause
 //    counter: "net.dropped.unregistered" (absent peer),
-//    "net.dropped.fault" (a drop/fault model or the FaultTransport
-//    decorator lost it), or "net.dropped.conn" (TCP backend only: the
-//    connection died under the frame). Fault and conn losses also count
-//    "net.lost" / "net.lost.<kind>" — they were on the wire — so the
-//    conservation identity net.messages == net.delivered + net.lost holds
-//    per backend once traffic drains.
+//    "net.dropped.fault" (the installed net::FaultModel dropped it — see
+//    src/net/fault_model.hpp; every backend has the same hook), or
+//    "net.dropped.conn" (socket backends only: the wire swallowed the
+//    frame). Fault and conn losses also count "net.lost" /
+//    "net.lost.<kind>" — they were on the wire — so the conservation
+//    identity net.messages == net.delivered + net.lost holds per backend
+//    once traffic drains, and net.lost == net.dropped.fault +
+//    net.dropped.conn.
 //  * Handlers run one at a time, in delivery order, never re-entrantly
 //    inside send() — protocol state machines are single-threaded with
 //    respect to their transport (the sim's event loop; the TCP backend's
@@ -76,7 +79,7 @@ struct SendRecord {
   EndpointId from = 0;
   EndpointId to = 0;
   std::size_t bytes = 0;
-  bool lost = false;   ///< dropped by a drop or fault model
+  bool lost = false;   ///< dropped by the fault model, or by the wire
   Time deliver_at = 0; ///< arrival time (== at when lost)
 };
 

@@ -16,13 +16,11 @@ UdpTransport::UdpTransport(Config cfg)
           cfg.tick,
           std::min<std::uint32_t>(cfg.max_pad,
                                   static_cast<std::uint32_t>(kMaxDatagram / 2)),
-          cfg.parked_ttl}),
-      cfg_(cfg),
-      drop_rng_(cfg.seed) {
+          cfg.parked_ttl}) {
   fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (fd_ < 0) throw std::runtime_error("UdpTransport: socket failed");
   // Generous buffers: a burst of envelopes must not turn into silent
-  // kernel-side loss beyond what the drop model injects deliberately.
+  // kernel-side loss beyond what fault injection drops deliberately.
   const int bufsz = 4 * 1024 * 1024;
   ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &bufsz, sizeof(bufsz));
   ::setsockopt(fd_, SOL_SOCKET, SO_SNDBUF, &bufsz, sizeof(bufsz));
@@ -44,20 +42,11 @@ UdpTransport::UdpTransport(Config cfg)
     throw std::runtime_error("UdpTransport: pipe failed");
   }
 
-  set_drop_rate(cfg.drop_rate);
-
   io_thread_ = std::thread([this] { io_loop(); });
   start_dispatch();
 }
 
 UdpTransport::~UdpTransport() { stop(); }
-
-void UdpTransport::set_drop_rate(double rate) {
-  if (rate < 0) rate = 0;
-  if (rate > 1) rate = 1;
-  drop_ppm_.store(static_cast<std::uint64_t>(rate * 1e6),
-                  std::memory_order_relaxed);
-}
 
 void UdpTransport::stop() {
   if (!begin_stop()) return;
@@ -95,13 +84,6 @@ void UdpTransport::wire_write(const Run& run, std::vector<WireResult>& fate) {
     const std::size_t len = run.frames[i].end - begin;
     begin = run.frames[i].end;
     if (len > kMaxDatagram) continue;  // cannot be carried: kConnDead
-    // The seeded drop model: the frame dies here, exactly where a real
-    // congested path would discard the datagram.
-    const std::uint64_t ppm = drop_ppm_.load(std::memory_order_relaxed);
-    if (ppm > 0 && drop_rng_.next_below(1000000) < ppm) {
-      fate[i] = WireResult::kDropped;
-      continue;
-    }
     const ssize_t n =
         ::sendto(fd_, data, len, 0, reinterpret_cast<const sockaddr*>(&dest),
                  sizeof(dest));

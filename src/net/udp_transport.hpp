@@ -1,9 +1,8 @@
 // The UDP Transport backend: every envelope is one datagram, and the
 // medium genuinely loses packets — which is the point. The loss machinery
-// the protocol layers grew against the simulator's drop models (step
+// the protocol layers grew against the simulator's fault models (step
 // timeouts, retransmission, exponential backoff, failover) runs here
-// against a wire where loss is the transport's native failure mode, not a
-// decorator's injection.
+// against a wire where loss is the transport's native failure mode.
 //
 // Architecture (per instance): one loopback UDP socket, bound ephemeral.
 // Self-wire frames (parked-handler sends) and cross-process payload frames
@@ -14,9 +13,9 @@
 // the SocketTransport base at once, exactly like the TCP backend.
 //
 // Loss semantics (docs/ROBUSTNESS.md):
-//  * the seeded drop model discards a frame when its run is written —
-//    frame by frame — counted
-//    net.dropped.fault + net.lost, like a sim drop model, with no
+//  * seeded loss is the SocketTransport fault hook's (set_fault_model with
+//    a net::BernoulliDrop, say): a dropped send is never written, and
+//    counts net.dropped.fault + net.lost, like a sim drop, with no
 //    peer-down report (packet loss is not peer death);
 //  * a frame the kernel or the read side swallows (buffer overrun,
 //    drop_inbound) leaks no state: the parked-handler sweep releases the
@@ -37,7 +36,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "net/socket_transport.hpp"
 
 namespace hkws::net {
@@ -56,12 +54,6 @@ class UdpTransport final : public SocketTransport {
     std::uint32_t max_pad = 32 * 1024;
     /// Deadline for parked delivery handlers (see CommonConfig::parked_ttl).
     std::chrono::milliseconds parked_ttl{3000};
-    /// Probability in [0,1] that the drop model discards an outbound
-    /// frame. Runtime-adjustable via set_drop_rate() so tests arm loss
-    /// only after a lossless publish phase.
-    double drop_rate = 0.0;
-    /// Seed for the drop-model RNG.
-    std::uint64_t seed = 1;
   };
 
   explicit UdpTransport(Config cfg);
@@ -71,28 +63,18 @@ class UdpTransport final : public SocketTransport {
   /// The loopback port this instance's socket is bound to.
   std::uint16_t port() const noexcept { return port_; }
 
-  const Config& config() const noexcept { return cfg_; }
-
-  /// Re-arms the seeded drop model (0 disarms). Applies to frames sent
-  /// after the call.
-  void set_drop_rate(double rate);
-
   void stop() override;
 
  private:
   void wire_write(const Run& run, std::vector<WireResult>& fate) override;
   void io_loop();
 
-  Config cfg_;
-
   int fd_ = -1;
   int wake_pipe_[2] = {-1, -1};
   std::uint16_t port_ = 0;
   sockaddr_in self_addr_{};
 
-  std::mutex send_mu_;  ///< serializes sendto + the drop-model RNG draw
-  Rng drop_rng_;
-  std::atomic<std::uint64_t> drop_ppm_{0};  ///< drop_rate in parts-per-million
+  std::mutex send_mu_;  ///< serializes sendto against close
 
   std::thread io_thread_;
 };

@@ -35,12 +35,9 @@ bool Network::is_registered(EndpointId id) const {
   return endpoints_.contains(id);
 }
 
-void Network::set_drop_model(std::unique_ptr<DropModel> model) {
-  drop_ = std::move(model);
-}
-
-void Network::set_fault_model(std::unique_ptr<FaultModel> model) {
+void Network::set_fault_model(std::unique_ptr<net::FaultModel> model) {
   fault_ = std::move(model);
+  wire_seq_ = 0;
 }
 
 void Network::deliver_after(Time delay, const Handler& deliver) {
@@ -74,17 +71,9 @@ void Network::send(EndpointId from, EndpointId to, std::string kind,
       observer_(kind, SendRecord{now, from, to, payload_bytes, lost,
                                  lost ? now : deliver_at});
   };
-  if (drop_ != nullptr && drop_->drop(from, to, kind, rng_)) {
-    metrics_.count("net.lost");
-    metrics_.count("net.lost." + kind);
-    metrics_.count("net.dropped.fault");
-    observe(true, 0);
-    return;
-  }
-  FaultActions fault;
+  net::FaultActions fault;
   if (fault_ != nullptr)
-    fault = fault_->inspect(from, to, kind, wire_seq_, rng_);
-  ++wire_seq_;
+    fault = fault_->inspect(from, to, kind, wire_seq_++, rng_);
   if (fault.drop) {
     metrics_.count("net.lost");
     metrics_.count("net.lost." + kind);

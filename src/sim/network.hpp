@@ -8,10 +8,11 @@
 //  * LatencyModel — one-way delay per (from, to) pair. FixedLatency and
 //    UniformLatency cover the paper's regime; LogNormalLatency adds the
 //    heavy-tailed WAN delays that make p99 behaviour under load meaningful.
-//  * DropModel — per-message loss. A lossless Network is the default;
-//    installing a drop model (or constructing a LossyNetwork) makes sends
-//    vanish with a seeded probability, which is what exercises the serving
-//    engine's timeout/retransmission machinery.
+//  * net::FaultModel — per-message loss, duplication and delay spikes (see
+//    src/net/fault_model.hpp). A lossless Network is the default;
+//    installing net::BernoulliDrop makes sends vanish with a seeded
+//    probability, which is what exercises the serving engine's
+//    timeout/retransmission machinery.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include <unordered_map>
 
 #include "common/rng.hpp"
+#include "net/fault_model.hpp"
 #include "net/transport.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/metrics.hpp"
@@ -76,53 +78,11 @@ class LogNormalLatency final : public LatencyModel {
   Time cap_;
 };
 
-/// Pluggable per-message loss model. Local sends (from == to) are exempt.
-class DropModel {
- public:
-  virtual ~DropModel() = default;
-  virtual bool drop(EndpointId from, EndpointId to, const std::string& kind,
-                    Rng& rng) = 0;
-};
-
-/// Drops every message independently with probability `p`.
-class BernoulliDrop final : public DropModel {
- public:
-  explicit BernoulliDrop(double p) : p_(p) {}
-  bool drop(EndpointId, EndpointId, const std::string&, Rng& rng) override {
-    return rng.next_bool(p_);
-  }
-
- private:
-  double p_;
-};
-
-/// What a FaultModel decided to do to one wire message. Defaults = deliver
-/// untouched.
-struct FaultActions {
-  bool drop = false;             ///< lose the message entirely
-  std::uint32_t duplicates = 0;  ///< extra copies, each delivered separately
-  Time extra_delay = 0;          ///< added one-way latency (reorders traffic)
-};
-
-/// Pluggable deterministic fault scheduler, richer than DropModel: besides
-/// loss it can duplicate a message or spike its delay. `seq` is the 0-based
-/// sequence number of wire messages (local sends and sends to unregistered
-/// endpoints are not numbered), so a seeded schedule of faults replays
-/// bit-identically. Consulted after the DropModel (a message the drop model
-/// already lost is never inspected).
-class FaultModel {
- public:
-  virtual ~FaultModel() = default;
-  virtual FaultActions inspect(EndpointId from, EndpointId to,
-                               const std::string& kind, std::uint64_t seq,
-                               Rng& rng) = 0;
-};
-
 /// The message-passing fabric — the simulator's implementation of the
 /// net::Transport interface (the "SimTransport"; see src/net/transport.hpp
 /// and src/net/sim_transport.hpp). Protocol layers talk to the interface;
 /// simulation drivers additionally reach the event queue (clock()) and the
-/// latency/drop/fault models through this concrete class.
+/// latency/fault models through this concrete class.
 class Network : public net::Transport {
  public:
   /// Delivery action run at the destination when a message arrives.
@@ -130,7 +90,7 @@ class Network : public net::Transport {
 
   /// @param clock    event queue driving the simulation (not owned)
   /// @param latency  latency model (owned); nullptr = FixedLatency(1)
-  /// @param seed     seed for latency/loss randomness
+  /// @param seed     seed for latency/fault randomness
   explicit Network(EventQueue& clock,
                    std::unique_ptr<LatencyModel> latency = nullptr,
                    std::uint64_t seed = 1);
@@ -141,20 +101,14 @@ class Network : public net::Transport {
   void unregister_endpoint(EndpointId id) override;
   bool is_registered(EndpointId id) const override;
 
-  /// Installs (or, with nullptr, removes) a message-loss model. Lost sends
-  /// are counted under "net.lost" / "net.lost.<kind>" — and still under
-  /// "net.messages", since they were put on the wire — but never delivered.
-  void set_drop_model(std::unique_ptr<DropModel> model);
-  bool lossy() const noexcept { return drop_ != nullptr; }
+  /// Installs (or, with nullptr, removes) the fault model: every wire
+  /// message from now on is numbered from 0 and inspected, with the
+  /// network's RNG (semantics and accounting: src/net/fault_model.hpp).
+  void set_fault_model(std::unique_ptr<net::FaultModel> model);
 
-  /// Installs (or, with nullptr, removes) a fault-injection model. Injected
-  /// drops count under "net.lost" like drop-model losses; duplicates count
-  /// as full wire messages plus "net.dup"; delay spikes count "net.delayed".
-  void set_fault_model(std::unique_ptr<FaultModel> model);
-
-  /// One wire message, reported to the send observer after the drop/fault
-  /// models have decided its fate. Duplicated messages report once per wire
-  /// copy; local sends and sends to unregistered endpoints do not report.
+  /// One wire message, reported to the send observer after the fault model
+  /// has decided its fate. Duplicated messages report once per wire copy;
+  /// local sends and sends to unregistered endpoints do not report.
   using SendRecord = net::SendRecord;
   using SendObserver = net::Transport::SendObserver;
 
@@ -189,7 +143,7 @@ class Network : public net::Transport {
   /// Total messages actually put on the wire (excludes local sends).
   std::uint64_t messages_sent() const { return metrics_.counter("net.messages"); }
 
-  /// Total messages lost in flight (drop model + injected faults).
+  /// Total messages lost in flight (fault-model drops).
   std::uint64_t messages_lost() const { return metrics_.counter("net.lost"); }
 
   /// Total messages handed to a destination handler. After the event queue
@@ -205,24 +159,12 @@ class Network : public net::Transport {
 
   EventQueue& clock_;
   std::unique_ptr<LatencyModel> latency_;
-  std::unique_ptr<DropModel> drop_;
-  std::unique_ptr<FaultModel> fault_;
+  std::unique_ptr<net::FaultModel> fault_;
   SendObserver observer_;
   Rng rng_;
   Metrics metrics_;
-  std::uint64_t wire_seq_ = 0;  ///< next wire-message sequence number
+  std::uint64_t wire_seq_ = 0;  ///< the fault model's next sequence number
   std::unordered_map<EndpointId, bool> endpoints_;
-};
-
-/// Convenience: a Network born with a BernoulliDrop(loss_p) installed.
-class LossyNetwork final : public Network {
- public:
-  LossyNetwork(EventQueue& clock, double loss_p,
-               std::unique_ptr<LatencyModel> latency = nullptr,
-               std::uint64_t seed = 1)
-      : Network(clock, std::move(latency), seed) {
-    set_drop_model(std::make_unique<BernoulliDrop>(loss_p));
-  }
 };
 
 }  // namespace hkws::sim

@@ -173,25 +173,20 @@ FaultInjector::FaultInjector(const FaultPlan& plan) {
   }
 }
 
-sim::FaultActions FaultInjector::inspect(sim::EndpointId from,
+net::FaultActions FaultInjector::inspect(sim::EndpointId from,
                                          sim::EndpointId to,
                                          const std::string& kind,
                                          std::uint64_t seq, Rng&) {
-  sim::FaultActions actions;
-  if (!seen_any_) {
-    seen_any_ = true;
-    base_seq_ = seq;
-  }
-  const std::uint64_t rel = seq - base_seq_;
+  net::FaultActions actions;
   const bool tolerant = lossable(kind);
-  // Partition windows: while `rel` sits inside an active cut, every
+  // Partition windows: while `seq` sits inside an active cut, every
   // loss-tolerant message crossing the bisection is dropped, in both
   // directions. Non-tolerant kinds pass: the protocol's availability
   // claim is that loss-tolerant steps survive partitions, not that
   // un-guarded traffic does.
   if (tolerant) {
     for (const Partition& p : partitions_) {
-      if (rel < p.start || rel >= p.end) continue;
+      if (seq < p.start || seq >= p.end) continue;
       if (partition_side(from, p.bit) == partition_side(to, p.bit)) continue;
       actions.drop = true;
       ++partition_cuts_;
@@ -199,7 +194,7 @@ sim::FaultActions FaultInjector::inspect(sim::EndpointId from,
       break;
     }
   }
-  const auto it = by_seq_.find(rel);
+  const auto it = by_seq_.find(seq);
   if (it == by_seq_.end()) return actions;
   const Planned& p = it->second;
   if (p.drop && tolerant) actions.drop = true;

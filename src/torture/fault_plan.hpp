@@ -3,9 +3,10 @@
 // A FaultPlan is a small list of fault events — message drops, duplications,
 // delay spikes, and abrupt peer failures — derived from a single 64-bit seed
 // via the repo's own Rng. Message faults target *wire sequence numbers* (the
-// deterministic numbering sim::Network assigns to every non-local send), so
-// replaying the same plan against the same scenario reproduces the same run
-// bit-for-bit; peer-failure events target workload round boundaries.
+// numbering every Transport backend gives its wire sends once a
+// net::FaultModel is installed), so replaying the same plan against the
+// same simulated scenario reproduces the same run bit-for-bit; peer-failure
+// events target workload round boundaries.
 //
 // Soundness rule: drops and duplications are applied only to message kinds
 // in the loss-tolerant subset of the superset-search protocol (guarded by
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "net/fault_model.hpp"
 #include "sim/network.hpp"
 
 namespace hkws::torture {
@@ -103,20 +105,19 @@ struct FaultPlan {
 /// receive twice without violating its exactness guarantee.
 bool lossable(const std::string& kind);
 
-/// sim::FaultModel that executes a FaultPlan's message events. Multiple
+/// net::FaultModel that executes a FaultPlan's message events. Multiple
 /// events aimed at the same wire sequence number compose (e.g. duplicate +
 /// delay); a drop wins over everything else.
 ///
-/// Plan targets are interpreted *relative to the first message the injector
-/// inspects*: the harness installs the injector after overlay construction,
-/// so target 0 is the first workload message regardless of how much wire
-/// traffic setup consumed. Replay stays bit-identical because setup traffic
-/// is itself deterministic.
-class FaultInjector final : public sim::FaultModel {
+/// Plan targets are the backend's wire sequence numbers, which start at 0
+/// when the injector is installed: the harness installs it after overlay
+/// construction, so target 0 is the first workload message regardless of
+/// how much wire traffic setup consumed.
+class FaultInjector final : public net::FaultModel {
  public:
   explicit FaultInjector(const FaultPlan& plan);
 
-  sim::FaultActions inspect(sim::EndpointId from, sim::EndpointId to,
+  net::FaultActions inspect(sim::EndpointId from, sim::EndpointId to,
                             const std::string& kind, std::uint64_t seq,
                             Rng& rng) override;
 
@@ -133,16 +134,14 @@ class FaultInjector final : public sim::FaultModel {
     sim::Time extra_delay = 0;
   };
   struct Partition {
-    std::uint64_t start = 0;  ///< relative wire seq the cut begins at
-    std::uint64_t end = 0;    ///< relative wire seq the cut heals at
+    std::uint64_t start = 0;  ///< wire seq the cut begins at
+    std::uint64_t end = 0;    ///< wire seq the cut heals at
     unsigned bit = 0;         ///< endpoint-hash bisection bit
   };
   std::unordered_map<std::uint64_t, Planned> by_seq_;
   std::vector<Partition> partitions_;
   std::uint64_t applied_ = 0;
   std::uint64_t partition_cuts_ = 0;
-  bool seen_any_ = false;
-  std::uint64_t base_seq_ = 0;  ///< wire seq of the first inspected message
 };
 
 }  // namespace hkws::torture

@@ -29,7 +29,6 @@
 #include "index/overlay_index.hpp"
 #include "index/ranking.hpp"
 #include "maint/maintenance.hpp"
-#include "net/fault_transport.hpp"
 #include "net/tcp_transport.hpp"
 #include "net/udp_transport.hpp"
 #include "obs/trace.hpp"
@@ -49,6 +48,10 @@ using index::SearchStrategy;
 constexpr std::uint64_t kConfigSalt = 0xc0f1650aa1b2c3d4ULL;
 constexpr std::uint64_t kWorkloadSalt = 0x3031c10adbeefca7ULL;
 constexpr std::uint64_t kNetSalt = 0x5e7700d5a9b8c7d6ULL;
+
+/// Socket runtimes: how long, in transport ticks, a drain waits for a
+/// burst's publish and withdraw callbacks before settling for what landed.
+constexpr sim::Time kAckWait = 20000;
 
 std::set<ObjectId> ids_of(const std::vector<Hit>& hits) {
   std::set<ObjectId> out;
@@ -187,8 +190,8 @@ struct Runtime {
 
   /// Full drain to a quiet wire. Sim: run the queue dry. Sockets:
   /// wait_idle with a generous bound (in-flight frames, queued handlers and
-  /// plain scheduled events — including FaultTransport's delayed
-  /// redeliveries — all count toward idleness; cancelable timers do not).
+  /// plain scheduled events — including fault-delayed sends — all count
+  /// toward idleness; cancelable timers do not).
   void drain_full() {
     if (clock != nullptr) {
       clock->run();
@@ -435,8 +438,24 @@ void execute(const ScenarioConfig& cfg, Ops& ops, ScenarioReport& rep,
   // maintenance plane heals in the background while serving continues.
   const bool continuous = cfg.continuous_churn && ops.fail_peer != nullptr;
 
+  // Mutation callbacks the current burst is still owed. Each burst counts
+  // in a fresh counter shared with its callbacks: a callback that never
+  // fires cannot stall a later drain, and a late one touches only its own
+  // burst's counter.
+  auto unacked = std::make_shared<std::atomic<std::size_t>>(0);
+
   auto drain = [&] {
     if (!rt.has_async()) return;
+    if (rt.is_socket()) {
+      // A burst has landed once its publish and withdraw callbacks fired,
+      // however slow the host; only then does the settle window below
+      // start, so the next burst never withdraws an object whose publish
+      // is still in flight. Bounded: a mutation routed into a dead peer
+      // never calls back.
+      const sim::Time deadline = rt.now() + kAckWait;
+      while (*unacked > 0 && rt.now() < deadline) rt.step();
+      unacked = std::make_shared<std::atomic<std::size_t>>(0);
+    }
     if (ops.plane != nullptr && ops.plane->running()) {
       // The plane's perpetual timers keep the queue non-empty, so drain a
       // bounded window instead (ample for any mutation burst to land).
@@ -451,7 +470,8 @@ void execute(const ScenarioConfig& cfg, Ops& ops, ScenarioReport& rep,
     const KeywordSet k = make_kws(1, 4);
     oracle.live[id] = k;
     if (tracer != nullptr) tracer->instant(ts(), 0, "publish", "torture", id);
-    ops.publish(id, k, [] {});
+    ++*unacked;
+    ops.publish(id, k, [unacked] { --*unacked; });
     ++rep.mutations;
   };
   // Mutations inside one burst overlap on the wire, and the protocol does
@@ -468,7 +488,8 @@ void execute(const ScenarioConfig& cfg, Ops& ops, ScenarioReport& rep,
     const KeywordSet k = oracle.live.at(id);
     oracle.live.erase(id);
     if (tracer != nullptr) tracer->instant(ts(), 0, "withdraw", "torture", id);
-    ops.withdraw(id, k, [] {});
+    ++*unacked;
+    ops.withdraw(id, k, [unacked] { --*unacked; });
     ++rep.mutations;
   };
 
@@ -995,14 +1016,23 @@ void run_hypercup(const ScenarioConfig& cfg, const FaultPlan& plan,
 /// Builds the socket substrate for a non-sim backend: TCP streams or UDP
 /// datagrams (one envelope frame per datagram), seeded from the scenario.
 std::unique_ptr<net::SocketTransport> make_socket(const ScenarioConfig& cfg) {
-  if (cfg.backend == Backend::kUdp) {
-    net::UdpTransport::Config uc;
-    uc.seed = mix64(cfg.seed ^ kNetSalt);
-    return std::make_unique<net::UdpTransport>(uc);
-  }
+  if (cfg.backend == Backend::kUdp)
+    return std::make_unique<net::UdpTransport>();
   net::TcpTransport::Config tc;
   tc.seed = mix64(cfg.seed ^ kNetSalt);
   return std::make_unique<net::TcpTransport>(tc);
+}
+
+/// Installs the scenario's fault injector on whichever backend carries the
+/// run: the sim fabric (which draws from its own RNG) or the socket
+/// transport (given an Rng seeded from the scenario).
+void install_faults(const ScenarioConfig& cfg, sim::Network* simnet,
+                    net::SocketTransport* sock,
+                    std::unique_ptr<FaultInjector> injector) {
+  if (sock != nullptr)
+    sock->set_fault_model(std::move(injector), mix64(cfg.seed ^ kNetSalt ^ 2));
+  else
+    simnet->set_fault_model(std::move(injector));
 }
 
 /// Shared driver for OverlayIndex over either DHT. `chord` is non-null for
@@ -1014,18 +1044,15 @@ void run_overlay(const ScenarioConfig& cfg, const FaultPlan& plan,
   auto injector = std::make_unique<FaultInjector>(plan);
   FaultInjector* inj = injector.get();
 
-  // Substrate: the sim fabric, or a real SocketTransport (TCP or UDP)
-  // wrapped in the FaultTransport decorator so the same plan injects below
-  // the protocol.
+  // Substrate: the sim fabric, or a real SocketTransport (TCP or UDP);
+  // either way the same plan injects below the protocol, in the backend's
+  // own send path.
   std::unique_ptr<sim::Network> simnet;
   std::unique_ptr<net::SocketTransport> sock;
-  std::unique_ptr<net::FaultTransport> faulted;
   net::Transport* transport = nullptr;
   if (sock_mode) {
     sock = make_socket(cfg);
-    faulted = std::make_unique<net::FaultTransport>(
-        *sock, std::move(injector), mix64(cfg.seed ^ kNetSalt ^ 2));
-    transport = faulted.get();
+    transport = sock.get();
   } else {
     simnet = std::make_unique<sim::Network>(
         clock, std::make_unique<sim::UniformLatency>(1, 12),
@@ -1076,13 +1103,9 @@ void run_overlay(const ScenarioConfig& cfg, const FaultPlan& plan,
     oicfg.hot.max_hot = 16;
   }
   index::OverlayIndex oi(dolr, oicfg);
-  // Faults start only now: overlay construction traffic stays pristine.
-  // (Same discipline on both substrates — the sim installs the model, the
-  // decorator arms; either way wire numbering starts at the next message.)
-  if (sock_mode)
-    faulted->arm();
-  else
-    simnet->set_fault_model(std::move(injector));
+  // Faults start only now: overlay construction traffic stays pristine,
+  // and wire numbering starts at the next message.
+  install_faults(cfg, simnet.get(), sock.get(), std::move(injector));
   if (tracer != nullptr && simnet != nullptr)
     obs::attach_network(*tracer, *simnet);
 
@@ -1307,13 +1330,10 @@ void run_mirrored(const ScenarioConfig& cfg, const FaultPlan& plan,
 
   std::unique_ptr<sim::Network> simnet;
   std::unique_ptr<net::SocketTransport> sock;
-  std::unique_ptr<net::FaultTransport> faulted;
   net::Transport* transport = nullptr;
   if (sock_mode) {
     sock = make_socket(cfg);
-    faulted = std::make_unique<net::FaultTransport>(
-        *sock, std::move(injector), mix64(cfg.seed ^ kNetSalt ^ 2));
-    transport = faulted.get();
+    transport = sock.get();
   } else {
     simnet = std::make_unique<sim::Network>(
         clock, std::make_unique<sim::UniformLatency>(1, 12),
@@ -1342,10 +1362,7 @@ void run_mirrored(const ScenarioConfig& cfg, const FaultPlan& plan,
              .backoff_cap = 640,
              .backoff_jitter = 40,
              .backoff_seed = mix64(cfg.seed ^ kNetSalt ^ 3)});
-  if (sock_mode)
-    faulted->arm();
-  else
-    simnet->set_fault_model(std::move(injector));
+  install_faults(cfg, simnet.get(), sock.get(), std::move(injector));
   if (tracer != nullptr && simnet != nullptr)
     obs::attach_network(*tracer, *simnet);
 

@@ -53,12 +53,13 @@ enum class Deployment : std::uint8_t {
 /// discrete-event simulator (sim::Network); kTcp and kUdp are the real
 /// runtime: a net::SocketTransport over loopback sockets — TCP streams or
 /// UDP datagrams (one envelope frame per datagram, where a frame can
-/// genuinely vanish on the wire) — wrapped in net::FaultTransport so the
-/// same seeded FaultPlan (drops, dups, delays, partitions) applies below
-/// the protocol. The invariant battery is identical on all three; on the
-/// socket backends the fault schedule still derives from the seed but
-/// message *order* is wall-clock real, so the invariants are exercised
-/// against genuine concurrency rather than replayed event order. Supported
+/// genuinely vanish on the wire). Every backend takes the same seeded
+/// FaultPlan (drops, dups, delays, partitions) through its own fault hook
+/// (set_fault_model), below the protocol. The invariant battery is
+/// identical on all three; on the socket backends the fault schedule still
+/// derives from the seed but message *order* is wall-clock real, so the
+/// invariants are exercised against genuine concurrency rather than
+/// replayed event order. Supported
 /// for the chord, pastry and mirrored deployments; the others ignore the
 /// field and run on the simulator (direct/decomposed have no wire at all,
 /// hypercup's delay-only envelope adds nothing over the sim run).
@@ -122,7 +123,7 @@ struct ScenarioConfig {
   /// Overlay step retransmission (chord/pastry/mirrored). Off, a single
   /// dropped step message strands its search forever — which is precisely
   /// what the harness's hang invariant must catch. The meta-test that
-  /// proves FaultTransport-injected loss over real sockets is *observable*
+  /// proves fault-injected loss over real sockets is *observable*
   /// runs with this off; every normal scenario keeps it on.
   bool retransmission = true;
   FaultPlanConfig faults;

@@ -11,6 +11,7 @@
 
 #include "dht/chord_network.hpp"
 #include "engine/load_driver.hpp"
+#include "net/fault_model.hpp"
 #include "obs/windowed.hpp"
 #include "workload/arrivals.hpp"
 #include "workload/query_log.hpp"
@@ -182,7 +183,7 @@ TEST(QueryEngine, LossyNetworkYieldsExactResultsViaRetransmission) {
               std::make_unique<sim::UniformLatency>(1, 20), 7);
   const auto sets = catalogue_sets();
   publish_catalogue(t, sets);  // publish losslessly, then break the network
-  t.net->set_drop_model(std::make_unique<sim::BernoulliDrop>(0.08));
+  t.net->set_fault_model(std::make_unique<net::BernoulliDrop>(0.08));
 
   EngineConfig cfg;
   cfg.max_in_flight = 6;

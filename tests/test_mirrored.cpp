@@ -11,6 +11,7 @@
 
 #include "common/rng.hpp"
 #include "dht/chord_network.hpp"
+#include "net/fault_model.hpp"
 #include "obs/windowed.hpp"
 
 namespace hkws::index {
@@ -243,13 +244,14 @@ TEST(Mirrored, BudgetedResyncConvergesCubesAfterFailures) {
 /// surgical fault that silences a single cube's pin replies. (Matching on
 /// the sender, not the receiver, keeps the other cube's multi-hop route
 /// safe even if it transits the victim.)
-class TargetedDrop final : public sim::DropModel {
+class TargetedDrop final : public net::FaultModel {
  public:
   TargetedDrop(std::string kind, sim::EndpointId from)
       : kind_(std::move(kind)), from_(from) {}
-  bool drop(sim::EndpointId from, sim::EndpointId, const std::string& kind,
-            Rng&) override {
-    return from == from_ && kind == kind_;
+  net::FaultActions inspect(sim::EndpointId from, sim::EndpointId,
+                            const std::string& kind, std::uint64_t,
+                            Rng&) override {
+    return {.drop = from == from_ && kind == kind_};
   }
 
  private:
@@ -275,7 +277,7 @@ TEST(Mirrored, SingleCubeFailoverCountedAndWindowed) {
         t.index->mirror().responsible_node(k));
     const sim::EndpointId pe = t.dht->endpoint_of(t.dht->owner_of(pk));
     const sim::EndpointId me = t.dht->endpoint_of(t.dht->owner_of(mk));
-    // The root must not be the searcher (self-sends bypass the drop model).
+    // The root must not be the searcher (self-sends bypass the fault model).
     if (pe != me && pe != 2) {
       primary_root = pe;
       break;
@@ -288,8 +290,8 @@ TEST(Mirrored, SingleCubeFailoverCountedAndWindowed) {
   // Silence the primary cube's pin replies: its retries exhaust and that
   // traversal reports failure while the mirror answers — the merge must
   // turn this into a degraded (not failed) result and count the failover.
-  t.net->set_drop_model(std::make_unique<TargetedDrop>("kws.pin_reply",
-                                                       primary_root));
+  t.net->set_fault_model(std::make_unique<TargetedDrop>("kws.pin_reply",
+                                                        primary_root));
   std::optional<SearchResult> result;
   t.index->pin_search(2, k, [&](const SearchResult& r) { result = r; });
   t.clock.run();

@@ -7,10 +7,15 @@
 #include <map>
 #include <vector>
 
+#include "net/fault_model.hpp"
 #include "sim/metrics.hpp"
 
 namespace hkws::sim {
 namespace {
+
+using net::BernoulliDrop;
+using net::FaultActions;
+using net::FaultModel;
 
 TEST(Metrics, CountersAccumulate) {
   Metrics m;
@@ -137,8 +142,7 @@ TEST(Network, BernoulliDropLosesAndCounts) {
   Network net(clock, std::make_unique<FixedLatency>(1), 3);
   net.register_endpoint(1);
   net.register_endpoint(2);
-  net.set_drop_model(std::make_unique<BernoulliDrop>(0.5));
-  EXPECT_TRUE(net.lossy());
+  net.set_fault_model(std::make_unique<BernoulliDrop>(0.5));
   int delivered = 0;
   const int kSends = 400;
   for (int i = 0; i < kSends; ++i)
@@ -161,30 +165,21 @@ TEST(Network, LocalSendsAreExemptFromLoss) {
   EventQueue clock;
   Network net(clock, nullptr, 3);
   net.register_endpoint(1);
-  net.set_drop_model(std::make_unique<BernoulliDrop>(1.0));  // drop all
+  net.register_endpoint(2);
+  net.set_fault_model(std::make_unique<BernoulliDrop>(1.0));  // drop all
   int delivered = 0;
   for (int i = 0; i < 10; ++i) net.send(1, 1, "m", 1, [&] { ++delivered; });
+  net.send(1, 2, "m", 1, [&] { ++delivered; });  // remote: vanishes
   clock.run();
   EXPECT_EQ(delivered, 10);
-  EXPECT_EQ(net.messages_lost(), 0u);
-}
-
-TEST(Network, LossyNetworkConvenienceDrops) {
-  EventQueue clock;
-  LossyNetwork net(clock, 1.0);  // every remote send vanishes
-  net.register_endpoint(1);
-  net.register_endpoint(2);
-  int delivered = 0;
-  net.send(1, 2, "m", 1, [&] { ++delivered; });
-  clock.run();
-  EXPECT_EQ(delivered, 0);
   EXPECT_EQ(net.messages_lost(), 1u);
 }
 
 TEST(Network, LossIsDeterministicPerSeed) {
   auto run_once = [] {
     EventQueue clock;
-    LossyNetwork net(clock, 0.3, nullptr, 17);
+    Network net(clock, nullptr, 17);
+    net.set_fault_model(std::make_unique<BernoulliDrop>(0.3));
     net.register_endpoint(1);
     net.register_endpoint(2);
     std::vector<int> delivered;
@@ -333,17 +328,17 @@ TEST(Network, FaultModelDropDupDelayAndConservation) {
 
 TEST(Network, ConservationHoldsUnderRandomDropAndFaults) {
   EventQueue clock;
-  LossyNetwork net(clock, 0.2, std::make_unique<UniformLatency>(1, 9), 7);
+  Network net(clock, std::make_unique<UniformLatency>(1, 9), 7);
   net.register_endpoint(1);
   net.register_endpoint(2);
 
-  /// Seeded random faults on every message kind.
+  /// Seeded random loss plus random faults on every message kind.
   class RandomFaults final : public FaultModel {
    public:
     FaultActions inspect(EndpointId, EndpointId, const std::string&,
                          std::uint64_t, Rng& rng) override {
       FaultActions a;
-      a.drop = rng.next_bool(0.1);
+      a.drop = rng.next_bool(0.2) || rng.next_bool(0.1);
       if (rng.next_bool(0.1)) a.duplicates = 1 + rng.next_below(2);
       if (rng.next_bool(0.1)) a.extra_delay = rng.next_below(50);
       return a;

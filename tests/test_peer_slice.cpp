@@ -19,6 +19,7 @@
 #include "common/rng.hpp"
 #include "index/logical_index.hpp"
 #include "index/peer_slice.hpp"
+#include "net/fault_model.hpp"
 #include "net/tcp_transport.hpp"
 #include "net/udp_transport.hpp"
 
@@ -26,6 +27,7 @@ namespace hkws::index {
 namespace {
 
 using namespace std::chrono_literals;
+using net::BernoulliDrop;
 using net::TcpTransport;
 using net::UdpTransport;
 
@@ -334,9 +336,7 @@ TEST(PeerSlice, SplitOverlaySurvivesSeededUdpLossWithRetransmission) {
 
   UdpTransport::Config ucfg;
   ucfg.tick = std::chrono::microseconds{100};
-  ucfg.seed = 7;
   UdpTransport ta(ucfg);
-  ucfg.seed = 8;
   UdpTransport tb(ucfg);
 
   PeerSlice::Config cfg;
@@ -359,9 +359,9 @@ TEST(PeerSlice, SplitOverlaySurvivesSeededUdpLossWithRetransmission) {
   EXPECT_EQ(local_objects(a, ta) + local_objects(b, tb),
             logical.object_count());
 
-  // Arm the drop model on both slices and search through the loss.
-  ta.set_drop_rate(0.2);
-  tb.set_drop_rate(0.2);
+  // Arm seeded loss on both slices and search through it.
+  ta.set_fault_model(std::make_unique<BernoulliDrop>(0.2), 7);
+  tb.set_fault_model(std::make_unique<BernoulliDrop>(0.2), 8);
   std::size_t total_retransmits = 0;
   const auto queries = make_queries(corpus);
   for (std::size_t qi = 0; qi < queries.size(); qi += 4) {
@@ -381,8 +381,8 @@ TEST(PeerSlice, SplitOverlaySurvivesSeededUdpLossWithRetransmission) {
   // statistically impossible — retransmission must have fired.
   EXPECT_GT(total_retransmits, 0u);
 
-  ta.set_drop_rate(0.0);
-  tb.set_drop_rate(0.0);
+  ta.set_fault_model(nullptr);
+  tb.set_fault_model(nullptr);
   ta.drain_and_stop(kWait);
   tb.drain_and_stop(kWait);
   for (const UdpTransport* t : {&ta, &tb}) {

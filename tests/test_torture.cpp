@@ -226,8 +226,8 @@ TEST(Torture, HotSpotReplicationFlattensScanSkewAndControlIsCaught) {
 
 // The same invariant battery over the real runtime: every wire message
 // crosses a loopback TCP socket (net::TcpTransport) with the seeded fault
-// schedule injected by net::FaultTransport below the codec. Message order
-// is wall-clock real, so this exercises the protocol against genuine
+// schedule injected by the transport's fault hook, above the codec. Message
+// order is wall-clock real, so this exercises the protocol against genuine
 // concurrency — the invariants must hold anyway.
 TEST(TortureTcp, ChordAndChurnScenariosGreenOverRealSockets) {
   ScenarioRunner runner;
@@ -245,13 +245,13 @@ TEST(TortureTcp, ChordAndChurnScenariosGreenOverRealSockets) {
   EXPECT_TRUE(rep.ok()) << rep.to_string();
 }
 
-// The acceptance meta-test for FaultTransport: loss injected over real
-// sockets must be *observable*. With step retransmission disabled, a
-// single dropped step message strands its operation forever, and the
-// harness's hang invariant must catch it; the identical drop-heavy
-// schedule with retransmission on must be survived. If FaultTransport
-// silently failed to drop (or dropped where the protocol never noticed),
-// the first run would go green and this test would fail.
+// The acceptance meta-test for fault injection over real sockets: the loss
+// must be *observable*. With step retransmission disabled, a single dropped
+// step message strands its operation forever, and the harness's hang
+// invariant must catch it; the identical drop-heavy schedule with
+// retransmission on must be survived. If the fault hook silently failed to
+// drop (or dropped where the protocol never noticed), the first run would
+// go green and this test would fail.
 TEST(TortureTcp, InjectedLossIsCaughtWhenRetransmissionIsOff) {
   ScenarioRunner runner;
   ScenarioConfig cfg = ScenarioConfig::from_seed(
@@ -284,7 +284,7 @@ TEST(TortureTcp, InjectedLossIsCaughtWhenRetransmissionIsOff) {
   ScenarioConfig exposed = cfg;
   exposed.retransmission = false;
   const ScenarioReport caught = runner.run(exposed);
-  ASSERT_FALSE(caught.ok()) << "FaultTransport drops were not observable";
+  ASSERT_FALSE(caught.ok()) << "injected drops were not observable";
   EXPECT_GT(caught.faults_applied, 0u);
 }
 

@@ -20,7 +20,9 @@
 #include "net/sim_transport.hpp"
 #include "net/tcp_transport.hpp"
 #include "net/transport.hpp"
+#include "net/udp_transport.hpp"
 #include "obs/trace.hpp"
+#include "torture/fault_plan.hpp"
 
 namespace hkws::net {
 namespace {
@@ -328,9 +330,11 @@ TEST(TcpTransport, TimerStressConcurrentSetCancelFire) {
   EXPECT_EQ(t.live_timer_count(), 0u);
 }
 
-// The parity oracle: the exact send sequence, replayed against both
-// backends, must produce identical protocol-level counters. (Wire-only
-// counters — net.wire_bytes — are excluded: the simulator moves no frames.)
+// The parity oracle: the exact send sequence, replayed against every
+// backend under the same fault plan — one drop, one duplicate and one
+// delay — must run the same handlers and produce identical protocol-level
+// counters, loss accounting included. (Wire-only counters — net.wire_bytes
+// — are excluded: the simulator moves no frames.)
 TEST(TransportParity, SimAndTcpCountIdentically) {
   struct Send {
     EndpointId from, to;
@@ -343,27 +347,53 @@ TEST(TransportParity, SimAndTcpCountIdentically) {
       {2, 3, "maint.ping", 8},    {3, 2, "dolr.insert", 64},
       {1, 3, "kws.t_query", 120}, {3, 3, "kws.done", 8},
   };
+  // Wire sends are numbered 0.. in script order, skipping the local and
+  // unregistered ones: seq 0 kws.t_query, 1 kws.t_cont, 2 maint.ping.
+  const auto plan = [] {
+    torture::FaultPlan p;
+    p.events = {{torture::FaultKind::kDrop, 0, 0},
+                {torture::FaultKind::kDuplicate, 1, 0},
+                {torture::FaultKind::kDelay, 2, 30}};
+    return std::make_unique<torture::FaultInjector>(p);
+  };
   const std::vector<std::string> keys = {
       "net.messages", "net.bytes",  "net.local",
       "net.dropped",  "net.dropped.dolr.read",
       "msg.kws.t_query", "msg.kws.t_cont", "msg.kws.results",
       "msg.maint.ping",  "msg.dolr.insert", "msg.kws.done",
+      "net.lost", "net.lost.kws.t_query", "net.dropped.kws.t_query",
+      "net.dropped.fault", "net.dup", "net.delayed",
       "net.delivered"};
 
+  std::atomic<int> sim_ran{0};
   sim::EventQueue clock;
   sim::Network simnet(clock);
   for (EndpointId id = 1; id <= 3; ++id) simnet.register_endpoint(id);
-  for (const Send& s : script) simnet.send(s.from, s.to, s.kind, s.bytes, [] {});
+  simnet.set_fault_model(plan());
+  for (const Send& s : script)
+    simnet.send(s.from, s.to, s.kind, s.bytes, [&] { ++sim_ran; });
   simnet.clock().run();
+  EXPECT_EQ(sim_ran.load(), 7);  // 8 sends - drop - unregistered + dup
+  EXPECT_EQ(simnet.metrics().counter("net.dropped.fault"), 1u);
 
   TcpTransport tcp(fast_config());
-  for (EndpointId id = 1; id <= 3; ++id) tcp.register_endpoint(id);
-  for (const Send& s : script) tcp.send(s.from, s.to, s.kind, s.bytes, [] {});
-  ASSERT_TRUE(tcp.wait_idle(kIdle));
-
-  for (const std::string& key : keys) {
-    EXPECT_EQ(tcp.metrics().counter(key), simnet.metrics().counter(key))
-        << key;
+  UdpTransport::Config ucfg;
+  ucfg.tick = fast_config().tick;
+  UdpTransport udp(ucfg);
+  for (SocketTransport* sock : {static_cast<SocketTransport*>(&tcp),
+                                static_cast<SocketTransport*>(&udp)}) {
+    SCOPED_TRACE(sock == &tcp ? "tcp" : "udp");
+    for (EndpointId id = 1; id <= 3; ++id) sock->register_endpoint(id);
+    sock->set_fault_model(plan());
+    std::atomic<int> ran{0};
+    for (const Send& s : script)
+      sock->send(s.from, s.to, s.kind, s.bytes, [&] { ++ran; });
+    ASSERT_TRUE(sock->wait_idle(kIdle));
+    EXPECT_EQ(ran.load(), sim_ran.load());
+    for (const std::string& key : keys) {
+      EXPECT_EQ(sock->metrics().counter(key), simnet.metrics().counter(key))
+          << key;
+    }
   }
 }
 
@@ -415,11 +445,10 @@ TEST(TransportParity, ObsTracingAttachesToBothBackends) {
 
 // --- Satellite regressions --------------------------------------------------
 
-// Regression for the per-peer counter data race: sends bump PeerState
-// counters under the shared (reader) side of peers_mu_, so two threads
-// sending from the same endpoint raced on `++sent` before the counters
-// became atomic. Run under TSan (the CI tsan job builds this binary) this
-// test fails on the pre-fix code.
+// Many threads sending at once, half of them from the same endpoint: every
+// path a send takes — registration lookup, parked-handler table, counter
+// slots, the fault hook's armed check, the off-strand run write — must be
+// race-free. Run under TSan (the CI tsan job builds this binary).
 TEST(TcpTransport, ConcurrentSendsFromManyThreadsAreRaceFree) {
   TcpTransport t(fast_config());
   constexpr int kThreads = 4;

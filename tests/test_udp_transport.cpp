@@ -1,6 +1,6 @@
 // UdpTransport runtime tests: datagram delivery through a real loopback
-// socket, the seeded drop model (loss as the medium's native failure mode),
-// and the accounting identities the torture harness enforces —
+// socket, seeded loss through the transport's fault hook, and the
+// accounting identities the torture harness enforces —
 // net.messages == net.delivered + net.lost with every loss attributed to
 // exactly one cause counter.
 //
@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "net/fault_model.hpp"
 #include "net/transport.hpp"
 #include "net/udp_transport.hpp"
 
@@ -58,13 +59,11 @@ TEST(UdpTransport, WireSendDeliversThroughDatagramAndCounts) {
 }
 
 // The headline property: under seeded Bernoulli loss the conservation
-// identity closes exactly, every loss attributed to the drop model
+// identity closes exactly, every loss attributed to fault injection
 // (net.dropped.fault) — and packet loss is never reported as peer death.
 TEST(UdpTransport, SeededLossIsAttributedAndConserved) {
-  UdpTransport::Config cfg = fast_config();
-  cfg.drop_rate = 0.3;
-  cfg.seed = 42;
-  UdpTransport t(cfg);
+  UdpTransport t(fast_config());
+  t.set_fault_model(std::make_unique<BernoulliDrop>(0.3), 42);
   t.register_endpoint(1);
   t.register_endpoint(2);
   std::atomic<int> peer_down{0};
@@ -83,22 +82,20 @@ TEST(UdpTransport, SeededLossIsAttributedAndConserved) {
   EXPECT_EQ(ran.load(), delivered);     // a lost frame never runs its handler
   EXPECT_GT(lost, 0u);                  // 30% of 200: the model really fired
   EXPECT_GT(delivered, 0u);
-  // Attribution: every loss is the drop model's, none a connection death.
+  // Attribution: every loss is the fault model's, none a connection death.
   EXPECT_EQ(counter(t, "net.dropped.fault"), lost);
   EXPECT_EQ(counter(t, "net.dropped.conn"), 0u);
   EXPECT_EQ(counter(t, "net.lost.kws.t_query"), lost);
   EXPECT_EQ(peer_down.load(), 0);  // packet loss is not peer death
 }
 
-// Two identically-seeded instances lose exactly the same frames: the drop
+// Two identically-seeded instances lose exactly the same frames: the fault
 // model is deterministic, so loss-recovery tests are reproducible.
 TEST(UdpTransport, SeededLossIsDeterministic) {
   std::vector<std::uint64_t> lost_counts;
   for (int run = 0; run < 2; ++run) {
-    UdpTransport::Config cfg = fast_config();
-    cfg.drop_rate = 0.25;
-    cfg.seed = 7;
-    UdpTransport t(cfg);
+    UdpTransport t(fast_config());
+    t.set_fault_model(std::make_unique<BernoulliDrop>(0.25), 7);
     t.register_endpoint(1);
     t.register_endpoint(2);
     for (int i = 0; i < 100; ++i) t.send(1, 2, "dolr.insert", 16, [] {});
@@ -109,17 +106,15 @@ TEST(UdpTransport, SeededLossIsDeterministic) {
   EXPECT_GT(lost_counts[0], 0u);
 }
 
-// The drop model decides frame by frame inside a run: one strand turn's
-// frames go out as one run, the dropped ones count net.dropped.fault, the
-// rest are delivered, and the same seed drops the same frames again.
+// The fault model decides send by send inside one strand turn: the dropped
+// frames are never written and count net.dropped.fault, the rest go out as
+// one run and are delivered, and the same seed drops the same frames again.
 TEST(UdpTransport, SeededLossInOneRunIsAttributedPerFrame) {
   constexpr int kN = 100;
   std::vector<std::vector<bool>> lost_flags;
   for (int run = 0; run < 2; ++run) {
-    UdpTransport::Config cfg = fast_config();
-    cfg.drop_rate = 0.3;
-    cfg.seed = 11;
-    UdpTransport t(cfg);
+    UdpTransport t(fast_config());
+    t.set_fault_model(std::make_unique<BernoulliDrop>(0.3), 11);
     t.register_endpoint(1);
     t.register_endpoint(2);
     std::mutex mu;
@@ -151,9 +146,10 @@ TEST(UdpTransport, SeededLossInOneRunIsAttributedPerFrame) {
   EXPECT_EQ(lost_flags[0], lost_flags[1]);
 }
 
-// set_drop_rate() re-arms the model at runtime: tests publish lossless,
-// then arm loss for the query phase (UDP gives no ordering guarantee, so
-// this is the supported way to keep the publish phase intact).
+// set_fault_model() arms loss at runtime and nullptr disarms it: tests
+// publish lossless, then arm loss for the query phase (UDP gives no
+// ordering guarantee, so this is the supported way to keep the publish
+// phase intact).
 TEST(UdpTransport, DropRateArmsAndDisarmsAtRuntime) {
   UdpTransport t(fast_config());
   t.register_endpoint(1);
@@ -162,13 +158,13 @@ TEST(UdpTransport, DropRateArmsAndDisarmsAtRuntime) {
   ASSERT_TRUE(t.wait_idle(kIdle));
   EXPECT_EQ(counter(t, "net.lost"), 0u);  // disarmed: lossless
 
-  t.set_drop_rate(1.0);  // certain loss
+  t.set_fault_model(std::make_unique<BernoulliDrop>(1.0));  // certain loss
   for (int i = 0; i < 10; ++i) t.send(1, 2, "kws.t_query", 32, [] {});
   ASSERT_TRUE(t.wait_idle(kIdle));
   EXPECT_EQ(counter(t, "net.lost"), 10u);
   EXPECT_EQ(counter(t, "net.dropped.fault"), 10u);
 
-  t.set_drop_rate(0.0);  // disarm again
+  t.set_fault_model(nullptr);  // disarm again
   std::atomic<int> ran{0};
   for (int i = 0; i < 10; ++i) t.send(1, 2, "kws.t_query", 32, [&ran] { ++ran; });
   ASSERT_TRUE(t.wait_idle(kIdle));
@@ -259,7 +255,7 @@ TEST(UdpTransport, PayloadCrossesBetweenInstances) {
   EXPECT_EQ(b.decode_errors(), 0u);
 }
 
-// An armed drop model applies to cross-process payload frames too, and the
+// An armed fault model applies to cross-process payload frames too, and the
 // sender's conservation identity still closes (the loss is the sender's).
 TEST(UdpTransport, PayloadLossIsAccountedAtTheSender) {
   UdpTransport a(fast_config());
@@ -269,7 +265,7 @@ TEST(UdpTransport, PayloadLossIsAccountedAtTheSender) {
   ASSERT_TRUE(a.set_peer_address(2, PeerAddr{"127.0.0.1", b.port()}));
   b.set_payload_handler([](EndpointId, EndpointId, MsgKind,
                            const WireMessage&) { FAIL() << "frame delivered"; });
-  a.set_drop_rate(1.0);
+  a.set_fault_model(std::make_unique<BernoulliDrop>(1.0));
   const EntryMsg entry{1, {"doomed"}};
   for (int i = 0; i < 5; ++i)
     a.send_payload(1, 2, MsgKind::kKwsInsert, WireMessage{entry});

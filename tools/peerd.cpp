@@ -76,6 +76,7 @@
 #include "index/logical_index.hpp"
 #include "index/overlay_index.hpp"
 #include "index/peer_slice.hpp"
+#include "net/fault_model.hpp"
 #include "net/tcp_transport.hpp"
 #include "net/udp_transport.hpp"
 #include "net/wire.hpp"
@@ -348,14 +349,10 @@ bool mesh_marker_present(const std::string& dir, const std::string& name) {
 int run_peer(const Options& opt) {
   const bool udp = opt.transport == "udp";
   std::unique_ptr<net::SocketTransport> transport;
-  net::UdpTransport* udp_t = nullptr;
   std::uint16_t net_port = 0;
   if (udp) {
-    net::UdpTransport::Config cfg;
-    cfg.seed = opt.seed + 0x517 * static_cast<std::uint64_t>(opt.rank + 1);
-    auto t = std::make_unique<net::UdpTransport>(cfg);
+    auto t = std::make_unique<net::UdpTransport>();
     net_port = t->port();
-    udp_t = t.get();
     transport = std::move(t);
   } else {
     auto t = std::make_unique<net::TcpTransport>();
@@ -435,7 +432,10 @@ int run_peer(const Options& opt) {
   // Loss is armed only once the mesh is wired. The publishes below run
   // through it — they are acknowledged and retransmitted, so the index
   // still settles exactly.
-  if (udp_t != nullptr && opt.drop > 0.0) udp_t->set_drop_rate(opt.drop);
+  if (udp && opt.drop > 0.0)
+    transport->set_fault_model(
+        std::make_unique<net::BernoulliDrop>(opt.drop),
+        opt.seed + 0x517 * static_cast<std::uint64_t>(opt.rank + 1));
 
   int rc = 0;
   if (opt.rank == 0) {

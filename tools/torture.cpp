@@ -63,13 +63,14 @@ void usage(const char* argv0) {
       "\n"
       "--transport tcp|udp: runs the battery on the real runtime — every\n"
       "wire message crosses a loopback socket (TCP streams, or one UDP\n"
-      "datagram per frame) with net::FaultTransport injecting the same\n"
-      "seeded fault schedule below the protocol. Per seed: chord (top-down\n"
-      "+ level-parallel), pastry, the hot-spot preset, and the\n"
+      "datagram per frame) with the transport's own fault hook injecting\n"
+      "the same seeded fault schedule below the protocol. Per seed: chord\n"
+      "(top-down + level-parallel), pastry, the hot-spot preset, and the\n"
       "continuous-churn preset (the socket-capable deployments; default 8\n"
       "seeds). Schedule shrinking is skipped — message order is wall-clock\n"
       "real, so a minimized schedule would not replay deterministically\n"
-      "anyway.\n"
+      "anyway. Between mutation bursts the harness waits for every publish\n"
+      "and withdraw callback (bounded) before its settle window.\n"
       "\n"
       "--churn: continuous-churn preset (mirrored deployment, kill-only\n"
       "peer failures, self-healing maintenance plane racing the workload).\n"
@@ -210,11 +211,11 @@ int main(int argc, char** argv) {
     if (sock) {
       // Real-runtime battery: the socket-capable deployments, each
       // scenario over loopback sockets (TCP streams or UDP datagrams) with
-      // the seeded fault schedule injected by net::FaultTransport. Reduced
-      // relative to the sim sweep (each scenario costs real wall-clock),
-      // but it covers both overlay routers, the strategy extremes, the
-      // hot-spot replication path and the continuous-churn maintenance
-      // plane per seed.
+      // the seeded fault schedule injected by the transport's fault hook.
+      // Reduced relative to the sim sweep (each scenario costs real
+      // wall-clock), but it covers both overlay routers, the strategy
+      // extremes, the hot-spot replication path and the continuous-churn
+      // maintenance plane per seed.
       ScenarioConfig battery[] = {
           ScenarioConfig::from_seed(seed, Deployment::kChord,
                                     SearchStrategy::kTopDownSequential),
