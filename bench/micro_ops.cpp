@@ -3,15 +3,19 @@
 // searches, and DHT lookups.
 #include <benchmark/benchmark.h>
 
+#include <map>
+
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "cube/sbt.hpp"
 #include "analysis/occupancy.hpp"
 #include "dht/chord_network.hpp"
 #include "dht/pastry_network.hpp"
+#include "index/index_table.hpp"
 #include "index/keyword_hash.hpp"
 #include "index/logical_index.hpp"
 #include "sim/event_queue.hpp"
+#include "workload/corpus_generator.hpp"
 
 namespace {
 
@@ -110,6 +114,68 @@ void BM_TraversalProfile(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(idx.traversal_profile(q));
 }
 BENCHMARK(BM_TraversalProfile);
+
+// One visit's table scan in isolation (in situ it is part of
+// perfbench's proto.handler_us_per_op). The table is the fullest of the
+// 2^10 tables the benchmark corpus's first 25 000 objects fill at r = 10;
+// the probe is one keyword, prepared once as a search prepares its query.
+// Absent (arg 0): the corpus's most frequent keyword the table lacks, the
+// common case of a level-parallel visit. Present (arg 1): the first
+// keyword, in keyword order, held by the fewest of the table's entries.
+struct ScanFixture {
+  std::vector<index::IndexTable> tables;
+  const index::IndexTable* table = nullptr;
+  Keyword absent;
+  Keyword present;
+};
+
+const ScanFixture& scan_fixture() {
+  static const ScanFixture fixture = [] {
+    workload::CorpusConfig cfg;
+    cfg.object_count = 25000;
+    const workload::Corpus corpus = workload::CorpusGenerator(cfg).generate();
+    const index::KeywordHasher hasher(10);
+    ScanFixture f;
+    f.tables.resize(1U << 10);
+    for (const workload::ObjectRecord& rec : corpus.records())
+      f.tables[hasher.responsible_node(rec.keywords)].add(rec.keywords,
+                                                          rec.id);
+    f.table = &f.tables[0];
+    for (const index::IndexTable& t : f.tables)
+      if (t.entry_count() > f.table->entry_count()) f.table = &t;
+    std::map<Keyword, std::size_t> held;
+    for (const auto& [k, objects] : f.table->entries())
+      for (const Keyword& w : k) ++held[w];
+    std::size_t fewest = ~std::size_t{0};
+    for (const auto& [w, n] : held)
+      if (n < fewest) {
+        fewest = n;
+        f.present = w;
+      }
+    for (const auto& [w, n] : corpus.keyword_frequencies())
+      if (!held.contains(w)) {
+        f.absent = w;
+        break;
+      }
+    return f;
+  }();
+  return fixture;
+}
+
+void BM_TableScan(benchmark::State& state) {
+  const ScanFixture& f = scan_fixture();
+  const index::IndexTable::Query query(
+      KeywordSet({state.range(0) != 0 ? f.present : f.absent}));
+  std::vector<index::Hit> out;
+  bool truncated = false;
+  for (auto _ : state) {
+    f.table->supersets_into(query, 0, &truncated, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.counters["entries"] = static_cast<double>(f.table->entry_count());
+  state.counters["hits"] = static_cast<double>(out.size());
+}
+BENCHMARK(BM_TableScan)->Arg(0)->Arg(1);
 
 void BM_ChordLookup(benchmark::State& state) {
   static sim::EventQueue clock;

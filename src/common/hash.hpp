@@ -33,7 +33,7 @@ inline constexpr std::uint64_t kKeywordHash = 0x9e3779b97f4a7c15ULL;   ///< h: W
 inline constexpr std::uint64_t kObjectToDht = 0xbf58476d1ce4e5b9ULL;   ///< L: O -> DHT id
 inline constexpr std::uint64_t kCubeToDht = 0x94d049bb133111ebULL;     ///< g: cube node -> DHT id
 inline constexpr std::uint64_t kNodeId = 0xd6e8feb86659fd93ULL;        ///< peer address -> DHT id
-inline constexpr std::uint64_t kSignature = 0x2545f4914f6cdd1dULL;     ///< keyword -> signature bit
+inline constexpr std::uint64_t kSignature = 0x2545f4914f6cdd1dULL;     ///< keyword -> posting key, signature bit
 }  // namespace seeds
 
 }  // namespace hkws

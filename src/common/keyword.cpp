@@ -51,16 +51,6 @@ std::uint64_t KeywordSet::hash(std::uint64_t seed) const noexcept {
   return h;
 }
 
-std::uint64_t KeywordSet::signature_bit(std::string_view keyword) noexcept {
-  return 1ULL << (hash_bytes(keyword, seeds::kSignature) & 63U);
-}
-
-std::uint64_t KeywordSet::signature() const noexcept {
-  std::uint64_t sig = 0;
-  for (const auto& w : words_) sig |= signature_bit(w);
-  return sig;
-}
-
 std::string KeywordSet::to_string() const {
   std::string out;
   for (std::size_t i = 0; i < words_.size(); ++i) {

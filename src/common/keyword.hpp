@@ -63,16 +63,6 @@ class KeywordSet {
   /// query identity in caches.
   std::uint64_t hash(std::uint64_t seed = 0) const noexcept;
 
-  /// 64-bit Bloom-style signature: the OR of one bit per keyword, where the
-  /// bit index is a seeded hash of the word. Monotone under set inclusion —
-  /// A ⊆ B implies signature(A) bits ⊆ signature(B) bits — so
-  /// `(sig_query & ~sig_entry) != 0` disproves containment with a single
-  /// AND; collisions only ever cost a redundant exact subset check.
-  std::uint64_t signature() const noexcept;
-
-  /// Signature bit of a single keyword (the one-word case of signature()).
-  static std::uint64_t signature_bit(std::string_view keyword) noexcept;
-
   /// "a,b,c" rendering for logs and examples.
   std::string to_string() const;
 

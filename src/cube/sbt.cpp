@@ -1,6 +1,5 @@
 #include "cube/sbt.hpp"
 
-#include <deque>
 #include <stdexcept>
 
 namespace hkws::cube {
@@ -24,12 +23,17 @@ std::optional<CubeId> SpanningBinomialTree::parent(CubeId v) const {
   return v ^ (1ULL << lowest_set_bit(diff));
 }
 
-std::vector<int> SpanningBinomialTree::child_dimensions(CubeId v) const {
+std::uint64_t SpanningBinomialTree::child_mask(CubeId v) const noexcept {
   // Free dimensions strictly below v's lowest root-differing bit; all free
   // dimensions for the root itself (p = -1 case of Def. 3.2).
   const std::uint64_t diff = v ^ root_;
   std::uint64_t eligible = free_;
   if (diff != 0) eligible &= low_mask(lowest_set_bit(diff));
+  return eligible;
+}
+
+std::vector<int> SpanningBinomialTree::child_dimensions(CubeId v) const {
+  const std::uint64_t eligible = child_mask(v);
   std::vector<int> dims;
   dims.reserve(static_cast<std::size_t>(popcount64(eligible)));
   for_each_set_bit(eligible, [&](int i) { dims.push_back(i); });
@@ -38,32 +42,40 @@ std::vector<int> SpanningBinomialTree::child_dimensions(CubeId v) const {
 
 std::vector<CubeId> SpanningBinomialTree::children(CubeId v) const {
   std::vector<CubeId> out;
-  for (int d : child_dimensions(v)) out.push_back(v | (1ULL << d));
+  append_children(v, out);
   return out;
 }
 
+void SpanningBinomialTree::append_children(CubeId v,
+                                           std::vector<CubeId>& out) const {
+  for_each_set_bit(child_mask(v),
+                   [&](int d) { out.push_back(v | (1ULL << d)); });
+}
+
+void SpanningBinomialTree::expand_level(std::span<const CubeId> level,
+                                        std::vector<CubeId>& next) const {
+  for (const CubeId v : level) append_children(v, next);
+}
+
 std::vector<CubeId> SpanningBinomialTree::bfs_order() const {
-  // Exactly the paper's queue discipline: start with the root's neighbors
-  // (ascending dimension), then each popped node appends its children.
+  // Exactly the paper's queue discipline: the root's children (ascending
+  // dimension) are queued first, then each popped node appends its
+  // children. The order itself is the queue: entry i is popped when the
+  // loop reaches it.
   std::vector<CubeId> order;
   order.reserve(size());
   order.push_back(root_);
-  std::deque<CubeId> queue;
-  for (int d : child_dimensions(root_)) queue.push_back(root_ | (1ULL << d));
-  while (!queue.empty()) {
-    const CubeId v = queue.front();
-    queue.pop_front();
-    order.push_back(v);
-    for (int d : child_dimensions(v)) queue.push_back(v | (1ULL << d));
-  }
+  for (std::size_t i = 0; i < order.size(); ++i)
+    append_children(order[i], order);
   return order;
 }
 
 std::vector<std::vector<CubeId>> SpanningBinomialTree::levels() const {
   std::vector<std::vector<CubeId>> by_depth(
       static_cast<std::size_t>(popcount64(free_)) + 1);
-  for (CubeId v : bfs_order())
-    by_depth[static_cast<std::size_t>(depth(v))].push_back(v);
+  by_depth[0].push_back(root_);
+  for (std::size_t d = 1; d < by_depth.size(); ++d)
+    expand_level(by_depth[d - 1], by_depth[d]);
   return by_depth;
 }
 

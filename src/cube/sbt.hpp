@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "cube/hypercube.hpp"
@@ -62,6 +63,14 @@ class SpanningBinomialTree {
   /// order; level by level, ascending dimension inside a level's expansion).
   std::vector<CubeId> bfs_order() const;
 
+  /// Appends to `next` the level after `level` in breadth-first order: the
+  /// children of each node of `level`, in order, each node's in ascending
+  /// dimension — the paper's queue discipline, one level at a time. Given
+  /// depth d's nodes in BFS order it yields depth d+1's in BFS order, and
+  /// allocates nothing once `next` has the capacity.
+  void expand_level(std::span<const CubeId> level,
+                    std::vector<CubeId>& next) const;
+
   /// Nodes grouped by depth: levels()[d] = all nodes at depth d.
   std::vector<std::vector<CubeId>> levels() const;
 
@@ -70,6 +79,11 @@ class SpanningBinomialTree {
   std::vector<CubeId> bottom_up_order() const;
 
  private:
+  /// Bit mask of v's child dimensions (the child rule above).
+  std::uint64_t child_mask(CubeId v) const noexcept;
+  /// Appends v's children in ascending dimension.
+  void append_children(CubeId v, std::vector<CubeId>& out) const;
+
   CubeId root_;
   std::uint64_t free_;
 };

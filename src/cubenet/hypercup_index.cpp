@@ -76,7 +76,7 @@ void HyperCupIndex::superset_search(cube::CubeId searcher,
   const std::uint64_t id = next_request_++;
   auto req = std::make_unique<Request>();
   req->id = id;
-  req->query = query;
+  req->query = index::IndexTable::Query(query);
   req->threshold = threshold;
   req->searcher = searcher;
   req->root = hasher_.responsible_node(query);
@@ -103,8 +103,9 @@ void HyperCupIndex::at_node(std::uint64_t req_id, cube::CubeId w,
       std::max(req->stats.levels, static_cast<std::size_t>(depth) + 1);
 
   // Scan the local table, up to the branch credit.
-  auto batch = tables_[static_cast<std::size_t>(w)].supersets(
-      req->query, credit == kUnlimited ? 0 : credit);
+  std::vector<index::Hit> batch;
+  tables_[static_cast<std::size_t>(w)].supersets_into(
+      req->query, credit == kUnlimited ? 0 : credit, nullptr, batch);
   if (!batch.empty()) {
     // Results travel straight to the searcher along an e-cube path.
     ++req->results_expected;

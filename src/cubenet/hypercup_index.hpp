@@ -70,7 +70,7 @@ class HyperCupIndex {
  private:
   struct Request {
     std::uint64_t id = 0;
-    KeywordSet query;
+    index::IndexTable::Query query;  ///< prepared once for every node's scan
     std::size_t threshold = 0;
     cube::CubeId searcher = 0;
     cube::CubeId root = 0;

@@ -79,7 +79,8 @@ SearchResult LogicalIndex::pin_search(const KeywordSet& keywords) const {
   return result;
 }
 
-std::size_t LogicalIndex::collect_at(cube::CubeId u, const KeywordSet& query,
+std::size_t LogicalIndex::collect_at(cube::CubeId u,
+                                     const IndexTable::Query& query,
                                      std::size_t room,
                                      std::vector<Hit>& out) const {
   if (room == 0) return 0;
@@ -111,28 +112,31 @@ SearchResult LogicalIndex::superset_search(const KeywordSet& query,
       // holds at least as many results as this query needs.
       if (cached->complete ||
           (threshold != 0 && total_count(*cached) >= threshold)) {
-        return serve_from_cache(root, query, threshold, *cached);
+        return serve_from_cache(root, IndexTable::Query(query), threshold,
+                                *cached);
       }
     }
   }
 
+  // Hash the query's keywords once for every table the search scans.
+  const IndexTable::Query prepared(query);
   SearchResult result;
   switch (strategy) {
     case SearchStrategy::kTopDownSequential:
-      result = search_top_down(root, query, threshold);
+      result = search_top_down(root, prepared, threshold);
       break;
     case SearchStrategy::kBottomUpSequential:
-      result = search_bottom_up(root, query, threshold);
+      result = search_bottom_up(root, prepared, threshold);
       break;
     case SearchStrategy::kLevelParallel:
-      result = search_level_parallel(root, query, threshold);
+      result = search_level_parallel(root, prepared, threshold);
       break;
   }
   return result;
 }
 
 SearchResult LogicalIndex::search_top_down(cube::CubeId root,
-                                           const KeywordSet& query,
+                                           const IndexTable::Query& query,
                                            std::size_t threshold) {
   SearchResult result;
   SearchStats& st = result.stats;
@@ -192,13 +196,13 @@ SearchResult LogicalIndex::search_top_down(cube::CubeId root,
   st.complete = !stopped_early;
   summary.complete = st.complete;
   if (!caches_.empty())
-    caches_[static_cast<std::size_t>(root)].insert(query, std::move(summary),
-                                                   mutation_epoch_);
+    caches_[static_cast<std::size_t>(root)].insert(
+        query.keywords(), std::move(summary), mutation_epoch_);
   return result;
 }
 
 SearchResult LogicalIndex::search_bottom_up(cube::CubeId root,
-                                            const KeywordSet& query,
+                                            const IndexTable::Query& query,
                                             std::size_t threshold) {
   SearchResult result;
   SearchStats& st = result.stats;
@@ -232,13 +236,13 @@ SearchResult LogicalIndex::search_bottom_up(cube::CubeId root,
   st.complete = !stopped_early;
   summary.complete = st.complete;
   if (!caches_.empty())
-    caches_[static_cast<std::size_t>(root)].insert(query, std::move(summary),
-                                                   mutation_epoch_);
+    caches_[static_cast<std::size_t>(root)].insert(
+        query.keywords(), std::move(summary), mutation_epoch_);
   return result;
 }
 
 SearchResult LogicalIndex::search_level_parallel(cube::CubeId root,
-                                                 const KeywordSet& query,
+                                                 const IndexTable::Query& query,
                                                  std::size_t threshold) {
   SearchResult result;
   SearchStats& st = result.stats;
@@ -272,13 +276,13 @@ SearchResult LogicalIndex::search_level_parallel(cube::CubeId root,
   st.complete = !stopped_early;
   summary.complete = st.complete;
   if (!caches_.empty())
-    caches_[static_cast<std::size_t>(root)].insert(query, std::move(summary),
-                                                   mutation_epoch_);
+    caches_[static_cast<std::size_t>(root)].insert(
+        query.keywords(), std::move(summary), mutation_epoch_);
   return result;
 }
 
 SearchResult LogicalIndex::serve_from_cache(cube::CubeId root,
-                                            const KeywordSet& query,
+                                            const IndexTable::Query& query,
                                             std::size_t threshold,
                                             const CachedTraversal& cached) {
   SearchResult result;
@@ -324,11 +328,12 @@ LogicalIndex::TraversalProfile LogicalIndex::traversal_profile(
   profile.root = hasher_.responsible_node(query);
   profile.total_nodes = cube_.subcube_size(profile.root);
   const cube::SpanningBinomialTree sbt(cube_, profile.root);
+  const IndexTable::Query prepared(query);
   std::uint64_t position = 0;
   for (cube::CubeId w : sbt.bfs_order()) {
     std::uint32_t count = 0;
     tables_[static_cast<std::size_t>(w)].for_each_superset(
-        query, [&](const KeywordSet&, const std::set<ObjectId>& objects) {
+        prepared, [&](const KeywordSet&, const std::set<ObjectId>& objects) {
           count += static_cast<std::uint32_t>(objects.size());
           return true;
         });
@@ -368,7 +373,7 @@ void LogicalIndex::clear_caches() {
 LogicalIndex::CumulativeSession::CumulativeSession(LogicalIndex& owner,
                                                    KeywordSet query)
     : owner_(owner), query_(std::move(query)) {
-  const cube::CubeId root = owner_.hasher_.responsible_node(query_);
+  const cube::CubeId root = owner_.hasher_.responsible_node(query_.keywords());
   order_ = cube::SpanningBinomialTree(owner_.cube_, root).bfs_order();
 }
 

@@ -65,13 +65,13 @@ class LogicalIndex {
     /// Fetches up to `count` further objects. Empty result = exhausted.
     SearchResult next(std::size_t count);
     bool exhausted() const noexcept { return pos_ >= order_.size(); }
-    const KeywordSet& query() const noexcept { return query_; }
+    const KeywordSet& query() const noexcept { return query_.keywords(); }
 
    private:
     friend class LogicalIndex;
     CumulativeSession(LogicalIndex& owner, KeywordSet query);
     LogicalIndex& owner_;
-    KeywordSet query_;
+    IndexTable::Query query_;
     std::vector<cube::CubeId> order_;  // BFS order of the SBT
     std::size_t pos_ = 0;
     std::size_t offset_ = 0;  // results already returned from order_[pos_]
@@ -126,19 +126,22 @@ class LogicalIndex {
   void clear_caches();
 
  private:
-  SearchResult search_top_down(cube::CubeId root, const KeywordSet& query,
+  SearchResult search_top_down(cube::CubeId root,
+                               const IndexTable::Query& query,
                                std::size_t threshold);
-  SearchResult search_bottom_up(cube::CubeId root, const KeywordSet& query,
+  SearchResult search_bottom_up(cube::CubeId root,
+                                const IndexTable::Query& query,
                                 std::size_t threshold);
   SearchResult search_level_parallel(cube::CubeId root,
-                                     const KeywordSet& query,
+                                     const IndexTable::Query& query,
                                      std::size_t threshold);
   /// Serves a query from a cached traversal summary (root already counted).
-  SearchResult serve_from_cache(cube::CubeId root, const KeywordSet& query,
+  SearchResult serve_from_cache(cube::CubeId root,
+                                const IndexTable::Query& query,
                                 std::size_t threshold,
                                 const CachedTraversal& cached);
   /// Collects matches at one node into `out`; returns #objects appended.
-  std::size_t collect_at(cube::CubeId u, const KeywordSet& query,
+  std::size_t collect_at(cube::CubeId u, const IndexTable::Query& query,
                          std::size_t room, std::vector<Hit>& out) const;
 
   Config cfg_;

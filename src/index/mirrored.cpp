@@ -175,16 +175,25 @@ void MirroredIndex::purge_dead() {
   mirror_->purge_dead();
 }
 
+bool MirroredIndex::should_seed(const OverlayIndex& dst,
+                                const KeywordSet& keywords, ObjectId object,
+                                sim::EndpointId holder) {
+  // Entries still held for a dead peer are about to be purged; only a
+  // live copy can seed the other cube.
+  if (!dst.dolr().overlay().is_live(holder)) return false;
+  if (dst.has_entry(keywords, object)) return false;
+  // A withdrawn object's surviving copy is not a lost entry: withdraw
+  // deletes the primary entry first and the mirror's afterwards, and a
+  // resync between the two must not copy it back.
+  return dst.dolr().has_reference(object);
+}
+
 std::size_t MirroredIndex::missing_entries(const OverlayIndex& src,
                                            const OverlayIndex& dst) {
-  const dht::Overlay& overlay = src.dolr().overlay();
   std::size_t missing = 0;
   src.for_each_entry([&](cube::CubeId, const KeywordSet& k, ObjectId o,
                          sim::EndpointId holder) {
-    // Entries still held for a dead peer are about to be purged; only a
-    // live copy can seed the other cube.
-    if (!overlay.is_live(holder)) return;
-    if (!dst.has_entry(k, o)) ++missing;
+    if (should_seed(dst, k, o, holder)) ++missing;
   });
   return missing;
 }
@@ -199,13 +208,11 @@ std::uint64_t MirroredIndex::resync(std::size_t max_entries) {
   std::vector<Seed> seeds;
   const auto collect = [&](const OverlayIndex& src, const OverlayIndex& dst,
                            bool into_mirror) {
-    const dht::Overlay& overlay = src.dolr().overlay();
     src.for_each_entry([&](cube::CubeId, const KeywordSet& k, ObjectId o,
                            sim::EndpointId holder) {
       if (seeds.size() >= max_entries) return;
-      if (!overlay.is_live(holder)) return;
-      if (dst.has_entry(k, o)) return;
-      seeds.push_back(Seed{holder, o, k, into_mirror});
+      if (should_seed(dst, k, o, holder))
+        seeds.push_back(Seed{holder, o, k, into_mirror});
     });
   };
   collect(*primary_, *mirror_, true);

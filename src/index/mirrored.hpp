@@ -67,12 +67,21 @@ class MirroredIndex {
   /// Anti-entropy between the cubes: for up to `max_entries` entries that
   /// one cube holds (at a live peer) and the other lost with a failed peer,
   /// issues a routed reindex into the missing side. Idempotent; repeated
-  /// budgeted calls converge until both cubes index the same entry set.
-  /// Returns reindex messages issued.
+  /// budgeted calls converge until both cubes index the same entry set of
+  /// published objects. Returns reindex messages issued.
+  ///
+  /// Only published objects are re-seeded: an entry counts as lost only
+  /// while the current owner of L(object) stores a reference to the object
+  /// (Dolr::has_reference). That keeps a resync between withdraw's primary
+  /// delete and its mirror deindex from copying the withdrawn entry back.
+  /// It also ties resync to reference replication: once every copy of an
+  /// object's reference is lost with failed peers, the object counts as
+  /// withdrawn, and neither resync nor resync_backlog() sees its surviving
+  /// entry until the object is published again.
   std::uint64_t resync(std::size_t max_entries);
 
-  /// Entries currently present in one cube but missing from the other —
-  /// the mirror-resync backlog the maintenance plane drains.
+  /// Entries of published objects present in one cube but missing from the
+  /// other — the mirror-resync backlog the maintenance plane drains.
   std::size_t resync_backlog() const;
 
   /// Failovers observed at merge time: searches where exactly one cube
@@ -96,7 +105,12 @@ class MirroredIndex {
   /// Merges two finished results (union by object id, summed costs);
   /// detects and counts single-cube failovers.
   SearchResult merge(const SearchResult& a, const SearchResult& b);
-  /// Entries `src` holds at live peers that `dst` does not index.
+  /// Whether `src`'s entry <keywords, object> at `holder` should seed
+  /// `dst`: a live copy of a still-published object that `dst` lacks.
+  static bool should_seed(const OverlayIndex& dst, const KeywordSet& keywords,
+                          ObjectId object, sim::EndpointId holder);
+  /// Entries `src` holds at live peers that `dst` should but does not
+  /// index.
   static std::size_t missing_entries(const OverlayIndex& src,
                                      const OverlayIndex& dst);
 

@@ -12,6 +12,7 @@ namespace {
 constexpr std::size_t kUnlimited = std::numeric_limits<std::size_t>::max();
 constexpr std::size_t kHitBytes = 48;   // rough wire size of one result hit
 constexpr std::size_t kCtrlBytes = 64;  // rough wire size of a control msg
+constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};  // node without a group
 
 std::uint64_t total_count(const CachedTraversal& c) {
   std::uint64_t total = 0;
@@ -299,7 +300,7 @@ std::uint64_t OverlayIndex::superset_search(sim::EndpointId searcher,
   const std::uint64_t id = next_request_++;
   auto req = std::make_unique<Request>();
   req->id = id;
-  req->query = query;
+  req->query = IndexTable::Query(query);
   req->threshold = threshold;
   req->searcher = searcher;
   req->root_cube = hasher_.responsible_node(query);
@@ -317,7 +318,7 @@ void OverlayIndex::begin_root_route(std::uint64_t req_id) {
   ++req->root_attempts;
   overlay_.route(
       req->searcher, ring_key_of(req->root_cube), "kws.t_query",
-      kCtrlBytes + req->query.size() * 12,
+      kCtrlBytes + req->query.keywords().size() * 12,
       [this, req_id](const dht::Overlay::RouteResult& rr) {
         Request* r = find(req_id);
         // root_resolved dedups the callback of a route superseded by a
@@ -443,7 +444,7 @@ void OverlayIndex::start_top_down(Request& req) {
     if (const auto cit = ps.caches.find(req.root_cube);
         cit != ps.caches.end()) {
       if (const CachedTraversal* cached =
-              cit->second.lookup(req.query, mutation_epoch_)) {
+              cit->second.lookup(req.query.keywords(), mutation_epoch_)) {
         if (cached->complete ||
             (req.threshold != 0 && total_count(*cached) >= req.threshold)) {
           req.mode = Mode::kPlan;
@@ -477,8 +478,10 @@ void OverlayIndex::start_top_down(Request& req) {
     }
     case SearchStrategy::kLevelParallel: {
       req.mode = Mode::kLevels;
-      req.levels = sbt.levels();
+      req.level_nodes.assign(1, req.root_cube);
       req.level = 1;  // level 0 is the root
+      req.level_count =
+          static_cast<std::size_t>(cube_.zero_count(req.root_cube)) + 1;
       req.stats.levels = 1;
       start_level(req.id);
       return;
@@ -709,74 +712,100 @@ void OverlayIndex::step_plan(std::uint64_t req_id) {
 void OverlayIndex::start_level(std::uint64_t req_id) {
   Request* req = find(req_id);
   if (!req) return;
-  if (req->level >= req->levels.size()) {
+  if (req->level >= req->level_count) {
     req->stopped_early = false;
     finish(req_id);
     return;
   }
-  // Copy: visit_node/send_visit_batch below may touch peers_, and req
-  // itself must not be dereferenced after dispatching (a local round trip
-  // could complete the request in place).
-  const std::vector<cube::CubeId> nodes = req->levels[req->level];
+  req->level_next.clear();
+  cube::SpanningBinomialTree(cube_, req->root_cube)
+      .expand_level(req->level_nodes, req->level_next);
+  std::swap(req->level_nodes, req->level_next);
+  // Handlers never run inside a send (net::Transport's contract), so req
+  // and its level stay valid through the dispatch below.
+  const std::vector<cube::CubeId>& nodes = req->level_nodes;
   ++req->level;
   ++req->stats.levels;
   ++req->stats.rounds;
   req->outstanding = nodes.size();
   emit(req_id, "level", req->level - 1, nodes.size());
-  for (const cube::CubeId w : nodes) req->visit_order.push_back(w);
+  req->visit_order.insert(req->visit_order.end(), nodes.begin(), nodes.end());
 
-  if (cfg_.coalesce_visits && cfg_.cache_contacts) {
-    // Group this round's nodes by live cached contact; two or more nodes
-    // co-hosted at one peer travel as a single VisitBatch wire message.
-    // Nodes without a usable contact (cold cache, dead peer) go through
-    // visit_node, which handles DHT routing and surrogate failover.
-    std::unordered_map<sim::EndpointId, std::vector<cube::CubeId>> groups;
-    std::unordered_map<cube::CubeId, sim::EndpointId> co_host;
-    // Hot cells in this round rotate onto a replica holder; the holder
-    // joins the co-host grouping like any contact, so a replicated node
-    // still coalesces with whatever else that peer serves this round.
-    std::unordered_map<cube::CubeId, sim::EndpointId> replica_dest;
-    {
-      const PeerState& ps = peer_state(req->root_peer);
-      for (const cube::CubeId w : nodes) {
-        if (const sim::EndpointId rep = pick_replica(w); rep != 0) {
-          replica_dest.emplace(w, rep);
-          groups[rep].push_back(w);
-          co_host.emplace(w, rep);
-          continue;
-        }
-        const auto it = ps.contacts.find(w);
-        if (it != ps.contacts.end() && net_.is_registered(it->second)) {
-          groups[it->second].push_back(w);
-          co_host.emplace(w, it->second);
-        }
-      }
-    }
-    // Dispatch in level order: a group goes out when its first member is
-    // reached, so the wire order is deterministic.
-    std::unordered_set<sim::EndpointId> batched;
-    for (const cube::CubeId w : nodes) {
-      const auto cit = co_host.find(w);
-      if (cit == co_host.end() || groups[cit->second].size() < 2) {
-        // Already-picked replica singles go out directly — re-picking in
-        // visit_node would advance the rotation cursor a second time.
-        if (const auto rit = replica_dest.find(w); rit != replica_dest.end())
-          visit_replica(req_id, w, rit->second);
-        else
-          visit_node(req_id, w);
-        continue;
-      }
-      if (replica_dest.contains(w)) {
-        ++replica_spread_visits_;
-        net_.metrics().count("kws.replica_spread");
-        emit(req_id, "spread", w, cit->second);
-      }
-      if (batched.insert(cit->second).second)
-        send_visit_batch(req_id, cit->second, groups[cit->second]);
-    }
+  if (!(cfg_.coalesce_visits && cfg_.cache_contacts)) {
+    for (const cube::CubeId w : nodes) visit_node(req_id, w);
     return;
   }
-  for (const cube::CubeId w : nodes) visit_node(req_id, w);
+  // Group this round's nodes by destination; two or more nodes co-hosted
+  // at one live peer travel as a single VisitBatch wire message. Hot cells
+  // rotate onto a replica holder, which joins the grouping like any
+  // contact, so a replicated node still coalesces with whatever else that
+  // peer serves this round. Nodes without a usable contact (cold cache,
+  // dead peer) go through visit_node, which handles DHT routing and
+  // surrogate failover.
+  std::vector<LevelSlot>& slots = level_slots_;
+  slots.clear();
+  {
+    const PeerState& ps = peer_state(req->root_peer);
+    for (std::uint32_t i = 0; i < nodes.size(); ++i) {
+      if (const sim::EndpointId rep = pick_replica(nodes[i]); rep != 0) {
+        slots.push_back({.dest = rep, .pos = i, .replica = true});
+      } else if (const auto it = ps.contacts.find(nodes[i]);
+                 it != ps.contacts.end()) {
+        slots.push_back({.dest = it->second, .pos = i});
+      }
+    }
+  }
+  std::sort(slots.begin(), slots.end(),
+            [](const LevelSlot& a, const LevelSlot& b) {
+              return a.dest != b.dest ? a.dest < b.dest : a.pos < b.pos;
+            });
+  level_slot_of_.assign(nodes.size(), kNoSlot);
+  for (std::uint32_t begin = 0; begin < slots.size();) {
+    // One liveness check per destination that would get a batch. A replica
+    // pick is registered already (pick_replica skips dead holders), and a
+    // lone contact is checked where visit_node sends to it.
+    std::uint32_t end = begin;
+    bool live = false;
+    for (; end < slots.size() && slots[end].dest == slots[begin].dest; ++end)
+      live = live || slots[end].replica;
+    if (!live && end - begin >= 2)
+      live = net_.is_registered(slots[begin].dest);
+    for (std::uint32_t k = begin; k < end; ++k) {
+      slots[k].live = live;
+      slots[k].run_begin = begin;
+      slots[k].run_size = end - begin;
+      level_slot_of_[slots[k].pos] = k;
+    }
+    begin = end;
+  }
+  // Dispatch in level order: a group goes out when its first member is
+  // reached, so the wire order is deterministic.
+  for (std::uint32_t i = 0; i < nodes.size(); ++i) {
+    const cube::CubeId w = nodes[i];
+    const std::uint32_t k = level_slot_of_[i];
+    if (k != kNoSlot && slots[k].replica && slots[k].run_size < 2) {
+      // An already-picked replica single goes out directly — re-picking in
+      // visit_node would advance the rotation cursor a second time.
+      visit_replica(req_id, w, slots[k].dest);
+      continue;
+    }
+    if (k == kNoSlot || slots[k].run_size < 2 || !slots[k].live) {
+      visit_node(req_id, w);
+      continue;
+    }
+    const LevelSlot& slot = slots[k];
+    if (slot.replica) {
+      ++replica_spread_visits_;
+      net_.metrics().count("kws.replica_spread");
+      emit(req_id, "spread", w, slot.dest);
+    }
+    if (k == slot.run_begin) {
+      level_batch_.clear();
+      for (std::uint32_t m = k; m < k + slot.run_size; ++m)
+        level_batch_.push_back(nodes[slots[m].pos]);
+      send_visit_batch(req_id, slot.dest, level_batch_);
+    }
+  }
 }
 
 void OverlayIndex::send_visit_batch(std::uint64_t req_id, sim::EndpointId peer,
@@ -873,7 +902,11 @@ void OverlayIndex::on_node_answered(std::uint64_t req_id, cube::CubeId w,
   // instead is not enough, because a holder demoted while its reply was in
   // flight would pass that check and poison the contact cache with a peer
   // that can no longer serve the node.
-  if (cfg_.cache_contacts && peer == peer_of(w))
+  // The ownership oracle walks the ring, so it is asked only when its
+  // answer could change the table: a contact already equal to `peer` stays
+  // either way.
+  if (cfg_.cache_contacts && cached_contact(req->root_peer, w) != peer &&
+      peer == peer_of(w))
     peer_state(req->root_peer).contacts[w] = peer;
 
   switch (req->mode) {
@@ -907,7 +940,7 @@ void OverlayIndex::on_node_answered(std::uint64_t req_id, cube::CubeId w,
       if (req->outstanding > 0) --req->outstanding;
       if (req->outstanding != 0) return;
       if (req->threshold != 0 && req->collected >= req->threshold) {
-        req->stopped_early = req->level < req->levels.size();
+        req->stopped_early = req->level < req->level_count;
         finish(req_id);
         return;
       }
@@ -939,7 +972,7 @@ void OverlayIndex::finish(std::uint64_t req_id) {
     summary.complete = req->stats.complete;
     // Stamp with the epoch captured at request start: if a mutation raced
     // this traversal, the entry is already stale and will never be served.
-    cit->second.insert(req->query, std::move(summary), req->epoch);
+    cit->second.insert(req->query.keywords(), std::move(summary), req->epoch);
   }
 
   send_done(req_id);
@@ -1077,7 +1110,7 @@ std::uint64_t OverlayIndex::open_cumulative(sim::EndpointId searcher,
     throw std::invalid_argument("open_cumulative: empty query");
   const std::uint64_t id = next_session_++;
   auto s = std::make_unique<CumulativeState>();
-  s->query = query;
+  s->query = IndexTable::Query(query);
   s->searcher = searcher;
   s->root_cube = hasher_.responsible_node(query);
   sessions_[id] = std::move(s);
@@ -1123,7 +1156,7 @@ void OverlayIndex::cumulative_next(std::uint64_t session, std::size_t count,
   if (!s->resolved) {
     // First page: route the continuation request to the root.
     overlay_.route(s->searcher, ring_key_of(s->root_cube), "kws.c_open",
-                   kCtrlBytes + s->query.size() * 12,
+                   kCtrlBytes + s->query.keywords().size() * 12,
                    [this, session](const dht::Overlay::RouteResult& rr) {
                      CumulativeState* st = find_session(session);
                      if (!st) return;
@@ -1183,7 +1216,7 @@ void OverlayIndex::cumulative_visit(std::uint64_t session, cube::CubeId w,
     PeerState& ps = peer_state(peer);
     std::vector<Hit> all;
     if (const auto it = ps.tables.find(w); it != ps.tables.end())
-      all = it->second.supersets(st->query, 0);
+      it->second.supersets_into(st->query, 0, nullptr, all);
     const std::size_t total = all.size();
     std::vector<Hit> batch;
     for (std::size_t i = offset; i < all.size() && batch.size() < room; ++i)
@@ -1471,6 +1504,14 @@ bool OverlayIndex::can_serve(sim::EndpointId peer, cube::CubeId w) const {
   if (peer == peer_of(w)) return true;
   const auto pit = peers_.find(peer);
   return pit != peers_.end() && pit->second.replica_tables.contains(w);
+}
+
+sim::EndpointId OverlayIndex::cached_contact(sim::EndpointId coordinator,
+                                             cube::CubeId w) const {
+  const auto pit = peers_.find(coordinator);
+  if (pit == peers_.end()) return 0;
+  const auto cit = pit->second.contacts.find(w);
+  return cit == pit->second.contacts.end() ? 0 : cit->second;
 }
 
 const IndexTable* OverlayIndex::table_at(const PeerState& ps,

@@ -442,7 +442,8 @@ class OverlayIndex {
 
   struct Request {
     std::uint64_t id = 0;
-    KeywordSet query;
+    /// Prepared once; every visited node's table scan reuses its keys.
+    IndexTable::Query query;
     std::size_t threshold = 0;
     sim::EndpointId searcher = 0;
     cube::CubeId root_cube = 0;
@@ -474,9 +475,13 @@ class OverlayIndex {
     std::vector<cube::CubeId> plan;
     std::size_t plan_pos = 0;
     bool plan_complete_means_complete = true;
-    // kLevels state.
-    std::vector<std::vector<cube::CubeId>> levels;
-    std::size_t level = 0;
+    // kLevels state. start_level expands each level from the previous one
+    // when it dispatches it, so a search that stops early never builds its
+    // deeper levels; the two buffers are reused from level to level.
+    std::vector<cube::CubeId> level_nodes;  ///< the level last dispatched
+    std::vector<cube::CubeId> level_next;   ///< expansion scratch
+    std::size_t level = 0;        ///< depth of the next level to dispatch
+    std::size_t level_count = 0;  ///< levels in the subcube's SBT
     std::size_t outstanding = 0;
     bool level_stop = false;
     // Common bookkeeping.
@@ -500,7 +505,7 @@ class OverlayIndex {
   /// Root-side state of a cumulative session: the paper's queue U plus the
   /// within-node consumption offset.
   struct CumulativeState {
-    KeywordSet query;
+    IndexTable::Query query;  ///< prepared once for every node's scan
     sim::EndpointId searcher = 0;
     cube::CubeId root_cube = 0;
     sim::EndpointId root_peer = 0;
@@ -570,6 +575,10 @@ class OverlayIndex {
   /// retransmission goes back through visit_node/pick_replica.
   void visit_replica(std::uint64_t req_id, cube::CubeId w,
                      sim::EndpointId peer);
+
+  /// `coordinator`'s cached contact for cube node `w`, or 0 if none.
+  sim::EndpointId cached_contact(sim::EndpointId coordinator,
+                                 cube::CubeId w) const;
 
   /// The table to scan for cube node `w` at `ps`: the primary table if
   /// present, else (hot replication only) the peer's replica copy.
@@ -689,6 +698,21 @@ class OverlayIndex {
   std::uint64_t next_pin_ = 1;
   std::uint64_t mutation_epoch_ = 0;
   TraceFn trace_;
+  /// start_level's grouping scratch, reused by every level of every
+  /// request. One slot per node of the level with a destination (a replica
+  /// pick or a cached contact), sorted by destination and then level
+  /// position, so each destination's group is one run in level order.
+  struct LevelSlot {
+    sim::EndpointId dest = 0;
+    std::uint32_t pos = 0;        ///< index of the node in the level
+    bool replica = false;         ///< dest is a replica pick, not a contact
+    bool live = false;            ///< dest is registered (runs of 2+)
+    std::uint32_t run_begin = 0;  ///< first slot of dest's run
+    std::uint32_t run_size = 0;   ///< nodes of the level bound for dest
+  };
+  std::vector<LevelSlot> level_slots_;
+  std::vector<std::uint32_t> level_slot_of_;  ///< level position -> slot
+  std::vector<cube::CubeId> level_batch_;     ///< one group's nodes
   /// Jitter stream for backed-off retransmissions. Dedicated (never shared
   /// with hashing or the fabric's latency stream) so enabling backoff
   /// cannot perturb any other seeded draw sequence.

@@ -88,7 +88,8 @@ net::EndpointId PeerSlice::peer_of(cube::CubeId u) const {
   return it->second;
 }
 
-std::size_t PeerSlice::collect_local(cube::CubeId u, const KeywordSet& query,
+std::size_t PeerSlice::collect_local(cube::CubeId u,
+                                     const IndexTable::Query& query,
                                      std::size_t room,
                                      std::vector<Hit>& out) const {
   if (room == 0) return 0;
@@ -341,7 +342,7 @@ void PeerSlice::on_query(net::EndpointId to, const net::QueryMsg& m) {
 }
 
 void PeerSlice::serve_visit(net::EndpointId to, const net::QueryMsg& m) {
-  const KeywordSet query(m.query);
+  const IndexTable::Query query{KeywordSet(m.query)};
   const std::size_t room =
       m.want == 0 ? kUnlimited : static_cast<std::size_t>(m.want);
   std::vector<Hit> hits;
@@ -370,7 +371,7 @@ void PeerSlice::start_coordination(net::EndpointId to, const net::QueryMsg& m) {
   if (coords_.count(id) != 0) return;  // in progress; the reply will come
 
   Coordination& c = coords_[id];
-  c.query = KeywordSet(m.query);
+  c.query = IndexTable::Query(KeywordSet(m.query));
   c.root = m.node;
   c.threshold = static_cast<std::size_t>(m.want);
   c.searcher = m.searcher;
@@ -422,10 +423,10 @@ void PeerSlice::advance(std::uint64_t id) {
 }
 
 void PeerSlice::send_visit(std::uint64_t id, Coordination& c) {
-  net_.send_payload(c.self, peer_of(c.visit_node), net::MsgKind::kKwsTQuery,
-                    net::WireMessage{net::QueryMsg{id, c.visit_node, c.self,
-                                                   c.visit_want, 0,
-                                                   c.query.words()}});
+  net_.send_payload(
+      c.self, peer_of(c.visit_node), net::MsgKind::kKwsTQuery,
+      net::WireMessage{net::QueryMsg{id, c.visit_node, c.self, c.visit_want,
+                                     0, c.query.keywords().words()}});
 }
 
 void PeerSlice::on_results(const net::HitsMsg& m) {

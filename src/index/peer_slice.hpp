@@ -159,7 +159,7 @@ class PeerSlice {
   /// One superset search being coordinated by this process (it owns the
   /// root's serving peer). Mirrors LogicalIndex::search_top_down state.
   struct Coordination {
-    KeywordSet query;
+    IndexTable::Query query;
     cube::CubeId root = 0;
     std::size_t threshold = 0;       ///< 0 = all of O_K
     net::EndpointId searcher = 0;    ///< reply target
@@ -233,7 +233,7 @@ class PeerSlice {
 
   /// Appends up to `room` superset matches of `query` from node `u`'s
   /// local table (kUnlimited = all), LogicalIndex::collect_at's order.
-  std::size_t collect_local(cube::CubeId u, const KeywordSet& query,
+  std::size_t collect_local(cube::CubeId u, const IndexTable::Query& query,
                             std::size_t room, std::vector<Hit>& out) const;
 
   /// Arms `slot` to fire `fn` after `delay` ticks; no-op (slot = 0) when

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -156,7 +158,68 @@ TEST(IndexTable, SupersetLimitMidEntryBoundary) {
   EXPECT_FALSE(truncated);  // no limit, nothing cut
 }
 
-// Differential check: the signature-indexed scan must produce the same
+IndexTable::ScanStats minus(const IndexTable::ScanStats& a,
+                            const IndexTable::ScanStats& b) {
+  return {a.scans - b.scans,
+          a.candidates - b.candidates,
+          a.signature_rejects - b.signature_rejects,
+          a.subset_checks - b.subset_checks,
+          a.matches - b.matches,
+          a.linear_equivalent - b.linear_equivalent};
+}
+
+// Scans `query` three ways — the KeywordSet entry point, a prepared query
+// through for_each_superset, and a prepared query through supersets_into —
+// and checks each against the linear reference entry for entry, and the
+// prepared scans' work counters against the KeywordSet scan's.
+void expect_scans_agree(const IndexTable& t, const KeywordSet& query) {
+  std::vector<Hit> ref;
+  std::uint64_t ref_entries = 0;
+  t.for_each_superset_linear(query, [&](const KeywordSet& k,
+                                        const std::set<ObjectId>& objects) {
+    ++ref_entries;
+    for (ObjectId o : objects) ref.push_back(Hit{o, k});
+    return true;
+  });
+  const auto collect = [](std::vector<Hit>& out) {
+    return [&out](const KeywordSet& k, const std::set<ObjectId>& objects) {
+      for (ObjectId o : objects) out.push_back(Hit{o, k});
+      return true;
+    };
+  };
+
+  const IndexTable::ScanStats before = t.scan_stats();
+  std::vector<Hit> by_set;
+  t.for_each_superset(query, collect(by_set));
+  const IndexTable::ScanStats after_set = t.scan_stats();
+
+  const IndexTable::Query prepared(query);
+  EXPECT_EQ(prepared.keywords(), query);
+  std::vector<Hit> by_prepared;
+  t.for_each_superset(prepared, collect(by_prepared));
+  const IndexTable::ScanStats after_prepared = t.scan_stats();
+
+  std::vector<Hit> into = {Hit{99, KeywordSet({"stale"})}};
+  bool truncated = true;
+  t.supersets_into(prepared, 0, &truncated, into);
+  const IndexTable::ScanStats after_into = t.scan_stats();
+
+  ASSERT_EQ(by_set, ref) << "query=" << query.to_string();
+  ASSERT_EQ(by_prepared, ref) << "query=" << query.to_string();
+  ASSERT_EQ(into, ref) << "query=" << query.to_string();
+  EXPECT_FALSE(truncated);
+  const IndexTable::ScanStats set_work = minus(after_set, before);
+  EXPECT_EQ(set_work.scans, 1u);
+  EXPECT_EQ(set_work.matches, ref_entries);
+  EXPECT_EQ(set_work.linear_equivalent, t.entry_count());
+  EXPECT_EQ(minus(after_prepared, after_set), set_work)
+      << "query=" << query.to_string();
+  EXPECT_EQ(minus(after_into, after_prepared), set_work)
+      << "query=" << query.to_string();
+}
+
+// Differential check: the signature-indexed scan, through the KeywordSet
+// entry point and through a prepared query, must produce the same
 // (entry, objects) sequence as the retained linear reference scan, on a
 // randomized table, across add/remove churn and query shapes.
 TEST(IndexTable, SignatureScanMatchesLinearReference) {
@@ -186,21 +249,33 @@ TEST(IndexTable, SignatureScanMatchesLinearReference) {
     for (std::size_t i = 0; i < qn; ++i)
       qwords.push_back(vocab[rng.next_below(vocab.size())]);
     if (rng.next_double() < 0.1) qwords.push_back("unseen");
-    const KeywordSet query(qwords);
+    expect_scans_agree(t, KeywordSet(qwords));
+  }
 
-    std::vector<Hit> fast;
-    t.for_each_superset(query, [&](const KeywordSet& k,
-                                   const std::set<ObjectId>& objects) {
-      for (ObjectId o : objects) fast.push_back(Hit{o, k});
-      return true;
-    });
-    std::vector<Hit> ref;
-    t.for_each_superset_linear(query, [&](const KeywordSet& k,
-                                          const std::set<ObjectId>& objects) {
-      for (ObjectId o : objects) ref.push_back(Hit{o, k});
-      return true;
-    });
-    ASSERT_EQ(fast, ref) << "query=" << query.to_string();
+  // Withdraw every entry holding one keyword. The presence filter keeps
+  // that keyword's bits (it is never cleared), so a probe passes the filter
+  // and must still find nothing, alone or with other keywords.
+  const Keyword gone = "c";
+  std::size_t removed = 0;
+  for (std::size_t i = 0; i < live.size();) {
+    if (live[i].first.contains(gone)) {
+      EXPECT_TRUE(t.remove(live[i].first, live[i].second));
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+      ++removed;
+    } else {
+      ++i;
+    }
+  }
+  ASSERT_GT(removed, 0u);
+  ASSERT_FALSE(live.empty());
+  for (const auto& [k, object] : t.entries()) ASSERT_FALSE(k.contains(gone));
+  for (const KeywordSet& probe :
+       {KeywordSet({gone}), KeywordSet({gone, "a"}), KeywordSet({"b", gone}),
+        KeywordSet({"a"}), KeywordSet{}}) {
+    expect_scans_agree(t, probe);
+    if (probe.contains(gone)) {
+      EXPECT_TRUE(t.supersets(probe).empty()) << probe.to_string();
+    }
   }
 }
 

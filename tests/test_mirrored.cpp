@@ -240,6 +240,73 @@ TEST(Mirrored, BudgetedResyncConvergesCubesAfterFailures) {
   EXPECT_EQ(ids_of(merged.hits), ids_of(primary_only->hits));
 }
 
+// Withdraw deletes the primary entry first and routes the mirror's
+// deindex only from the primary's callback. A resync in that window used
+// to copy the mirror's still-present entry back into the primary, and a
+// later resync copied it from there into the mirror again: the withdrawn
+// object stayed indexed in both cubes for good.
+TEST(Mirrored, ResyncDuringWithdrawDoesNotResurrect) {
+  MirrorNet t(16);
+  const KeywordSet k({"news", "tv"});
+  t.index->publish(1, 7, k);
+  t.clock.run();
+  ASSERT_TRUE(t.index->primary().has_entry(k, 7));
+  ASSERT_TRUE(t.index->mirror().has_entry(k, 7));
+
+  std::optional<std::uint64_t> reseeded;
+  t.index->withdraw(1, 7, k, [&](const OverlayIndex::WithdrawResult& r) {
+    EXPECT_TRUE(r.index_removed);
+    // The window: the primary's kws.delete has landed, the mirror's
+    // deindex has not.
+    EXPECT_FALSE(t.index->primary().has_entry(k, 7));
+    EXPECT_TRUE(t.index->mirror().has_entry(k, 7));
+    reseeded = t.index->resync(1000);
+  });
+  t.clock.run();
+  ASSERT_TRUE(reseeded.has_value());
+  EXPECT_EQ(*reseeded, 0u);
+
+  EXPECT_EQ(t.index->resync(1000), 0u);
+  t.clock.run();
+  EXPECT_FALSE(t.index->primary().has_entry(k, 7));
+  EXPECT_FALSE(t.index->mirror().has_entry(k, 7));
+  EXPECT_EQ(t.index->resync_backlog(), 0u);
+  EXPECT_TRUE(t.superset(KeywordSet({"news"})).hits.empty());
+}
+
+// Resync re-seeds only published objects: once the DOLR holds no reference
+// to an object, its surviving entry counts as withdrawn and is neither
+// restored nor reported, until the object is published again.
+TEST(Mirrored, ResyncWaitsForAnObjectsReference) {
+  MirrorNet t(16);
+  const KeywordSet k({"news", "tv"});
+  t.index->publish(1, 7, k);
+  t.clock.run();
+  t.index->primary().deindex(1, 7, k);  // the primary's entry is lost
+  t.clock.run();
+  ASSERT_FALSE(t.index->primary().has_entry(k, 7));
+  ASSERT_TRUE(t.index->mirror().has_entry(k, 7));
+  EXPECT_EQ(t.index->resync_backlog(), 1u);
+
+  t.dolr->remove(1, 7);  // and so is every copy of its reference
+  t.clock.run();
+  ASSERT_FALSE(t.dolr->has_reference(7));
+  EXPECT_EQ(t.index->resync_backlog(), 0u);
+  EXPECT_EQ(t.index->resync(1000), 0u);
+  t.clock.run();
+  EXPECT_FALSE(t.index->primary().has_entry(k, 7));
+  EXPECT_TRUE(t.index->mirror().has_entry(k, 7));
+
+  t.dolr->insert(1, 7);
+  t.clock.run();
+  ASSERT_TRUE(t.dolr->has_reference(7));
+  EXPECT_EQ(t.index->resync_backlog(), 1u);
+  EXPECT_EQ(t.index->resync(1000), 1u);
+  t.clock.run();
+  EXPECT_TRUE(t.index->primary().has_entry(k, 7));
+  EXPECT_EQ(t.index->resync_backlog(), 0u);
+}
+
 /// Drops every message of one kind originated by one endpoint — the
 /// surgical fault that silences a single cube's pin replies. (Matching on
 /// the sender, not the receiver, keeps the other cube's multi-hop route

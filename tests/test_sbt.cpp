@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <set>
 
@@ -115,6 +116,54 @@ TEST(Sbt, SingletonTreeWhenRootIsFull) {
   EXPECT_EQ(sbt.size(), 1u);
   EXPECT_EQ(sbt.bfs_order(), (std::vector<CubeId>{0b111}));
   EXPECT_TRUE(sbt.children(0b111).empty());
+}
+
+// The paper's queue discipline, written out as a FIFO queue over
+// child_dimensions: the reference every traversal order is pinned to.
+std::vector<CubeId> reference_queue_order(const SpanningBinomialTree& sbt) {
+  std::vector<CubeId> order{sbt.root()};
+  std::deque<CubeId> queue;
+  for (int d : sbt.child_dimensions(sbt.root()))
+    queue.push_back(sbt.root() | (1ULL << d));
+  while (!queue.empty()) {
+    const CubeId v = queue.front();
+    queue.pop_front();
+    order.push_back(v);
+    for (int d : sbt.child_dimensions(v)) queue.push_back(v | (1ULL << d));
+  }
+  return order;
+}
+
+TEST(Sbt, BfsAndLevelExpansionFollowTheQueueOnEveryRootOfH6) {
+  Hypercube h(6);
+  for (CubeId root = 0; root < h.node_count(); ++root) {
+    SpanningBinomialTree sbt(h, root);
+    const std::vector<CubeId> want = reference_queue_order(sbt);
+    ASSERT_EQ(want.size(), sbt.size());
+    EXPECT_EQ(sbt.bfs_order(), want) << "root " << root;
+
+    // Expanding level by level, into reused storage as the search does,
+    // yields the same sequence cut at depth boundaries.
+    std::vector<CubeId> level{root};
+    std::vector<CubeId> next;
+    std::vector<CubeId> joined = level;
+    const auto levels = sbt.levels();
+    ASSERT_EQ(levels.size(),
+              static_cast<std::size_t>(h.zero_count(root)) + 1);
+    EXPECT_EQ(levels[0], level);
+    for (std::size_t d = 1; d < levels.size(); ++d) {
+      next.clear();
+      sbt.expand_level(level, next);
+      std::swap(level, next);
+      EXPECT_EQ(level, levels[d]) << "root " << root << " depth " << d;
+      for (CubeId w : level) EXPECT_EQ(sbt.depth(w), static_cast<int>(d));
+      joined.insert(joined.end(), level.begin(), level.end());
+    }
+    next.clear();
+    sbt.expand_level(level, next);
+    EXPECT_TRUE(next.empty()) << "root " << root;
+    EXPECT_EQ(joined, want) << "root " << root;
+  }
 }
 
 class SbtProperty : public ::testing::TestWithParam<std::pair<int, CubeId>> {};

@@ -267,7 +267,8 @@ TEST(SearchEquivalence, ThresholdedLevelParallelHonorsContract) {
 // visits across owner + replicas. So a warmed-up deployment with
 // replication promoted must keep returning the LogicalIndex reference
 // sequence byte for byte no matter which replica serves each visit — even
-// for entries published AFTER promotion.
+// for entries published AFTER promotion. Level-parallel rounds also group
+// a replica pick with whatever else its holder serves that round.
 TEST(SearchEquivalence, ReplicaSpreadKeepsHitSequencesByteIdentical) {
   constexpr int kReplicas = 2;
   LogicalIndex logical({.r = kR});
@@ -284,13 +285,18 @@ TEST(SearchEquivalence, ReplicaSpreadKeepsHitSequencesByteIdentical) {
   cfg.hot.replicas = kReplicas;
   cfg.hot.window = 1 << 20;  // one popularity window covers the whole test
   cfg.hot.min_scans = 2;
+  // Replicate every cell the query touches, so a level-parallel round
+  // meets several replica picks bound for one holder.
+  cfg.hot.max_hot = std::size_t{1} << kR;
   OverlayIndex index(dolr, cfg);
   for (const auto& [id, k] : corpus(0xc0ffee)) index.publish(1, id, k);
   clock.run();
 
-  const auto run_search = [&](const KeywordSet& q) {
+  const auto run_search = [&](const KeywordSet& q,
+                              SearchStrategy strategy =
+                                  SearchStrategy::kTopDownSequential) {
     std::optional<SearchResult> result;
-    index.superset_search(2, q, 0, SearchStrategy::kTopDownSequential,
+    index.superset_search(2, q, 0, strategy,
                           [&](const SearchResult& r) { result = r; });
     clock.run();
     EXPECT_TRUE(result.has_value());
@@ -317,12 +323,16 @@ TEST(SearchEquivalence, ReplicaSpreadKeepsHitSequencesByteIdentical) {
 
   // 2*(k+1) searches cycle the round-robin through every replica slot
   // twice; each sequence must match the reference byte for byte.
-  const std::vector<Hit> ref =
-      reference_hits(logical, q, 0, SearchStrategy::kTopDownSequential);
-  ASSERT_FALSE(ref.empty());
-  for (int i = 0; i < 2 * (kReplicas + 1); ++i)
-    expect_identical(run_search(q).hits, ref, q, "replica spread");
-  EXPECT_GT(index.hot_cell_stats().spread_visits, 0u);
+  for (const SearchStrategy strategy : {SearchStrategy::kTopDownSequential,
+                                        SearchStrategy::kLevelParallel}) {
+    const std::uint64_t spread = index.hot_cell_stats().spread_visits;
+    const std::vector<Hit> ref = reference_hits(logical, q, 0, strategy);
+    ASSERT_FALSE(ref.empty());
+    for (int i = 0; i < 2 * (kReplicas + 1); ++i)
+      expect_identical(run_search(q, strategy).hits, ref, q,
+                       "replica spread");
+    EXPECT_GT(index.hot_cell_stats().spread_visits, spread);
+  }
 }
 
 // --- The same state machines on the real-socket backend ---------------------
