@@ -130,12 +130,6 @@ std::uint64_t Dolr::repair_replicas(std::size_t max_copies) {
   return copied;
 }
 
-bool Dolr::has_reference(ObjectId object) const {
-  return !overlay_.state_of(overlay_.owner_of(object_key(object)))
-              .refs_of(object)
-              .empty();
-}
-
 std::size_t Dolr::replication_backlog() const {
   std::size_t missing = 0;
   for_each_missing_copy(

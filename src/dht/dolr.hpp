@@ -84,11 +84,6 @@ class Dolr {
   /// backlog the plane reports as a gauge and drains with the call above.
   std::size_t replication_backlog() const;
 
-  /// Whether the current owner of L(object) stores a reference to it: the
-  /// object is published. Global-knowledge check for maintenance paths
-  /// (the mirror resync), never used by routed protocols.
-  bool has_reference(ObjectId object) const;
-
   int replication_factor() const noexcept { return cfg_.replication_factor; }
 
   Overlay& overlay() noexcept { return overlay_; }

@@ -68,6 +68,11 @@ std::vector<ObjectId> IndexTable::exact(const KeywordSet& keywords) const {
   return {it->second.begin(), it->second.end()};
 }
 
+bool IndexTable::contains(const KeywordSet& keywords, ObjectId object) const {
+  const auto it = entries_.find(keywords);
+  return it != entries_.end() && it->second.contains(object);
+}
+
 template <typename Fn>
 void IndexTable::scan(const Query& query, Fn&& fn) const {
   ++scan_.scans;

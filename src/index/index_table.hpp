@@ -107,6 +107,9 @@ class IndexTable {
   /// Objects indexed under exactly `keywords` (pin-search payload).
   std::vector<ObjectId> exact(const KeywordSet& keywords) const;
 
+  /// Whether <keywords, object> is indexed here.
+  bool contains(const KeywordSet& keywords, ObjectId object) const;
+
   /// Invokes fn(K', objects) for every entry whose keyword set contains
   /// the query (K' ⊇ query), in keyword-set order; stops early if fn
   /// returns false. This is the per-node scan of the superset-search

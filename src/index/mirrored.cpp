@@ -24,6 +24,7 @@ MirroredIndex::MirroredIndex(dht::Dolr& dolr, OverlayIndex::Config cfg)
 void MirroredIndex::publish(sim::EndpointId publisher, ObjectId object,
                             const KeywordSet& keywords,
                             OverlayIndex::PublishCallback done) {
+  withdrawing_.erase(object);
   primary_->publish(
       publisher, object, keywords,
       [this, publisher, object, keywords, done = std::move(done)](
@@ -41,7 +42,11 @@ void MirroredIndex::withdraw(sim::EndpointId publisher, ObjectId object,
       publisher, object, keywords,
       [this, publisher, object, keywords, done = std::move(done)](
           const OverlayIndex::WithdrawResult& r) {
-        if (r.index_removed) mirror_->deindex(publisher, object, keywords);
+        if (r.index_removed) {
+          withdrawing_.insert(object);
+          mirror_->deindex(publisher, object, keywords,
+                           [this, object](int) { withdrawing_.erase(object); });
+        }
         if (done) done(r);
       });
 }
@@ -177,7 +182,7 @@ void MirroredIndex::purge_dead() {
 
 bool MirroredIndex::should_seed(const OverlayIndex& dst,
                                 const KeywordSet& keywords, ObjectId object,
-                                sim::EndpointId holder) {
+                                sim::EndpointId holder) const {
   // Entries still held for a dead peer are about to be purged; only a
   // live copy can seed the other cube.
   if (!dst.dolr().overlay().is_live(holder)) return false;
@@ -185,11 +190,11 @@ bool MirroredIndex::should_seed(const OverlayIndex& dst,
   // A withdrawn object's surviving copy is not a lost entry: withdraw
   // deletes the primary entry first and the mirror's afterwards, and a
   // resync between the two must not copy it back.
-  return dst.dolr().has_reference(object);
+  return !withdrawing_.contains(object);
 }
 
 std::size_t MirroredIndex::missing_entries(const OverlayIndex& src,
-                                           const OverlayIndex& dst) {
+                                           const OverlayIndex& dst) const {
   std::size_t missing = 0;
   src.for_each_entry([&](cube::CubeId, const KeywordSet& k, ObjectId o,
                          sim::EndpointId holder) {

@@ -14,6 +14,7 @@
 
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "index/overlay_index.hpp"
@@ -31,12 +32,15 @@ class MirroredIndex {
   MirroredIndex(dht::Dolr& dolr, OverlayIndex::Config cfg);
 
   /// Publishes the reference (DOLR) and, for first copies, both index
-  /// entries. The callback reports the primary's result.
+  /// entries. The callback reports the primary's result. Clears the
+  /// object's withdrawal mark (see resync).
   void publish(sim::EndpointId publisher, ObjectId object,
                const KeywordSet& keywords,
                OverlayIndex::PublishCallback done = nullptr);
 
   /// Withdraws the copy; on last-copy removal both entries are deleted.
+  /// The object stays marked as withdrawing from the primary's delete
+  /// until the mirror's deindex lands.
   void withdraw(sim::EndpointId publisher, ObjectId object,
                 const KeywordSet& keywords,
                 OverlayIndex::WithdrawCallback done = nullptr);
@@ -70,14 +74,12 @@ class MirroredIndex {
   /// budgeted calls converge until both cubes index the same entry set of
   /// published objects. Returns reindex messages issued.
   ///
-  /// Only published objects are re-seeded: an entry counts as lost only
-  /// while the current owner of L(object) stores a reference to the object
-  /// (Dolr::has_reference). That keeps a resync between withdraw's primary
-  /// delete and its mirror deindex from copying the withdrawn entry back.
-  /// It also ties resync to reference replication: once every copy of an
-  /// object's reference is lost with failed peers, the object counts as
-  /// withdrawn, and neither resync nor resync_backlog() sees its surviving
-  /// entry until the object is published again.
+  /// Objects marked as withdrawing are not re-seeded: that keeps a resync
+  /// between withdraw's primary delete and its mirror deindex from copying
+  /// the withdrawn entry back. Whether the DOLR still holds a reference
+  /// does not matter, so an entry whose references were all lost with
+  /// failed peers is still restored. A deindex that never lands keeps its
+  /// object marked until the object is published again.
   std::uint64_t resync(std::size_t max_entries);
 
   /// Entries of published objects present in one cube but missing from the
@@ -106,13 +108,13 @@ class MirroredIndex {
   /// detects and counts single-cube failovers.
   SearchResult merge(const SearchResult& a, const SearchResult& b);
   /// Whether `src`'s entry <keywords, object> at `holder` should seed
-  /// `dst`: a live copy of a still-published object that `dst` lacks.
-  static bool should_seed(const OverlayIndex& dst, const KeywordSet& keywords,
-                          ObjectId object, sim::EndpointId holder);
+  /// `dst`: a live copy, not being withdrawn, that `dst` lacks.
+  bool should_seed(const OverlayIndex& dst, const KeywordSet& keywords,
+                   ObjectId object, sim::EndpointId holder) const;
   /// Entries `src` holds at live peers that `dst` should but does not
   /// index.
-  static std::size_t missing_entries(const OverlayIndex& src,
-                                     const OverlayIndex& dst);
+  std::size_t missing_entries(const OverlayIndex& src,
+                              const OverlayIndex& dst) const;
 
   std::unique_ptr<OverlayIndex> primary_;
   std::unique_ptr<OverlayIndex> mirror_;
@@ -122,6 +124,9 @@ class MirroredIndex {
   std::unordered_map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>>
       active_;
   std::uint64_t next_ticket_ = 1;
+  /// Objects whose primary entry a withdraw removed and whose mirror
+  /// deindex has not landed yet.
+  std::unordered_set<ObjectId> withdrawing_;
 };
 
 }  // namespace hkws::index

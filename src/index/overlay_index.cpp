@@ -80,23 +80,10 @@ void OverlayIndex::publish(sim::EndpointId publisher, ObjectId object,
           return;
         }
         // First copy: create the keyword index entry at g(F_h(K)).
-        const cube::CubeId u = hasher_.responsible_node(keywords);
-        const sim::EndpointId from = overlay_.endpoint_of(r.owner);
-        overlay_.route(
-            from, ring_key_of(u), "kws.insert",
-            kCtrlBytes + keywords.size() * 12,
-            [this, u, object, keywords, done, dolr_hops = r.hops](
-                const dht::Overlay::RouteResult& rr) {
-              PeerState& ps = peer_state(overlay_.endpoint_of(rr.owner));
-              if (ps.tables[u].add(keywords, object)) ++mutation_epoch_;
-              replica_add(u, keywords, object);
-              if (const auto cit = ps.caches.find(u); cit != ps.caches.end()) {
-                cit->second.erase_if([&](const KeywordSet& q) {
-                  return q.subset_of(keywords);
-                });
-              }
-              if (done) done(PublishResult{true, dolr_hops, rr.hops});
-            });
+        route_entry(overlay_.endpoint_of(r.owner), object, keywords, true,
+                    [done, dolr_hops = r.hops](int hops) {
+                      if (done) done(PublishResult{true, dolr_hops, hops});
+                    });
       });
 }
 
@@ -111,111 +98,63 @@ void OverlayIndex::withdraw(sim::EndpointId publisher, ObjectId object,
           if (done) done(WithdrawResult{false});
           return;
         }
-        const cube::CubeId u = hasher_.responsible_node(keywords);
-        const sim::EndpointId from = overlay_.endpoint_of(r.owner);
-        overlay_.route(
-            from, ring_key_of(u), "kws.delete", kCtrlBytes,
-            [this, u, object, keywords, done](
-                const dht::Overlay::RouteResult& rr) {
-              PeerState& ps = peer_state(overlay_.endpoint_of(rr.owner));
-              if (const auto it = ps.tables.find(u); it != ps.tables.end()) {
-                if (it->second.remove(keywords, object)) ++mutation_epoch_;
-                if (it->second.empty()) ps.tables.erase(it);
-              }
-              replica_remove(u, keywords, object);
-              if (const auto cit = ps.caches.find(u); cit != ps.caches.end()) {
-                cit->second.erase_if([&](const KeywordSet& q) {
-                  return q.subset_of(keywords);
-                });
-              }
-              if (done) done(WithdrawResult{true});
-            });
+        route_entry(overlay_.endpoint_of(r.owner), object, keywords, false,
+                    [done](int) { if (done) done(WithdrawResult{true}); });
       });
 }
 
 void OverlayIndex::reindex(sim::EndpointId from, ObjectId object,
-                           const KeywordSet& keywords) {
+                           const KeywordSet& keywords,
+                           std::function<void(int hops)> landed) {
   if (keywords.empty())
     throw std::invalid_argument("OverlayIndex::reindex: empty keyword set");
-  const cube::CubeId u = hasher_.responsible_node(keywords);
-  overlay_.route(from, ring_key_of(u), "kws.insert",
-                 kCtrlBytes + keywords.size() * 12,
-                 [this, u, object, keywords](
-                     const dht::Overlay::RouteResult& rr) {
-                   PeerState& ps = peer_state(overlay_.endpoint_of(rr.owner));
-                   if (ps.tables[u].add(keywords, object)) ++mutation_epoch_;
-                   replica_add(u, keywords, object);
-                   if (const auto cit = ps.caches.find(u);
-                       cit != ps.caches.end()) {
-                     cit->second.erase_if([&](const KeywordSet& q) {
-                       return q.subset_of(keywords);
-                     });
-                   }
-                 });
+  route_entry(from, object, keywords, true, std::move(landed));
 }
 
 void OverlayIndex::deindex(sim::EndpointId from, ObjectId object,
-                           const KeywordSet& keywords) {
+                           const KeywordSet& keywords,
+                           std::function<void(int hops)> landed) {
+  route_entry(from, object, keywords, false, std::move(landed));
+}
+
+void OverlayIndex::route_entry(sim::EndpointId from, ObjectId object,
+                               const KeywordSet& keywords, bool add,
+                               std::function<void(int hops)> landed) {
   const cube::CubeId u = hasher_.responsible_node(keywords);
-  overlay_.route(from, ring_key_of(u), "kws.delete", kCtrlBytes,
-                 [this, u, object, keywords](
-                     const dht::Overlay::RouteResult& rr) {
-                   PeerState& ps = peer_state(overlay_.endpoint_of(rr.owner));
-                   if (const auto it = ps.tables.find(u);
-                       it != ps.tables.end()) {
-                     if (it->second.remove(keywords, object))
-                       ++mutation_epoch_;
-                     if (it->second.empty()) ps.tables.erase(it);
-                   }
-                   replica_remove(u, keywords, object);
-                   if (const auto cit = ps.caches.find(u);
-                       cit != ps.caches.end()) {
-                     cit->second.erase_if([&](const KeywordSet& q) {
-                       return q.subset_of(keywords);
-                     });
-                   }
-                 });
+  overlay_.route(
+      from, ring_key_of(u), add ? "kws.insert" : "kws.delete",
+      add ? kCtrlBytes + keywords.size() * 12 : kCtrlBytes,
+      [this, u, object, keywords, add, landed = std::move(landed)](
+          const dht::Overlay::RouteResult& rr) {
+        PeerState& ps = peer_state(overlay_.endpoint_of(rr.owner));
+        if (add) {
+          if (ps.tables[u].add(keywords, object)) ++mutation_epoch_;
+          replica_add(u, keywords, object);
+        } else {
+          if (const auto it = ps.tables.find(u); it != ps.tables.end()) {
+            if (it->second.remove(keywords, object)) ++mutation_epoch_;
+            if (it->second.empty()) ps.tables.erase(it);
+          }
+          replica_remove(u, keywords, object);
+        }
+        if (const auto cit = ps.caches.find(u); cit != ps.caches.end())
+          cit->second.erase_if(
+              [&](const KeywordSet& q) { return q.subset_of(keywords); });
+        if (landed) landed(rr.hops);
+      });
 }
 
 // --- Pin search --------------------------------------------------------------
 
 void OverlayIndex::pin_search(sim::EndpointId searcher,
                               const KeywordSet& keywords, SearchCallback done) {
-  if (cfg_.step_timeout != 0 && cfg_.failover_after != 0) {
-    // Loss-guarded pin: route + reply under one retransmission timer, so a
-    // pin aimed at a peer that dies mid-query retries (and the re-route
-    // lands on the surrogate owner) instead of hanging forever.
-    const std::uint64_t id = next_pin_++;
-    auto pin = std::make_unique<PinState>();
-    pin->keywords = keywords;
-    pin->searcher = searcher;
-    pin->done = std::move(done);
-    pins_[id] = std::move(pin);
-    pin_attempt(id);
-    return;
-  }
-  const cube::CubeId u = hasher_.responsible_node(keywords);
-  overlay_.route(
-      searcher, ring_key_of(u), "kws.pin", kCtrlBytes + keywords.size() * 12,
-      [this, u, keywords, searcher, done = std::move(done)](
-          const dht::Overlay::RouteResult& rr) {
-        const sim::EndpointId ep = overlay_.endpoint_of(rr.owner);
-        PeerState& ps = peer_state(ep);
-        std::vector<Hit> hits;
-        if (const auto it = ps.tables.find(u); it != ps.tables.end()) {
-          for (ObjectId o : it->second.exact(keywords))
-            hits.push_back(Hit{o, keywords});
-        }
-        SearchResult result;
-        result.hits = std::move(hits);
-        result.stats.nodes_contacted = 1;
-        result.stats.messages = static_cast<std::size_t>(rr.hops) + 1;
-        result.stats.rounds = 1;
-        result.stats.complete = true;
-        net_.send(ep, searcher, "kws.pin_reply",
-                  result.hits.size() * kHitBytes,
-                  [done, result = std::move(result)] { done(result); });
-      });
+  const std::uint64_t id = next_pin_++;
+  auto pin = std::make_unique<PinState>();
+  pin->keywords = keywords;
+  pin->searcher = searcher;
+  pin->done = std::move(done);
+  pins_[id] = std::move(pin);
+  pin_attempt(id);
 }
 
 OverlayIndex::PinState* OverlayIndex::find_pin(std::uint64_t pin_id) {
@@ -266,6 +205,10 @@ void OverlayIndex::pin_attempt(std::uint64_t pin_id) {
                     cb(result);
                   });
       });
+  // Guarded pins: route + reply under one retransmission timer, so a pin
+  // aimed at a peer that dies mid-query retries (and the re-route lands on
+  // the surrogate owner) instead of hanging forever.
+  if (cfg_.step_timeout == 0 || cfg_.failover_after == 0) return;
   PinState* p = find_pin(pin_id);
   if (!p) return;  // the route may complete in place
   p->timer = net_.set_timer(resend_delay(p->attempts), [this, pin_id] {
@@ -353,11 +296,11 @@ void OverlayIndex::begin_root_route(std::uint64_t req_id) {
                       // coordinator at the owner after all.
                       if (!can_serve(r2->root_peer, r2->root_cube))
                         r2->root_peer = owner;
-                      start_top_down(*r2);
+                      start_at_root(*r2);
                     });
           return;
         }
-        start_top_down(*r);
+        start_at_root(*r);
       });
   if (cfg_.step_timeout == 0) return;
   Request* r = find(req_id);  // re-find: the route may complete in place
@@ -419,7 +362,7 @@ bool OverlayIndex::cancel(std::uint64_t request) {
   return true;
 }
 
-void OverlayIndex::start_top_down(Request& req) {
+void OverlayIndex::start_at_root(Request& req) {
   // The root examines its own index table first (paper step 0).
   req.visit_order.push_back(req.root_cube);
   const Visit& v0 = ensure_scan(req, req.root_cube, req.root_peer);
@@ -461,17 +404,16 @@ void OverlayIndex::start_top_down(Request& req) {
   }
 
   switch (req.strategy) {
-    case SearchStrategy::kTopDownSequential: {
-      req.mode = Mode::kTopDown;
-      for (int i : cube_.zero_positions(req.root_cube))
-        req.queue.emplace_back(req.root_cube | (1ULL << i), i);
-      step_top_down(req.id);
-      return;
-    }
+    case SearchStrategy::kTopDownSequential:
     case SearchStrategy::kBottomUpSequential: {
       req.mode = Mode::kPlan;
-      // Deepest nodes first; the root was already examined on arrival.
-      for (cube::CubeId w : sbt.bottom_up_order())
+      // The paper's queue U (breadth-first) or deepest nodes first; the
+      // root was already examined on arrival.
+      const std::vector<cube::CubeId> order =
+          req.strategy == SearchStrategy::kTopDownSequential
+              ? sbt.bfs_order()
+              : sbt.bottom_up_order();
+      for (const cube::CubeId w : order)
         if (w != req.root_cube) req.plan.push_back(w);
       step_plan(req.id);
       return;
@@ -521,13 +463,8 @@ OverlayIndex::Visit& OverlayIndex::ensure_scan(Request& req, cube::CubeId w,
   }
   if (v.c1 > 0 && ship) {
     // Matching IDs travel directly to the searcher (paper protocol); a
-    // retransmitted query replays the same batch, deduplicated there. The
-    // closure shares the pooled buffer by pointer — no payload copy.
-    ++req.stats.messages;
-    net_.send(peer, req.searcher, "kws.results", v.c1 * kHitBytes,
-              [this, id = req.id, w, batch = v.batch] {
-                on_results(id, w, batch);
-              });
+    // retransmitted query replays the same batch, deduplicated there.
+    ship_results(req, w, peer, v);
     if (cfg_.step_timeout == 0) {
       // No retransmission: the memo will never be replayed. Drop its
       // reference; the in-flight message keeps the buffer alive and it
@@ -536,6 +473,16 @@ OverlayIndex::Visit& OverlayIndex::ensure_scan(Request& req, cube::CubeId w,
     }
   }
   return v;
+}
+
+void OverlayIndex::ship_results(Request& req, cube::CubeId w,
+                                sim::EndpointId from, const Visit& v) {
+  // The closure shares the pooled buffer by pointer — no payload copy.
+  ++req.stats.messages;
+  net_.send(from, req.searcher, "kws.results", v.c1 * kHitBytes,
+            [this, id = req.id, w, batch = v.batch] {
+              on_results(id, w, batch);
+            });
 }
 
 void OverlayIndex::on_results(std::uint64_t req_id, cube::CubeId w,
@@ -658,19 +605,17 @@ void OverlayIndex::send_to_cube_node(
     std::size_t bytes, const Charge& charge,
     std::function<void(sim::EndpointId)> at_target,
     const std::function<void()>& on_failover) {
-  if (cfg_.cache_contacts) {
-    PeerState& ps = peer_state(from);
-    if (const auto it = ps.contacts.find(target); it != ps.contacts.end()) {
-      if (net_.is_registered(it->second)) {
-        const sim::EndpointId to = it->second;
-        charge(1);
-        net_.send(from, to, kind, bytes,
-                  [to, at_target = std::move(at_target)] { at_target(to); });
-        return;
-      }
-      ps.contacts.erase(it);  // stale contact: the peer is gone
-      if (on_failover) on_failover();
+  PeerState& ps = peer_state(from);
+  if (const auto it = ps.contacts.find(target); it != ps.contacts.end()) {
+    if (net_.is_registered(it->second)) {
+      const sim::EndpointId to = it->second;
+      charge(1);
+      net_.send(from, to, kind, bytes,
+                [to, at_target = std::move(at_target)] { at_target(to); });
+      return;
     }
+    ps.contacts.erase(it);  // stale contact: the peer is gone
+    if (on_failover) on_failover();
   }
   overlay_.route(from, ring_key_of(target), kind, bytes,
                  [this, charge, at_target = std::move(at_target)](
@@ -678,21 +623,6 @@ void OverlayIndex::send_to_cube_node(
                    charge(static_cast<std::size_t>(rr.hops));
                    at_target(overlay_.endpoint_of(rr.owner));
                  });
-}
-
-void OverlayIndex::step_top_down(std::uint64_t req_id) {
-  Request* req = find(req_id);
-  if (!req) return;
-  if (req->queue.empty()) {
-    req->stopped_early = false;
-    finish(req_id);
-    return;
-  }
-  const cube::CubeId w = req->queue.front().first;
-  req->queue.pop_front();
-  ++req->stats.rounds;
-  req->visit_order.push_back(w);
-  visit_node(req_id, w);
 }
 
 void OverlayIndex::step_plan(std::uint64_t req_id) {
@@ -731,7 +661,7 @@ void OverlayIndex::start_level(std::uint64_t req_id) {
   emit(req_id, "level", req->level - 1, nodes.size());
   req->visit_order.insert(req->visit_order.end(), nodes.begin(), nodes.end());
 
-  if (!(cfg_.coalesce_visits && cfg_.cache_contacts)) {
+  if (!cfg_.coalesce_visits) {
     for (const cube::CubeId w : nodes) visit_node(req_id, w);
     return;
   }
@@ -905,31 +835,21 @@ void OverlayIndex::on_node_answered(std::uint64_t req_id, cube::CubeId w,
   // The ownership oracle walks the ring, so it is asked only when its
   // answer could change the table: a contact already equal to `peer` stays
   // either way.
-  if (cfg_.cache_contacts && cached_contact(req->root_peer, w) != peer &&
-      peer == peer_of(w))
+  if (cached_contact(req->root_peer, w) != peer && peer == peer_of(w))
     peer_state(req->root_peer).contacts[w] = peer;
 
   switch (req->mode) {
-    case Mode::kTopDown: {
-      if (req->threshold != 0 && req->collected >= req->threshold) {
-        req->stopped_early = !req->queue.empty();
-        finish(req_id);
-        return;
-      }
-      // Expand children: free dimensions below the arrival dimension. The
-      // arrival dimension is w's lowest set bit that the root lacks.
-      const std::uint64_t diff = w ^ req->root_cube;
-      const int d = lowest_set_bit(diff);
-      for (int i : cube_.zero_positions(w)) {
-        if (i >= d) break;
-        req->queue.emplace_back(w | (1ULL << i), i);
-      }
-      step_top_down(req_id);
-      return;
-    }
     case Mode::kPlan: {
       if (req->threshold != 0 && req->collected >= req->threshold) {
-        req->stopped_early = req->plan_pos < req->plan.size();
+        // Work is left iff a plan node remains — except on a top-down
+        // walk, where the paper's queue U gains w's children only after w
+        // answers T_CONT: a next node that is w's child means U is empty.
+        bool left = req->plan_pos < req->plan.size();
+        if (left && req->strategy == SearchStrategy::kTopDownSequential &&
+            !req->stats.cache_hit)
+          left = cube::SpanningBinomialTree(cube_, req->root_cube)
+                     .parent(req->plan[req->plan_pos]) != w;
+        req->stopped_early = left;
         finish(req_id);
         return;
       }
@@ -953,16 +873,8 @@ void OverlayIndex::on_node_answered(std::uint64_t req_id, cube::CubeId w,
 void OverlayIndex::finish(std::uint64_t req_id) {
   Request* req = find(req_id);
   if (!req) return;
-  switch (req->mode) {
-    case Mode::kTopDown:
-    case Mode::kLevels:
-      req->stats.complete = !req->stopped_early;
-      break;
-    case Mode::kPlan:
-      req->stats.complete =
-          !req->stopped_early && req->plan_complete_means_complete;
-      break;
-  }
+  req->stats.complete =
+      !req->stopped_early && req->plan_complete_means_complete;
 
   if (cfg_.cache_capacity != 0 && req->record_in_cache) {
     PeerState& ps = peer_state(req->root_peer);
@@ -1041,13 +953,9 @@ void OverlayIndex::arm_repair_timer(std::uint64_t req_id) {
         continue;
       }
       ++r->stats.retransmits;
-      ++r->stats.messages;
       net_.metrics().count("kws.retransmit");
       emit(req_id, "retransmit", node, 2);
-      net_.send(v.peer, r->searcher, "kws.results", v.c1 * kHitBytes,
-                [this, req_id, w = node, batch = v.batch] {
-                  on_results(req_id, w, batch);
-                });
+      ship_results(*r, node, v.peer, v);
     }
     maybe_complete(req_id);  // arms the next round if batches are lost again
   });
@@ -1113,6 +1021,7 @@ std::uint64_t OverlayIndex::open_cumulative(sim::EndpointId searcher,
   s->query = IndexTable::Query(query);
   s->searcher = searcher;
   s->root_cube = hasher_.responsible_node(query);
+  s->order = cube::SpanningBinomialTree(cube_, s->root_cube).bfs_order();
   sessions_[id] = std::move(s);
   return id;
 }
@@ -1181,25 +1090,19 @@ void OverlayIndex::cumulative_step(std::uint64_t session) {
     cumulative_finish_batch(session);
     return;
   }
-  if (!s->root_scanned) {
-    // The root's own table is the virtual first node; scanning it costs no
-    // network message. Its "dimension" spans everything (children = all
-    // zero dimensions), encoded as the cube dimension.
-    cumulative_visit(session, s->root_cube, cube_.dimension(), s->offset);
-    return;
-  }
-  if (s->queue.empty()) {
+  if (s->pos >= s->order.size()) {
     s->exhausted = true;
     cumulative_finish_batch(session);
     return;
   }
-  const auto [w, d] = s->queue.front();
-  ++s->stats.rounds;
-  cumulative_visit(session, w, d, s->offset);
+  // The root's own table is the first node; scanning it costs no round.
+  const cube::CubeId w = s->order[s->pos];
+  if (w != s->root_cube) ++s->stats.rounds;
+  cumulative_visit(session, w, s->offset);
 }
 
 void OverlayIndex::cumulative_visit(std::uint64_t session, cube::CubeId w,
-                                    int dim, std::size_t offset) {
+                                    std::size_t offset) {
   CumulativeState* s = find_session(session);
   if (!s) return;
   const std::size_t room = s->want - s->got;
@@ -1208,7 +1111,7 @@ void OverlayIndex::cumulative_visit(std::uint64_t session, cube::CubeId w,
   };
 
   // The scan + reply work that happens at the peer holding cube node w.
-  auto scan_at = [this, session, w, dim, offset, room,
+  auto scan_at = [this, session, w, offset, room,
                   charge](sim::EndpointId peer) {
     CumulativeState* st = find_session(session);
     if (!st) return;
@@ -1238,28 +1141,16 @@ void OverlayIndex::cumulative_visit(std::uint64_t session, cube::CubeId w,
                 });
     }
     // Report (taken, total) back to the root coordinator.
-    auto continue_at_root = [this, session, w, dim, peer, offset, taken,
-                             total] {
+    auto continue_at_root = [this, session, w, peer, offset, taken, total] {
       CumulativeState* s2 = find_session(session);
       if (!s2) return;
-      if (cfg_.cache_contacts && w != s2->root_cube)
-        peer_state(s2->root_peer).contacts[w] = peer;
+      if (w != s2->root_cube) peer_state(s2->root_peer).contacts[w] = peer;
       s2->got += taken;
       if (offset + taken < total) {
         s2->offset = offset + taken;  // node not fully consumed: stay on it
       } else {
         s2->offset = 0;
-        if (w == s2->root_cube && !s2->root_scanned) {
-          s2->root_scanned = true;
-          for (int i : cube_.zero_positions(s2->root_cube))
-            s2->queue.emplace_back(s2->root_cube | (1ULL << i), i);
-        } else {
-          s2->queue.pop_front();
-          for (int i : cube_.zero_positions(w)) {
-            if (i >= dim) break;
-            s2->queue.emplace_back(w | (1ULL << i), i);
-          }
-        }
+        ++s2->pos;
       }
       cumulative_step(session);
     };
@@ -1312,34 +1203,10 @@ void OverlayIndex::cumulative_maybe_complete(std::uint64_t session) {
 // --- Maintenance / introspection ---------------------------------------------
 
 std::uint64_t OverlayIndex::repair_placement() {
-  // Collect misplaced tables first; mutating peers_ while iterating would
-  // invalidate iterators.
-  std::vector<std::pair<sim::EndpointId, cube::CubeId>> misplaced;
-  for (auto& [ep, ps] : peers_) {
-    if (!overlay_.is_live(ep)) continue;
-    for (auto& [u, table] : ps.tables)
-      if (peer_of(u) != ep) misplaced.emplace_back(ep, u);
-  }
-  std::uint64_t moved = 0;
-  for (const auto& [ep, u] : misplaced) {
-    IndexTable table = std::move(peers_[ep].tables[u]);
-    peers_[ep].tables.erase(u);
-    PeerState& dst = peer_state(peer_of(u));
-    for (const auto& [k, objects] : table.entries()) {
-      for (ObjectId o : objects) {
-        dst.tables[u].add(k, o);
-        replica_add(u, k, o);
-        ++moved;
-      }
-    }
-    net_.metrics().count("kws.repair_entries", table.object_count());
-  }
-  // Contact and traversal caches are stale after any placement change.
-  if (moved > 0) ++mutation_epoch_;
-  for (auto& [ep, ps] : peers_) {
-    ps.contacts.clear();
-    ps.caches.clear();
-  }
+  const std::uint64_t moved = repair_placement(kUnlimited);
+  // Flush even when nothing moved: a contact left pointing at a dead peer
+  // would turn later visits into failovers.
+  flush_contacts_and_caches();
   return moved;
 }
 
@@ -1381,13 +1248,16 @@ std::uint64_t OverlayIndex::repair_placement(std::size_t max_entries) {
   if (!moves.empty()) {
     net_.metrics().count("kws.repair_entries", moves.size());
     ++mutation_epoch_;
-    // Placement changed: learned contacts and traversal summaries are stale.
-    for (auto& [ep, ps] : peers_) {
-      ps.contacts.clear();
-      ps.caches.clear();
-    }
+    flush_contacts_and_caches();
   }
   return moves.size();
+}
+
+void OverlayIndex::flush_contacts_and_caches() {
+  for (auto& [ep, ps] : peers_) {
+    ps.contacts.clear();
+    ps.caches.clear();
+  }
 }
 
 std::size_t OverlayIndex::misplaced_entries() const {
@@ -1403,10 +1273,7 @@ std::size_t OverlayIndex::misplaced_entries() const {
 bool OverlayIndex::has_entry(const KeywordSet& keywords,
                              ObjectId object) const {
   const IndexTable* t = table_of(hasher_.responsible_node(keywords));
-  if (t == nullptr) return false;
-  const auto& entries = t->entries();
-  const auto it = entries.find(keywords);
-  return it != entries.end() && it->second.contains(object);
+  return t != nullptr && t->contains(keywords, object);
 }
 
 void OverlayIndex::purge_dead() {
@@ -1575,18 +1442,13 @@ std::uint64_t OverlayIndex::replication_step(std::size_t max_entries) {
     const auto rtit = hit->second.replica_tables.find(u);
     if (rtit == hit->second.replica_tables.end()) continue;
     PeerState& owner_ps = peer_state(peer_of(u));
-    const auto primary_has = [&owner_ps, u](const KeywordSet& k, ObjectId o) {
-      const auto tit = owner_ps.tables.find(u);
-      if (tit == owner_ps.tables.end()) return false;
-      const auto& entries = tit->second.entries();
-      const auto eit = entries.find(k);
-      return eit != entries.end() && eit->second.contains(o);
-    };
     for (const auto& [k, objects] : rtit->second.entries()) {
       if (copied >= max_entries) break;
       for (const ObjectId o : objects) {
         if (copied >= max_entries) break;
-        if (primary_has(k, o)) continue;
+        if (const auto tit = owner_ps.tables.find(u);
+            tit != owner_ps.tables.end() && tit->second.contains(k, o))
+          continue;
         owner_ps.tables[u].add(k, o);
         ++copied;
         restored = true;
@@ -1718,9 +1580,7 @@ std::size_t OverlayIndex::replication_backlog() const {
     const IndexTable* primary = table_of(u);
     const auto contains = [](const IndexTable* t, const KeywordSet& k,
                              ObjectId o) {
-      if (t == nullptr) return false;
-      const auto eit = t->entries().find(k);
-      return eit != t->entries().end() && eit->second.contains(o);
+      return t != nullptr && t->contains(k, o);
     };
     for (const sim::EndpointId h : rs.holders) {
       if (!net_.is_registered(h)) continue;

@@ -6,6 +6,10 @@
 // message counts come out of the network metrics, not a model.
 //
 // Protocol notes / adaptations (documented in DESIGN.md):
+//  * One implementation per protocol step: an index-entry change is one
+//    routed kws.insert/kws.delete to g(F_h(K)), a pin one routed lookup, and
+//    sequential and cumulative searches walk cube::SpanningBinomialTree's
+//    orders (bfs_order() is the paper's queue U).
 //  * The first time a coordinator needs to reach a hypercube node it routes
 //    through the DHT (multi-hop); the resolved peer contact is cached, so
 //    repeat traffic is direct — exactly the neighbor-contact caching the
@@ -44,7 +48,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -75,11 +78,10 @@ class OverlayIndex {
     /// different peers than the primary's.
     std::uint64_t ring_salt = seeds::kCubeToDht;
     std::size_t cache_capacity = 0;  ///< per-node query-cache records; 0 = off
-    bool cache_contacts = true;      ///< learn cube-node -> peer contacts
     /// Merge a level-parallel round's visits to co-hosted cube nodes (same
     /// cached live contact) into one VisitBatch wire message per peer.
-    /// Needs cache_contacts; only cuts messages once contacts are warm.
-    /// Results are byte-identical either way (see protocol notes above).
+    /// Only cuts messages once contacts are warm. Results are
+    /// byte-identical either way (see protocol notes above).
     bool coalesce_visits = true;
     /// Superset-search retransmission timeout in ticks; 0 disables loss
     /// tolerance (legacy behaviour: a lost message stalls the request until
@@ -106,7 +108,7 @@ class OverlayIndex {
     /// the rest of the retransmit budget against a dead peer. Results that
     /// crossed a failover carry stats.degraded. Requires step_timeout != 0;
     /// 0 disables failover (legacy behaviour: retries then failure). Also
-    /// gates the loss-guarded pin path.
+    /// gates the pin's retransmission timer.
     int failover_after = 0;
     /// Popularity-aware hot-cell replication (docs/ROBUSTNESS.md). Query
     /// traffic recreates load skew even though keyword-fusion placement
@@ -183,14 +185,17 @@ class OverlayIndex {
   /// Repair/anti-entropy path: (re-)creates the index entry for an object
   /// whose references still exist but whose index entry was lost with a
   /// failed peer. Idempotent; one routed message. Also the building block
-  /// for mirror (secondary-hypercube) indexing.
+  /// for mirror (secondary-hypercube) indexing. `landed(hops)`, if set,
+  /// runs at the owner once the entry is applied.
   void reindex(sim::EndpointId from, ObjectId object,
-               const KeywordSet& keywords);
+               const KeywordSet& keywords,
+               std::function<void(int hops)> landed = nullptr);
 
   /// Inverse of reindex: removes the index entry without touching the
-  /// DOLR references. One routed message.
+  /// DOLR references. One routed message; `landed` as for reindex.
   void deindex(sim::EndpointId from, ObjectId object,
-               const KeywordSet& keywords);
+               const KeywordSet& keywords,
+               std::function<void(int hops)> landed = nullptr);
 
   // --- Search ---------------------------------------------------------------
 
@@ -214,8 +219,7 @@ class OverlayIndex {
   /// deadline-enforcement hook of the serving engine.
   bool cancel(std::uint64_t request);
 
-  /// Number of requests currently in flight (superset searches plus
-  /// loss-guarded pins).
+  /// Requests in flight: superset searches plus pins (see PinState).
   std::size_t in_flight_requests() const noexcept {
     return requests_.size() + pins_.size();
   }
@@ -245,8 +249,8 @@ class OverlayIndex {
   //
   // "Cumulative superset search can be easily implemented by letting the
   // root node keep the queue U for subsequent queries until the search has
-  // completed." Consecutive next() calls on a session return disjoint
-  // batches until the subhypercube is exhausted.
+  // completed." U is the SBT's BFS order; consecutive next() calls on a
+  // session return disjoint batches until the subhypercube is exhausted.
 
   /// Opens a browsing session. Cheap (no messages until the first next()).
   std::uint64_t open_cumulative(sim::EndpointId searcher,
@@ -265,8 +269,8 @@ class OverlayIndex {
 
   // --- Maintenance after churn ---------------------------------------------
 
-  /// Re-places index entries whose cube node is now owned by a different
-  /// peer and flushes contact/query caches. Returns entries moved.
+  /// Re-places every misplaced entry (repair_placement(SIZE_MAX)) and
+  /// flushes contact/query caches, even if nothing moved. Returns moves.
   std::uint64_t repair_placement();
 
   /// Incremental variant for the maintenance plane: moves at most
@@ -424,7 +428,8 @@ class OverlayIndex {
     }
   };
 
-  enum class Mode { kTopDown, kPlan, kLevels };
+  /// kPlan: one node at a time in a fixed order; kLevels: level by level.
+  enum class Mode { kPlan, kLevels };
 
   /// Target-side memo of one node's first scan for a request. Keeping the
   /// batch makes retransmitted T_QUERYs idempotent: a node always replays
@@ -455,7 +460,7 @@ class OverlayIndex {
     /// under this epoch is invalidated by any later mutation, so a search
     /// that raced a mutation can never serve its stale plan to a successor.
     std::uint64_t epoch = 0;
-    Mode mode = Mode::kTopDown;
+    Mode mode = Mode::kPlan;
     SearchStrategy strategy = SearchStrategy::kTopDownSequential;
     // Loss-tolerance state (all empty/0 when step_timeout == 0).
     std::unordered_map<cube::CubeId, Visit> visits;     // scanned nodes
@@ -469,9 +474,8 @@ class OverlayIndex {
     int done_attempts = 0;
     net::Transport::TimerId repair_timer = 0;
     int repair_attempts = 0;
-    // kTopDown state: the paper's queue U of (node, dimension) pairs.
-    std::deque<std::pair<cube::CubeId, int>> queue;
-    // kPlan state: fixed visit order (cached contributors / bottom-up).
+    // kPlan state: BFS (top-down), deepest-first (bottom-up) or cached
+    // contributors' order, root excluded.
     std::vector<cube::CubeId> plan;
     std::size_t plan_pos = 0;
     bool plan_complete_means_complete = true;
@@ -502,19 +506,17 @@ class OverlayIndex {
     SearchCallback done;
   };
 
-  /// Root-side state of a cumulative session: the paper's queue U plus the
-  /// within-node consumption offset.
+  /// Root-side state of a cumulative session, as LogicalIndex::
+  /// CumulativeSession keeps it: the BFS order (queue U), position, offset.
   struct CumulativeState {
     IndexTable::Query query;  ///< prepared once for every node's scan
     sim::EndpointId searcher = 0;
     cube::CubeId root_cube = 0;
     sim::EndpointId root_peer = 0;
     bool resolved = false;     ///< root peer located (first next() routes)
-    bool root_scanned = false; ///< the root's own table consumed
-    std::deque<std::pair<cube::CubeId, int>> queue;  // the paper's U
-    bool mid_node = false;     ///< current node only partially returned
-    cube::CubeId current = 0;
-    std::size_t offset = 0;    ///< results already returned from `current`
+    std::vector<cube::CubeId> order;  ///< BFS order of the SBT, root first
+    std::size_t pos = 0;       ///< index in `order` of the node being read
+    std::size_t offset = 0;    ///< results already returned from order[pos]
     bool exhausted = false;
     // Per-next() call bookkeeping.
     std::size_t want = 0;
@@ -527,10 +529,10 @@ class OverlayIndex {
     SearchCallback done;
   };
 
-  /// Coordinator state of one loss-guarded pin search (Config::step_timeout
-  /// and Config::failover_after both set). The route + direct reply are
-  /// guarded by one timer; a timeout re-routes from scratch, which lands on
-  /// the surrogate owner if the original peer died mid-query.
+  /// Coordinator state of one pin search until its reply lands. With
+  /// Config::step_timeout and Config::failover_after both set, one timer
+  /// re-routes from scratch (landing on the surrogate owner if the peer died
+  /// mid-query); without them a lost query or reply leaves the state behind.
   struct PinState {
     KeywordSet keywords;
     sim::EndpointId searcher = 0;
@@ -541,14 +543,21 @@ class OverlayIndex {
   };
 
   PinState* find_pin(std::uint64_t pin_id);
-  /// Sends (or resends) the guarded pin query and arms its timer.
+  /// Sends (or resends) the pin query; arms its timer when guarded.
   void pin_attempt(std::uint64_t pin_id);
+
+  /// The one index-entry step: routes kws.insert (`add`) or kws.delete to
+  /// g(F_h(keywords)), applies it at the owner (epoch, replicas, cached
+  /// traversals), then calls `landed` (if set) with the route's hops.
+  void route_entry(sim::EndpointId from, ObjectId object,
+                   const KeywordSet& keywords, bool add,
+                   std::function<void(int hops)> landed);
 
   CumulativeState* find_session(std::uint64_t id);
   void cumulative_step(std::uint64_t session);
   /// Visits cube node `w` for the session: scans from the stored offset,
   /// ships up to the remaining want to the searcher, reports back.
-  void cumulative_visit(std::uint64_t session, cube::CubeId w, int dim,
+  void cumulative_visit(std::uint64_t session, cube::CubeId w,
                         std::size_t offset);
   void cumulative_finish_batch(std::uint64_t session);
   void cumulative_maybe_complete(std::uint64_t session);
@@ -596,6 +605,9 @@ class OverlayIndex {
   /// popularity window, holding the total records budget constant.
   void rebalance_caches();
 
+  /// Drops learned contacts and cached traversals (stale after a move).
+  void flush_contacts_and_caches();
+
   /// Message-cost sink: invoked with the number of network messages a
   /// protocol step spent, routed to whichever stats object owns the
   /// operation (a Request or a CumulativeState) if it still exists.
@@ -613,8 +625,8 @@ class OverlayIndex {
                          std::function<void(sim::EndpointId)> at_target,
                          const std::function<void()>& on_failover = nullptr);
 
-  void start_top_down(Request& req);
-  void step_top_down(std::uint64_t req_id);
+  /// At the root: scans its table (step 0), then a cached plan or the walk.
+  void start_at_root(Request& req);
   void step_plan(std::uint64_t req_id);
   void start_level(std::uint64_t req_id);
   /// Routes the initial query to the root's peer; retried on timeout.
@@ -638,6 +650,9 @@ class OverlayIndex {
   /// off, releasing the memoized batches afterwards.
   Visit& ensure_scan(Request& req, cube::CubeId w, sim::EndpointId peer,
                      bool ship = true);
+  /// Sends w's memoized batch from `from` to the searcher (kws.results).
+  void ship_results(Request& req, cube::CubeId w, sim::EndpointId from,
+                    const Visit& v);
   /// Sends one merged VisitBatch message covering this round's cube nodes
   /// co-hosted at `peer`, arming the usual per-node step timers.
   void send_visit_batch(std::uint64_t req_id, sim::EndpointId peer,

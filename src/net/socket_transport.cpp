@@ -8,8 +8,8 @@
 
 namespace hkws::net {
 
-SocketTransport::SocketTransport(CommonConfig common)
-    : common_(common), start_(Clock::now()) {}
+SocketTransport::SocketTransport(CommonConfig common, std::uint32_t max_pad)
+    : common_(common), max_pad_(max_pad), start_(Clock::now()) {}
 
 SocketTransport::~SocketTransport() {
   // Backends stop themselves in their destructors (they own the sockets and
@@ -124,7 +124,7 @@ void SocketTransport::send(EndpointId from, EndpointId to, std::string kind,
   env.to = to;
   env.declared_bytes = payload_bytes;
   env.pad = static_cast<std::uint32_t>(
-      std::min<std::size_t>(payload_bytes, common_.max_pad));
+      std::min<std::size_t>(payload_bytes, max_pad_));
   if (const FaultActions fault = inspect(from, to, id); !fault.clean()) {
     send_faulted(fault, std::nullopt, std::move(env), id, std::move(deliver));
     return;

@@ -92,9 +92,6 @@ class SocketTransport : public Transport {
     /// constants are written in ticks (sim convention: ~1ms); the default
     /// compresses them 10x so loss-recovery tests stay fast.
     std::chrono::microseconds tick{100};
-    /// Cap on per-frame padding bytes (real serialization cost tracks the
-    /// declared payload size up to this bound).
-    std::uint32_t max_pad = 64 * 1024;
     /// How long a parked delivery handler may wait for its envelope before
     /// the sweep declares the frame dead on the wire (net.dropped.conn).
     /// Generous vs loopback latency; tests shrink it to exercise the sweep.
@@ -198,7 +195,10 @@ class SocketTransport : public Transport {
  protected:
   using Clock = std::chrono::steady_clock;
 
-  explicit SocketTransport(CommonConfig common);
+  /// `max_pad` caps per-frame padding bytes (real serialization cost
+  /// tracks the declared payload size up to this bound); each backend
+  /// passes its own.
+  SocketTransport(CommonConfig common, std::uint32_t max_pad);
 
   /// How the wire disposed of one envelope frame.
   enum class WireResult {
@@ -363,6 +363,7 @@ class SocketTransport : public Transport {
   struct Names;
 
   CommonConfig common_;
+  const std::uint32_t max_pad_;
   Clock::time_point start_;
 
   // Registered endpoints: reader-writer lock, sends read, membership

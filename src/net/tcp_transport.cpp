@@ -40,8 +40,7 @@ std::uint64_t addr_key(const sockaddr_in& sa) {
 }  // namespace
 
 TcpTransport::TcpTransport(Config cfg)
-    : SocketTransport(CommonConfig{cfg.tick, cfg.max_pad, cfg.parked_ttl}),
-      cfg_(cfg),
+    : SocketTransport(CommonConfig{cfg.tick, cfg.parked_ttl}, kMaxPad),
       backoff_rng_(cfg.seed) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) throw std::runtime_error("TcpTransport: socket failed");
@@ -94,8 +93,8 @@ int TcpTransport::connect_loopback() {
 }
 
 int TcpTransport::connect_to(const sockaddr_in& addr) {
-  auto backoff = cfg_.connect_backoff;
-  for (int attempt = 0; attempt < cfg_.connect_attempts; ++attempt) {
+  auto backoff = kConnectBackoff;
+  for (int attempt = 0; attempt < kConnectAttempts; ++attempt) {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0) return -1;
     sockaddr_in a = addr;
@@ -114,7 +113,7 @@ int TcpTransport::connect_to(const sockaddr_in& addr) {
           static_cast<std::uint64_t>(backoff.count() / 2 + 1)));
     }
     std::this_thread::sleep_for(backoff + jitter);
-    backoff = std::min(backoff * 2, cfg_.connect_backoff_cap);
+    backoff = std::min(backoff * 2, kConnectBackoffCap);
   }
   return -1;
 }

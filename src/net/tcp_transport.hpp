@@ -54,13 +54,6 @@ class TcpTransport final : public SocketTransport {
     /// constants are written in ticks (sim convention: ~1ms); the default
     /// compresses them 10x so loss-recovery tests stay fast.
     std::chrono::microseconds tick{100};
-    /// Connection establishment: attempts and exponential backoff bounds.
-    int connect_attempts = 20;
-    std::chrono::milliseconds connect_backoff{2};
-    std::chrono::milliseconds connect_backoff_cap{100};
-    /// Cap on per-frame padding bytes (real serialization cost tracks the
-    /// declared payload size up to this bound).
-    std::uint32_t max_pad = 64 * 1024;
     /// Deadline for parked delivery handlers (see CommonConfig::parked_ttl).
     std::chrono::milliseconds parked_ttl{3000};
     /// Seed for the backoff jitter RNG (determinism discipline: every
@@ -79,8 +72,6 @@ class TcpTransport final : public SocketTransport {
   /// in their peer-address tables.
   std::uint16_t port() const noexcept { return port_; }
 
-  const Config& config() const noexcept { return cfg_; }
-
   void stop() override;
 
   /// Test/fault hook: shuts down every outbound wire connection (self-wire
@@ -94,6 +85,12 @@ class TcpTransport final : public SocketTransport {
   /// Self-wire lanes: parallel loopback connections. Runs round-robin
   /// across them, so concurrent senders do not serialize on one stream.
   static constexpr std::size_t kSelfWireLanes = 2;
+  /// Cap on per-frame padding bytes (see SocketTransport's constructor).
+  static constexpr std::uint32_t kMaxPad = 64 * 1024;
+  /// Connection establishment: attempts and exponential backoff bounds.
+  static constexpr int kConnectAttempts = 20;
+  static constexpr std::chrono::milliseconds kConnectBackoff{2};
+  static constexpr std::chrono::milliseconds kConnectBackoffCap{100};
 
   void wire_write(const Run& run, std::vector<WireResult>& fate) override;
 
@@ -114,8 +111,6 @@ class TcpTransport final : public SocketTransport {
     int fd = -1;
     std::mutex mu;
   };
-
-  Config cfg_;
 
   // Sockets. listen_fd_ accepts; out_fds_ are the self-wire client ends
   // runs are written to (each guarded by its own write mutex so concurrent

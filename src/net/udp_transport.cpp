@@ -12,11 +12,7 @@
 namespace hkws::net {
 
 UdpTransport::UdpTransport(Config cfg)
-    : SocketTransport(CommonConfig{
-          cfg.tick,
-          std::min<std::uint32_t>(cfg.max_pad,
-                                  static_cast<std::uint32_t>(kMaxDatagram / 2)),
-          cfg.parked_ttl}) {
+    : SocketTransport(CommonConfig{cfg.tick, cfg.parked_ttl}, kMaxPad) {
   fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (fd_ < 0) throw std::runtime_error("UdpTransport: socket failed");
   // Generous buffers: a burst of envelopes must not turn into silent

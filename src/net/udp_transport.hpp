@@ -45,13 +45,13 @@ class UdpTransport final : public SocketTransport {
   /// Largest envelope frame one datagram carries (conservative loopback
   /// UDP payload bound).
   static constexpr std::size_t kMaxDatagram = 60 * 1024;
+  /// Cap on per-frame padding bytes: harder than TCP's, so a padded
+  /// envelope always fits one datagram.
+  static constexpr auto kMaxPad = static_cast<std::uint32_t>(kMaxDatagram / 2);
 
   struct Config {
     /// Wall-clock duration of one transport tick (see TcpTransport).
     std::chrono::microseconds tick{100};
-    /// Cap on per-frame padding bytes. Capped harder than TCP so padded
-    /// envelopes always fit one datagram.
-    std::uint32_t max_pad = 32 * 1024;
     /// Deadline for parked delivery handlers (see CommonConfig::parked_ttl).
     std::chrono::milliseconds parked_ttl{3000};
   };

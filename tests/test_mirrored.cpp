@@ -274,36 +274,50 @@ TEST(Mirrored, ResyncDuringWithdrawDoesNotResurrect) {
   EXPECT_TRUE(t.superset(KeywordSet({"news"})).hits.empty());
 }
 
-// Resync re-seeds only published objects: once the DOLR holds no reference
-// to an object, its surviving entry counts as withdrawn and is neither
-// restored nor reported, until the object is published again.
-TEST(Mirrored, ResyncWaitsForAnObjectsReference) {
+// An entry that survives in one cube after every copy of its object's
+// reference died with failed peers is a lost entry, not a withdrawal: the
+// object was never withdrawn. Resync counts it and restores it into the
+// other cube, whatever the DOLR still holds.
+TEST(Mirrored, ResyncRestoresEntriesWhoseReferencesWereLost) {
   MirrorNet t(16);
-  const KeywordSet k({"news", "tv"});
-  t.index->publish(1, 7, k);
+  constexpr ObjectId kObject = 7;
+  // The reference copies: L(o)'s owner and its two successors (factor 3).
+  const dht::RingId ref_owner = t.dht->owner_of(t.dolr->object_key(kObject));
+  std::set<sim::EndpointId> victims{t.dht->endpoint_of(ref_owner)};
+  for (const dht::RingId id : t.dht->replica_targets(ref_owner, 2))
+    victims.insert(t.dht->endpoint_of(id));
+  // A keyword set whose mirror entry lives on none of those peers; its
+  // primary entry's peer dies with them.
+  KeywordSet k;
+  for (int attempt = 0; attempt < 64; ++attempt) {
+    const KeywordSet candidate({"lost" + std::to_string(attempt)});
+    const sim::EndpointId p = t.index->primary().peer_of(
+        t.index->primary().responsible_node(candidate));
+    const sim::EndpointId m = t.index->mirror().peer_of(
+        t.index->mirror().responsible_node(candidate));
+    if (p == m || victims.contains(m)) continue;
+    k = candidate;
+    victims.insert(p);
+    break;
+  }
+  ASSERT_FALSE(k.empty());
+  t.index->publish(1, kObject, k);
   t.clock.run();
-  t.index->primary().deindex(1, 7, k);  // the primary's entry is lost
-  t.clock.run();
-  ASSERT_FALSE(t.index->primary().has_entry(k, 7));
-  ASSERT_TRUE(t.index->mirror().has_entry(k, 7));
-  EXPECT_EQ(t.index->resync_backlog(), 1u);
+  ASSERT_TRUE(t.index->primary().has_entry(k, kObject));
+  ASSERT_TRUE(t.index->mirror().has_entry(k, kObject));
 
-  t.dolr->remove(1, 7);  // and so is every copy of its reference
+  for (const sim::EndpointId ep : victims) t.dht->fail(ep);
+  for (int round = 0; round < 20; ++round) t.dht->stabilize_all();
+  t.index->purge_dead();
+  t.index->repair_placement();
   t.clock.run();
-  ASSERT_FALSE(t.dolr->has_reference(7));
-  EXPECT_EQ(t.index->resync_backlog(), 0u);
-  EXPECT_EQ(t.index->resync(1000), 0u);
-  t.clock.run();
-  EXPECT_FALSE(t.index->primary().has_entry(k, 7));
-  EXPECT_TRUE(t.index->mirror().has_entry(k, 7));
+  ASSERT_FALSE(t.index->primary().has_entry(k, kObject));
+  ASSERT_TRUE(t.index->mirror().has_entry(k, kObject));
 
-  t.dolr->insert(1, 7);
-  t.clock.run();
-  ASSERT_TRUE(t.dolr->has_reference(7));
   EXPECT_EQ(t.index->resync_backlog(), 1u);
   EXPECT_EQ(t.index->resync(1000), 1u);
   t.clock.run();
-  EXPECT_TRUE(t.index->primary().has_entry(k, 7));
+  EXPECT_TRUE(t.index->primary().has_entry(k, kObject));
   EXPECT_EQ(t.index->resync_backlog(), 0u);
 }
 

@@ -8,6 +8,7 @@
 // is applied on top and must agree too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <limits>
@@ -227,13 +228,75 @@ TEST(SearchEquivalence, ThresholdedSequentialMatchesLogical) {
       for (const std::size_t threshold : {std::size_t{3}, std::size_t{9}}) {
         const std::vector<Hit> ref =
             reference_hits(logical, q, threshold, strategy);
+        // Top-down also sets `complete` by the reference's rule: a search
+        // stopped at node w is incomplete iff a node queued before w's
+        // children was left unvisited.
+        const bool top_down = strategy == SearchStrategy::kTopDownSequential;
+        const bool ref_complete =
+            logical.superset_search(q, threshold, strategy).stats.complete;
         for (int round = 0; round < 2; ++round) {
-          expect_identical(on.search(q, threshold, strategy).hits, ref, q,
-                           "thresholded coalesce-on");
-          expect_identical(off.search(q, threshold, strategy).hits, ref, q,
-                           "thresholded coalesce-off");
+          const SearchResult a = on.search(q, threshold, strategy);
+          const SearchResult b = off.search(q, threshold, strategy);
+          expect_identical(a.hits, ref, q, "thresholded coalesce-on");
+          expect_identical(b.hits, ref, q, "thresholded coalesce-off");
+          if (top_down) {
+            EXPECT_EQ(a.stats.complete, ref_complete)
+                << "query=" << q.to_string() << " threshold=" << threshold;
+            EXPECT_EQ(b.stats.complete, ref_complete)
+                << "query=" << q.to_string() << " threshold=" << threshold;
+          }
         }
       }
+    }
+  }
+}
+
+// Cumulative sessions walk the SBT in the reference's BFS order, resuming
+// mid-node where the previous page stopped: every page must equal
+// LogicalIndex::CumulativeSession::next's page of the same size. Page
+// sizes 1 and 3 split nodes' match lists; the largest exceeds every
+// node's table, so each page ends on a node boundary or at the end. The
+// overlay notices exhaustion one page late when the last match fills a
+// page exactly; after the reference reports complete it may return one
+// more page, and that page must be empty. Fixed latency: a page is
+// assembled in the order its nodes' slices arrive at the searcher.
+TEST(SearchEquivalence, CumulativePagesMatchLogicalSessions) {
+  LogicalIndex logical({.r = kR});
+  for (const auto& [id, k] : corpus(0xc0ffee)) logical.insert(id, k);
+  std::size_t largest_table = 0;
+  for (const std::size_t load : logical.loads())
+    largest_table = std::max(largest_table, load);
+
+  Deployment d(true, nullptr);
+  for (const std::size_t page : {std::size_t{1}, std::size_t{3},
+                                 largest_table + 1}) {
+    for (const KeywordSet& q : probe_queries()) {
+      auto ref = logical.begin_cumulative(q);
+      const std::uint64_t session = d.index->open_cumulative(2, q);
+      const auto next_page = [&] {
+        std::optional<SearchResult> result;
+        d.index->cumulative_next(session, page,
+                                 [&](const SearchResult& r) { result = r; });
+        d.clock.run();
+        EXPECT_TRUE(result.has_value());
+        return result.value_or(SearchResult{});
+      };
+      std::size_t pages = 0;
+      for (bool complete = false; !complete; ++pages) {
+        ASSERT_LT(pages, 1000u) << "query=" << q.to_string();
+        const SearchResult want = ref.next(page);
+        const SearchResult got = next_page();
+        expect_identical(got.hits, want.hits, q, "cumulative page");
+        complete = want.stats.complete;
+        if (!complete) EXPECT_FALSE(got.stats.complete);
+      }
+      if (!d.index->cumulative_exhausted(session)) {
+        const SearchResult tail = next_page();
+        EXPECT_TRUE(tail.hits.empty()) << "query=" << q.to_string();
+        EXPECT_TRUE(tail.stats.complete) << "query=" << q.to_string();
+      }
+      EXPECT_TRUE(d.index->cumulative_exhausted(session));
+      d.index->close_cumulative(session);
     }
   }
 }
