@@ -165,7 +165,6 @@ OverlayIndex::PinState* OverlayIndex::find_pin(std::uint64_t pin_id) {
 void OverlayIndex::pin_attempt(std::uint64_t pin_id) {
   PinState* pin = find_pin(pin_id);
   if (!pin) return;
-  ++pin->attempts;
   const cube::CubeId u = hasher_.responsible_node(pin->keywords);
   overlay_.route(
       pin->searcher, ring_key_of(u), "kws.pin",
@@ -185,50 +184,36 @@ void OverlayIndex::pin_attempt(std::uint64_t pin_id) {
                   [this, pin_id, hits = std::move(hits)] {
                     PinState* p2 = find_pin(pin_id);
                     if (!p2) return;  // duplicate reply of a retried attempt
-                    if (p2->timer != 0) net_.cancel_timer(p2->timer);
-                    SearchResult result;
-                    result.hits = hits;
-                    result.stats = p2->stats;
-                    ++result.stats.messages;  // the direct reply
-                    result.stats.nodes_contacted = 1;
-                    result.stats.rounds = 1;
-                    result.stats.complete = true;
-                    if (p2->attempts > 1) {
+                    SearchStats& s = p2->stats;
+                    ++s.messages;  // the direct reply
+                    s.nodes_contacted = 1;
+                    s.rounds = 1;
+                    s.complete = true;
+                    if (p2->guard.sends > 1) {
                       // A retry crossed a timeout: the serving peer may have
                       // changed under us, so the answer counts as degraded.
-                      result.stats.degraded = true;
-                      result.stats.failovers =
-                          static_cast<std::size_t>(p2->attempts - 1);
+                      s.degraded = true;
+                      s.failovers =
+                          static_cast<std::size_t>(p2->guard.sends - 1);
                     }
-                    SearchCallback cb = std::move(p2->done);
-                    pins_.erase(pin_id);
-                    cb(result);
+                    deliver_pin(pin_id, hits);
                   });
       });
   // Guarded pins: route + reply under one retransmission timer, so a pin
   // aimed at a peer that dies mid-query retries (and the re-route lands on
   // the surrogate owner) instead of hanging forever.
-  if (cfg_.step_timeout == 0 || cfg_.failover_after == 0) return;
-  PinState* p = find_pin(pin_id);
-  if (!p) return;  // the route may complete in place
-  p->timer = net_.set_timer(resend_delay(p->attempts), [this, pin_id] {
-    PinState* p2 = find_pin(pin_id);
-    if (!p2) return;
-    p2->timer = 0;
-    if (p2->attempts > cfg_.max_retries) {
-      net_.metrics().count("kws.request_failed");
-      SearchResult result;
-      result.stats = p2->stats;
-      result.stats.failed = true;
-      SearchCallback cb = std::move(p2->done);
-      pins_.erase(pin_id);
-      cb(result);
-      return;
-    }
-    ++p2->stats.retransmits;
-    net_.metrics().count("kws.retransmit");
-    pin_attempt(pin_id);
-  });
+  arm(pin_id, Step::kPin, 0);
+}
+
+void OverlayIndex::deliver_pin(std::uint64_t pin_id, std::vector<Hit> hits) {
+  PinState* pin = find_pin(pin_id);
+  if (pin->guard.timer != 0) net_.cancel_timer(pin->guard.timer);
+  SearchResult result;
+  result.hits = std::move(hits);
+  result.stats = pin->stats;
+  SearchCallback cb = std::move(pin->done);
+  pins_.erase(pin_id);
+  cb(result);
 }
 
 // --- Superset search ----------------------------------------------------------
@@ -258,7 +243,6 @@ std::uint64_t OverlayIndex::superset_search(sim::EndpointId searcher,
 void OverlayIndex::begin_root_route(std::uint64_t req_id) {
   Request* req = find(req_id);
   if (!req) return;
-  ++req->root_attempts;
   overlay_.route(
       req->searcher, ring_key_of(req->root_cube), "kws.t_query",
       kCtrlBytes + req->query.keywords().size() * 12,
@@ -268,10 +252,7 @@ void OverlayIndex::begin_root_route(std::uint64_t req_id) {
         // timeout-triggered re-route that happened to survive after all.
         if (!r || r->root_resolved) return;
         r->root_resolved = true;
-        if (r->root_timer != 0) {
-          net_.cancel_timer(r->root_timer);
-          r->root_timer = 0;
-        }
+        release(*r, Step::kRoot, r->root_cube);
         r->root_peer = overlay_.endpoint_of(rr.owner);
         r->stats.messages += static_cast<std::size_t>(rr.hops);
         r->stats.nodes_contacted = 1;
@@ -284,9 +265,7 @@ void OverlayIndex::begin_root_route(std::uint64_t req_id) {
           const sim::EndpointId owner = r->root_peer;
           r->root_peer = rep;
           ++r->stats.messages;
-          ++replica_spread_visits_;
-          net_.metrics().count("kws.replica_spread");
-          emit(req_id, "spread", r->root_cube, rep);
+          count_spread(req_id, r->root_cube, rep);
           net_.send(owner, rep, "kws.t_query", kCtrlBytes,
                     [this, req_id, owner] {
                       Request* r2 = find(req_id);
@@ -302,23 +281,9 @@ void OverlayIndex::begin_root_route(std::uint64_t req_id) {
         }
         start_at_root(*r);
       });
-  if (cfg_.step_timeout == 0) return;
   Request* r = find(req_id);  // re-find: the route may complete in place
-  if (r == nullptr || r->root_resolved) return;
-  r->root_timer = net_.set_timer(resend_delay(r->root_attempts),
-                                 [this, req_id] {
-    Request* r2 = find(req_id);
-    if (!r2 || r2->root_resolved) return;
-    r2->root_timer = 0;
-    if (r2->root_attempts > cfg_.max_retries) {
-      abort_request(req_id);
-      return;
-    }
-    ++r2->stats.retransmits;
-    net_.metrics().count("kws.retransmit");
-    emit(req_id, "retransmit", r2->root_cube);
-    begin_root_route(req_id);
-  });
+  if (r != nullptr && !r->root_resolved)
+    arm(req_id, Step::kRoot, r->root_cube);
 }
 
 void OverlayIndex::failover_root(std::uint64_t req_id) {
@@ -339,11 +304,16 @@ void OverlayIndex::failover_root(std::uint64_t req_id) {
         const sim::EndpointId surrogate = overlay_.endpoint_of(rr.owner);
         if (surrogate == r->root_peer) return;  // root is alive after all
         r->root_peer = surrogate;
-        ++r->stats.failovers;
-        r->stats.degraded = true;
-        net_.metrics().count("kws.failover");
-        emit(req_id, "failover", surrogate);
+        count_failover(*r, surrogate, 0);
       });
+}
+
+void OverlayIndex::count_failover(Request& req, std::uint64_t a,
+                                  std::uint64_t b) {
+  ++req.stats.failovers;
+  req.stats.degraded = true;
+  net_.metrics().count("kws.failover");
+  emit(req.id, "failover", a, b);
 }
 
 bool OverlayIndex::cancel(std::uint64_t request) {
@@ -508,31 +478,39 @@ std::vector<Hit> OverlayIndex::assemble_hits(const Request& req) const {
   return out;
 }
 
+const OverlayIndex::Visit* OverlayIndex::arrive(Request& req, cube::CubeId w,
+                                                sim::EndpointId peer,
+                                                bool ship) {
+  const bool first = !req.visits.contains(w);
+  // Demoted while the spread visit was in flight: drop the arrival and let
+  // the step guard retransmit through a fresh pick (only when timers exist
+  // to recover — without them a drop would hang the search). Un-learn the
+  // contact if it pointed here, so the retransmit re-resolves instead of
+  // repeating the drop forever.
+  if (cfg_.hot.enabled && cfg_.step_timeout != 0 && first &&
+      !can_serve(peer, w)) {
+    PeerState& ps = peer_state(req.root_peer);
+    if (const auto it = ps.contacts.find(w);
+        it != ps.contacts.end() && it->second == peer)
+      ps.contacts.erase(it);
+    return nullptr;
+  }
+  if (first) ++req.stats.nodes_contacted;
+  return &ensure_scan(req, w, peer, ship);
+}
+
 void OverlayIndex::on_query_arrived(std::uint64_t req_id, cube::CubeId w,
                                     sim::EndpointId peer) {
   Request* req = find(req_id);
   if (!req) return;
-  // Demoted while the spread visit was in flight: drop the arrival and let
-  // the step timer retransmit through a fresh pick (only when timers exist
-  // to recover — without them a drop would hang the search). Un-learn the
-  // contact if it pointed here, so the retransmit re-resolves instead of
-  // repeating the drop forever.
-  if (cfg_.hot.enabled && cfg_.step_timeout != 0 &&
-      !req->visits.contains(w) && !can_serve(peer, w)) {
-    PeerState& ps = peer_state(req->root_peer);
-    if (const auto it = ps.contacts.find(w);
-        it != ps.contacts.end() && it->second == peer)
-      ps.contacts.erase(it);
-    return;
-  }
-  if (!req->visits.contains(w)) ++req->stats.nodes_contacted;
-  const Visit& v = ensure_scan(*req, w, peer);
+  const Visit* v = arrive(*req, w, peer, /*ship=*/true);
+  if (v == nullptr) return;
   // T_CONT carries the child list L; T_STOP ends the search. Either way one
   // direct control message back to the coordinator (replayed on
   // retransmitted queries so a lost reply cannot stall the coordinator).
   ++req->stats.messages;
-  net_.send(peer, req->root_peer, v.stop ? "kws.t_stop" : "kws.t_cont",
-            kCtrlBytes, [this, req_id, w, peer, c1 = v.c1] {
+  net_.send(peer, req->root_peer, v->stop ? "kws.t_stop" : "kws.t_cont",
+            kCtrlBytes, [this, req_id, w, peer, c1 = v->c1] {
               on_node_answered(req_id, w, peer, c1);
             });
 }
@@ -559,45 +537,9 @@ void OverlayIndex::visit_node(std::uint64_t req_id, cube::CubeId w) {
         // A learned contact died: the step falls back to DHT routing and
         // lands on the surrogate owner, whose table may miss entries lost
         // with the peer — the result can no longer be trusted as complete.
-        Request* r = find(req_id);
-        if (!r) return;
-        ++r->stats.failovers;
-        r->stats.degraded = true;
-        net_.metrics().count("kws.failover");
-        emit(req_id, "failover", w, 2);
+        if (Request* r = find(req_id)) count_failover(*r, w, 2);
       });
-  arm_step_timer(req_id, w);
-}
-
-void OverlayIndex::arm_step_timer(std::uint64_t req_id, cube::CubeId w) {
-  if (cfg_.step_timeout == 0) return;
-  Request* req = find(req_id);
-  if (!req || req->answered.contains(w)) return;
-  if (const auto it = req->step_timers.find(w); it != req->step_timers.end())
-    net_.cancel_timer(it->second);
-  const auto attempts_it = req->step_attempts.find(w);
-  const int attempt =
-      (attempts_it == req->step_attempts.end() ? 0 : attempts_it->second) + 1;
-  req->step_timers[w] =
-      net_.set_timer(resend_delay(attempt), [this, req_id, w] {
-        Request* r = find(req_id);
-        if (!r || r->answered.contains(w)) return;
-        r->step_timers.erase(w);
-        int& attempts = r->step_attempts[w];
-        if (++attempts > cfg_.max_retries) {
-          abort_request(req_id);
-          return;
-        }
-        ++r->stats.retransmits;
-        net_.metrics().count("kws.retransmit");
-        emit(req_id, "retransmit", w);
-        // Repeated timeouts on one step usually mean the coordinator (or
-        // its stale idea of the root) is dead, not that messages are merely
-        // slow: re-resolve the root before burning more of the budget.
-        if (cfg_.failover_after != 0 && attempts >= cfg_.failover_after)
-          failover_root(req_id);
-        visit_node(req_id, w);
-      });
+  arm(req_id, Step::kNode, w);
 }
 
 void OverlayIndex::send_to_cube_node(
@@ -724,11 +666,7 @@ void OverlayIndex::start_level(std::uint64_t req_id) {
       continue;
     }
     const LevelSlot& slot = slots[k];
-    if (slot.replica) {
-      ++replica_spread_visits_;
-      net_.metrics().count("kws.replica_spread");
-      emit(req_id, "spread", w, slot.dest);
-    }
+    if (slot.replica) count_spread(req_id, w, slot.dest);
     if (k == slot.run_begin) {
       level_batch_.clear();
       for (std::uint32_t m = k; m < k + slot.run_size; ++m)
@@ -754,7 +692,7 @@ void OverlayIndex::send_visit_batch(std::uint64_t req_id, sim::EndpointId peer,
             });
   // The usual per-node step guards: a lost batch (or reply) retransmits
   // each node individually via visit_node, replaying the memoized scans.
-  for (const cube::CubeId w : nodes) arm_step_timer(req_id, w);
+  for (const cube::CubeId w : nodes) arm(req_id, Step::kNode, w);
 }
 
 void OverlayIndex::on_visit_batch_arrived(
@@ -771,23 +709,14 @@ void OverlayIndex::on_visit_batch_arrived(
   std::vector<std::pair<cube::CubeId, std::size_t>> verdicts;
   std::size_t total_hits = 0;
   for (const cube::CubeId w : nodes) {
-    // Same demotion race as on_query_arrived: leave the node out of the
-    // reply (its step timer retransmits it individually) and un-learn the
-    // stale contact so the retransmit re-resolves.
-    if (cfg_.hot.enabled && cfg_.step_timeout != 0 &&
-        !req->visits.contains(w) && !can_serve(peer, w)) {
-      PeerState& ps = peer_state(req->root_peer);
-      if (const auto it = ps.contacts.find(w);
-          it != ps.contacts.end() && it->second == peer)
-        ps.contacts.erase(it);
-      continue;
-    }
-    if (!req->visits.contains(w)) ++req->stats.nodes_contacted;
-    const Visit& v = ensure_scan(*req, w, peer, /*ship=*/false);
-    verdicts.emplace_back(w, v.c1);
-    if (v.c1 > 0) {
-      batches.emplace_back(w, v.batch);  // shares the buffer, no copy
-      total_hits += v.c1;
+    // A dropped arrival is left out of the reply; its step guard
+    // retransmits the node individually.
+    const Visit* v = arrive(*req, w, peer, /*ship=*/false);
+    if (v == nullptr) continue;
+    verdicts.emplace_back(w, v->c1);
+    if (v->c1 > 0) {
+      batches.emplace_back(w, v->batch);  // shares the buffer, no copy
+      total_hits += v->c1;
     }
   }
   if (cfg_.step_timeout == 0) {
@@ -818,11 +747,7 @@ void OverlayIndex::on_node_answered(std::uint64_t req_id, cube::CubeId w,
   Request* req = find(req_id);
   if (!req) return;
   if (!req->answered.insert(w).second) return;  // duplicate control reply
-  if (const auto it = req->step_timers.find(w); it != req->step_timers.end()) {
-    net_.cancel_timer(it->second);
-    req->step_timers.erase(it);
-  }
-  req->step_attempts.erase(w);
+  release(*req, Step::kNode, w);
   req->collected += c1;
   if (c1 > 0)
     req->contributors.emplace_back(w, static_cast<std::uint32_t>(c1));
@@ -893,115 +818,166 @@ void OverlayIndex::finish(std::uint64_t req_id) {
 void OverlayIndex::send_done(std::uint64_t req_id) {
   Request* req = find(req_id);
   if (!req || req->done_received) return;
-  ++req->done_attempts;
   ++req->stats.messages;  // the final done notification to the searcher
   net_.send(req->root_peer, req->searcher, "kws.done", kCtrlBytes,
             [this, req_id] {
               Request* r = find(req_id);
               if (!r || r->done_received) return;
               r->done_received = true;
-              if (r->done_timer != 0) {
-                net_.cancel_timer(r->done_timer);
-                r->done_timer = 0;
-              }
+              release(*r, Step::kDone, r->root_cube);
               maybe_complete(req_id);
             });
-  if (cfg_.step_timeout == 0) return;
-  req->done_timer = net_.set_timer(resend_delay(req->done_attempts),
-                                   [this, req_id] {
-    Request* r = find(req_id);
-    if (!r || r->done_received) return;
-    r->done_timer = 0;
-    if (r->done_attempts > cfg_.max_retries) {
-      abort_request(req_id);
-      return;
-    }
-    ++r->stats.retransmits;
-    net_.metrics().count("kws.retransmit");
-    emit(req_id, "retransmit", r->root_cube, 1);
-    send_done(req_id);
-  });
+  arm(req_id, Step::kDone, req->root_cube);
 }
 
-void OverlayIndex::arm_repair_timer(std::uint64_t req_id) {
-  Request* req = find(req_id);
-  if (!req || req->repair_timer != 0) return;
-  if (req->repair_attempts >= cfg_.max_retries) {
-    abort_request(req_id);
+void OverlayIndex::repair_results(std::uint64_t req_id) {
+  Request* r = find(req_id);
+  if (!r) return;
+  for (auto& [node, v] : r->visits) {
+    if (v.c1 == 0 || r->delivered.contains(node)) continue;
+    if (cfg_.failover_after != 0 && !net_.is_registered(v.peer)) {
+      // The batch's origin died with the batch still undelivered: the
+      // hits are unrecoverable until background repair re-homes the
+      // entries. Serve what arrived as a degraded result instead of
+      // burning the budget re-shipping from a dead peer.
+      r->delivered.insert(node);
+      ++r->results_received;
+      r->stats.complete = false;
+      count_failover(*r, node, 1);
+      continue;
+    }
+    count_retransmit(r->stats, req_id, node, 2);
+    ship_results(*r, node, v.peer, v);
+  }
+  maybe_complete(req_id);  // arms the next round if batches are lost again
+}
+
+OverlayIndex::Guard* OverlayIndex::guard_of(std::uint64_t id, Step step,
+                                            cube::CubeId w) {
+  if (step == Step::kPin) {
+    PinState* pin = find_pin(id);
+    return pin != nullptr ? &pin->guard : nullptr;
+  }
+  Request* req = cfg_.step_timeout != 0 ? find(id) : nullptr;
+  return req != nullptr ? &req->guards[guard_key(step, w)] : nullptr;
+}
+
+void OverlayIndex::arm(std::uint64_t id, Step step, cube::CubeId w) {
+  Guard* g = guard_of(id, step, w);
+  if (g == nullptr) return;
+  ++g->sends;
+  if (cfg_.step_timeout == 0 ||
+      (step == Step::kPin && cfg_.failover_after == 0))
+    return;
+  if (g->timer != 0) net_.cancel_timer(g->timer);
+  g->timer = net_.set_timer(resend_delay(g->sends),
+                            [this, id, step, w] { on_expired(id, step, w); });
+}
+
+void OverlayIndex::release(Request& req, Step step, cube::CubeId w) {
+  const auto it = req.guards.find(guard_key(step, w));
+  if (it == req.guards.end() || it->second.timer == 0) return;
+  net_.cancel_timer(it->second.timer);
+  it->second.timer = 0;
+}
+
+void OverlayIndex::on_expired(std::uint64_t id, Step step, cube::CubeId w) {
+  // Completion cancels a step's timer, so the guard and its owner are live.
+  Guard* g = guard_of(id, step, w);
+  if (g == nullptr) return;
+  g->timer = 0;
+  const int sends = g->sends;
+  PinState* pin = step == Step::kPin ? find_pin(id) : nullptr;
+  SearchStats& stats = pin != nullptr ? pin->stats : find(id)->stats;
+  if (sends > cfg_.max_retries) {  // budget spent: the step gives up
+    if (pin == nullptr) {
+      abort_request(id);
+      return;
+    }
+    net_.metrics().count("kws.request_failed");
+    stats.failed = true;
+    deliver_pin(id, {});
     return;
   }
-  ++req->repair_attempts;
-  req->repair_timer = net_.set_timer(resend_delay(req->repair_attempts),
-                                     [this, req_id] {
-    Request* r = find(req_id);
-    if (!r) return;
-    r->repair_timer = 0;
-    for (auto& [node, v] : r->visits) {
-      if (v.c1 == 0 || r->delivered.contains(node)) continue;
-      if (cfg_.failover_after != 0 && !net_.is_registered(v.peer)) {
-        // The batch's origin died with the batch still undelivered: the
-        // hits are unrecoverable until background repair re-homes the
-        // entries. Serve what arrived as a degraded result instead of
-        // burning the budget re-shipping from a dead peer.
-        r->delivered.insert(node);
-        ++r->results_received;
-        ++r->stats.failovers;
-        r->stats.degraded = true;
-        r->stats.complete = false;
-        net_.metrics().count("kws.failover");
-        emit(req_id, "failover", node, 1);
-        continue;
-      }
-      ++r->stats.retransmits;
-      net_.metrics().count("kws.retransmit");
-      emit(req_id, "retransmit", node, 2);
-      ship_results(*r, node, v.peer, v);
-    }
-    maybe_complete(req_id);  // arms the next round if batches are lost again
-  });
+  // A repair round counts each batch it re-ships instead.
+  if (step != Step::kRepair)
+    count_retransmit(stats, pin != nullptr ? 0 : id, w,
+                     step == Step::kDone ? 1 : 0);
+  switch (step) {
+    case Step::kPin:
+      pin_attempt(id);
+      return;
+    case Step::kRoot:
+      begin_root_route(id);
+      return;
+    case Step::kNode:
+      // Repeated timeouts on one step usually mean the coordinator (or its
+      // stale idea of the root) is dead, not that messages are merely slow:
+      // re-resolve the root before burning more of the budget.
+      if (cfg_.failover_after != 0 && sends >= cfg_.failover_after)
+        failover_root(id);
+      visit_node(id, w);
+      return;
+    case Step::kDone:
+      send_done(id);
+      return;
+    case Step::kRepair:
+      repair_results(id);
+      return;
+  }
+}
+
+void OverlayIndex::count_retransmit(SearchStats& stats, std::uint64_t req_id,
+                                    cube::CubeId a, std::uint64_t b) {
+  ++stats.retransmits;
+  net_.metrics().count("kws.retransmit");
+  if (req_id != 0) emit(req_id, "retransmit", a, b);
 }
 
 void OverlayIndex::release_timers(Request& req) {
-  net::Transport& clock = net_;
-  if (req.root_timer != 0) clock.cancel_timer(req.root_timer);
-  if (req.done_timer != 0) clock.cancel_timer(req.done_timer);
-  if (req.repair_timer != 0) clock.cancel_timer(req.repair_timer);
-  req.root_timer = req.done_timer = req.repair_timer = 0;
-  for (const auto& [node, timer] : req.step_timers) clock.cancel_timer(timer);
-  req.step_timers.clear();
+  for (const auto& [key, g] : req.guards)
+    if (g.timer != 0) net_.cancel_timer(g.timer);
+  req.guards.clear();
 }
 
 void OverlayIndex::abort_request(std::uint64_t req_id) {
   Request* req = find(req_id);
   if (!req) return;
-  release_timers(*req);
   net_.metrics().count("kws.request_failed");
   emit(req_id, "failed");
-  SearchResult result;
-  result.hits = assemble_hits(*req);
-  result.stats = req->stats;
-  result.stats.failed = true;
-  result.stats.complete = false;
-  SearchCallback cb = std::move(req->done);
-  requests_.erase(req_id);
-  if (cb) cb(result);
+  req->stats.failed = true;
+  req->stats.complete = false;
+  deliver(*req);
 }
 
 void OverlayIndex::maybe_complete(std::uint64_t req_id) {
   Request* req = find(req_id);
   if (!req) return;
-  if (!req->done_received || req->results_received != req->results_expected) {
-    // A result batch can be lost even though the done arrived; after a
-    // grace timeout re-ship whatever the searcher is still missing.
-    if (req->done_received && cfg_.step_timeout != 0) arm_repair_timer(req_id);
+  if (req->done_received && req->results_received == req->results_expected) {
+    deliver(*req);
     return;
   }
-  release_timers(*req);
+  // A result batch can be lost even though the done arrived; after a grace
+  // timeout re-ship whatever the searcher is still missing. The repair
+  // gives up when arming past its budget, not when its timer expires.
+  if (!req->done_received || cfg_.step_timeout == 0) return;
+  const Guard& g = *guard_of(req_id, Step::kRepair, 0);
+  if (g.timer != 0) return;  // a repair round is already pending
+  if (g.sends >= cfg_.max_retries) {
+    abort_request(req_id);
+    return;
+  }
+  arm(req_id, Step::kRepair, 0);
+}
+
+void OverlayIndex::deliver(Request& req) {
+  release_timers(req);
   SearchResult result;
-  result.hits = assemble_hits(*req);
-  result.stats = req->stats;
-  SearchCallback cb = std::move(req->done);
-  requests_.erase(req_id);
+  result.hits = assemble_hits(req);
+  result.stats = req.stats;
+  SearchCallback cb = std::move(req.done);
+  const std::uint64_t id = req.id;
+  requests_.erase(id);
   if (cb) cb(result);
 }
 
@@ -1359,12 +1335,17 @@ void OverlayIndex::visit_replica(std::uint64_t req_id, cube::CubeId w,
   Request* req = find(req_id);
   if (!req) return;
   ++req->stats.messages;
-  ++replica_spread_visits_;
-  net_.metrics().count("kws.replica_spread");
-  emit(req_id, "spread", w, peer);
+  count_spread(req_id, w, peer);
   net_.send(req->root_peer, peer, "kws.t_query", kCtrlBytes,
             [this, req_id, w, peer] { on_query_arrived(req_id, w, peer); });
-  arm_step_timer(req_id, w);
+  arm(req_id, Step::kNode, w);
+}
+
+void OverlayIndex::count_spread(std::uint64_t req_id, cube::CubeId w,
+                                sim::EndpointId holder) {
+  ++replica_spread_visits_;
+  net_.metrics().count("kws.replica_spread");
+  emit(req_id, "spread", w, holder);
 }
 
 bool OverlayIndex::can_serve(sim::EndpointId peer, cube::CubeId w) const {

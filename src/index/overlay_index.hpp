@@ -431,6 +431,16 @@ class OverlayIndex {
   /// kPlan: one node at a time in a fixed order; kLevels: level by level.
   enum class Mode { kPlan, kLevels };
 
+  /// The loss-guarded protocol steps (kNode once per cube node).
+  enum class Step : std::uint8_t { kPin, kRoot, kNode, kDone, kRepair };
+
+  /// A guarded step: its retransmission timer (0 = not armed) and the sends
+  /// made so far, the first included.
+  struct Guard {
+    net::Transport::TimerId timer = 0;
+    int sends = 0;
+  };
+
   /// Target-side memo of one node's first scan for a request. Keeping the
   /// batch makes retransmitted T_QUERYs idempotent: a node always replays
   /// its original answer, never a rescan (whose room() could have changed).
@@ -466,14 +476,7 @@ class OverlayIndex {
     std::unordered_map<cube::CubeId, Visit> visits;     // scanned nodes
     std::unordered_set<cube::CubeId> answered;          // coordinator dedup
     std::unordered_set<cube::CubeId> delivered;         // searcher dedup
-    std::unordered_map<cube::CubeId, net::Transport::TimerId> step_timers;
-    std::unordered_map<cube::CubeId, int> step_attempts;
-    net::Transport::TimerId root_timer = 0;
-    int root_attempts = 0;
-    net::Transport::TimerId done_timer = 0;
-    int done_attempts = 0;
-    net::Transport::TimerId repair_timer = 0;
-    int repair_attempts = 0;
+    std::unordered_map<std::uint64_t, Guard> guards;  // by (node, step)
     // kPlan state: BFS (top-down), deepest-first (bottom-up) or cached
     // contributors' order, root excluded.
     std::vector<cube::CubeId> plan;
@@ -536,8 +539,7 @@ class OverlayIndex {
   struct PinState {
     KeywordSet keywords;
     sim::EndpointId searcher = 0;
-    int attempts = 0;
-    net::Transport::TimerId timer = 0;
+    Guard guard;
     SearchStats stats;  ///< accumulates messages/retransmits across attempts
     SearchCallback done;
   };
@@ -545,6 +547,8 @@ class OverlayIndex {
   PinState* find_pin(std::uint64_t pin_id);
   /// Sends (or resends) the pin query; arms its timer when guarded.
   void pin_attempt(std::uint64_t pin_id);
+  /// The pin's one way to end: erase it, then call back.
+  void deliver_pin(std::uint64_t pin_id, std::vector<Hit> hits);
 
   /// The one index-entry step: routes kws.insert (`add`) or kws.delete to
   /// g(F_h(keywords)), applies it at the owner (epoch, replicas, cached
@@ -580,10 +584,13 @@ class OverlayIndex {
   sim::EndpointId pick_replica(cube::CubeId w);
 
   /// Sends the T_QUERY for `w` directly to replica holder `peer` (the
-  /// spread path of visit_node); the usual step timer covers loss, and a
+  /// spread path of visit_node); the usual step guard covers loss, and a
   /// retransmission goes back through visit_node/pick_replica.
   void visit_replica(std::uint64_t req_id, cube::CubeId w,
                      sim::EndpointId peer);
+  /// Counts a visit of `w` served by replica holder `holder`.
+  void count_spread(std::uint64_t req_id, cube::CubeId w,
+                    sim::EndpointId holder);
 
   /// `coordinator`'s cached contact for cube node `w`, or 0 if none.
   sim::EndpointId cached_contact(sim::EndpointId coordinator,
@@ -635,13 +642,19 @@ class OverlayIndex {
   /// ownership moved (the root peer died), re-aims the coordinator at the
   /// surrogate owner and marks the request degraded.
   void failover_root(std::uint64_t req_id);
-  /// Sends (or resends) the T_QUERY for node `w` and arms its step timer.
+  /// Counts a failover of the request (trace point "failover" a, b).
+  void count_failover(Request& req, std::uint64_t a, std::uint64_t b);
+  /// Sends (or resends) the T_QUERY for node `w` and arms its step guard.
   void visit_node(std::uint64_t req_id, cube::CubeId w);
   /// Runs at the peer playing `w` when a T_QUERY arrives: scans once
   /// (memoized), ships the result batch to the searcher, answers the
   /// coordinator with T_CONT/T_STOP. Idempotent under retransmission.
   void on_query_arrived(std::uint64_t req_id, cube::CubeId w,
                         sim::EndpointId peer);
+  /// Every query arrival's per-node prelude: drops one for a demoted cell
+  /// (nullptr), counts a first contact, runs ensure_scan.
+  const Visit* arrive(Request& req, cube::CubeId w, sim::EndpointId peer,
+                      bool ship);
   /// First-scan memoization: scans `w` at `peer` for the request if this is
   /// the first arrival and — unless `ship` is false — ships the batch to
   /// the searcher (replaying the memoized batch on retransmitted arrivals).
@@ -669,16 +682,33 @@ class OverlayIndex {
                   const HitBatchPool::Batch& batch);
   void on_node_answered(std::uint64_t req_id, cube::CubeId w,
                         sim::EndpointId peer, std::size_t c1);
-  void arm_step_timer(std::uint64_t req_id, cube::CubeId w);
   /// Sends (or resends) the final done notification to the searcher.
   void send_done(std::uint64_t req_id);
-  /// Re-ships result batches the searcher is still missing after done.
-  void arm_repair_timer(std::uint64_t req_id);
-  /// Gives up on the request: cancels timers, delivers partial hits with
-  /// stats.failed set, erases the request.
+  /// Re-ships the result batches the searcher still misses after done.
+  void repair_results(std::uint64_t req_id);
+
+  static std::uint64_t guard_key(Step step, cube::CubeId w) {
+    return w << 3 | static_cast<std::uint64_t>(step);
+  }
+  /// The guard of `step` at `w` of pin or search `id` (nullptr once it
+  /// ended); a search keeps guards only when step_timeout is set.
+  Guard* guard_of(std::uint64_t id, Step step, cube::CubeId w);
+  /// Counts one send and, when the step is guarded, sets its timer.
+  void arm(std::uint64_t id, Step step, cube::CubeId w);
+  /// Cancels the timer of a step that completed.
+  void release(Request& req, Step step, cube::CubeId w);
+  /// The one expiry path: the step gives up once its budget is spent,
+  /// else the retransmission is counted and the step resent.
+  void on_expired(std::uint64_t id, Step step, cube::CubeId w);
+  /// Counts a retransmission; traces it for a search (req_id 0: a pin).
+  void count_retransmit(SearchStats& stats, std::uint64_t req_id,
+                        cube::CubeId a, std::uint64_t b);
+  /// Gives up on the request: delivers partial hits with stats.failed set.
   void abort_request(std::uint64_t req_id);
   /// Cancels every pending timer owned by the request.
   void release_timers(Request& req);
+  /// A search's one way to end: release its timers, erase it, call back.
+  void deliver(Request& req);
   void finish(std::uint64_t req_id);
   void maybe_complete(std::uint64_t req_id);
   Request* find(std::uint64_t req_id);
