@@ -253,37 +253,45 @@ void OverlayIndex::begin_root_route(std::uint64_t req_id) {
         if (!r || r->root_resolved) return;
         r->root_resolved = true;
         release(*r, Step::kRoot, r->root_cube);
-        r->root_peer = overlay_.endpoint_of(rr.owner);
+        r->root_owner = overlay_.endpoint_of(rr.owner);
         r->stats.messages += static_cast<std::size_t>(rr.hops);
         r->stats.nodes_contacted = 1;
-        emit(req_id, "root", r->root_peer, static_cast<std::uint64_t>(rr.hops));
-        // Hot root cell: hand the coordinator role to a replica holder so
-        // root scans (one per query) spread across owner + replicas. One
-        // extra forwarding hop; all subsequent protocol runs at the replica.
-        // failover_root re-resolves to the true owner on repeated timeouts.
-        if (const sim::EndpointId rep = pick_replica(r->root_cube); rep != 0) {
-          const sim::EndpointId owner = r->root_peer;
-          r->root_peer = rep;
-          ++r->stats.messages;
-          count_spread(req_id, r->root_cube, rep);
-          net_.send(owner, rep, "kws.t_query", kCtrlBytes,
-                    [this, req_id, owner] {
-                      Request* r2 = find(req_id);
-                      if (!r2) return;
-                      // Demoted while the handoff was in flight: the replica
-                      // can no longer scan the root cell — run the
-                      // coordinator at the owner after all.
-                      if (!can_serve(r2->root_peer, r2->root_cube))
-                        r2->root_peer = owner;
-                      start_at_root(*r2);
-                    });
-          return;
-        }
-        start_at_root(*r);
+        emit(req_id, "root", r->root_owner,
+             static_cast<std::uint64_t>(rr.hops));
+        hand_off(req_id);
       });
   Request* r = find(req_id);  // re-find: the route may complete in place
   if (r != nullptr && !r->root_resolved)
     arm(req_id, Step::kRoot, r->root_cube);
+}
+
+void OverlayIndex::hand_off(std::uint64_t req_id) {
+  Request* req = find(req_id);
+  if (!req) return;
+  // Hot root cell: hand the coordinator role to a replica holder so root
+  // scans (one per query) spread across owner + replicas. One extra
+  // forwarding hop; all subsequent protocol runs at the replica.
+  // failover_root re-resolves to the true owner on repeated timeouts.
+  const sim::EndpointId rep = pick_replica(req->root_cube);
+  req->root_peer = rep != 0 ? rep : req->root_owner;
+  if (rep == 0) {
+    start_at_root(*req);
+    return;
+  }
+  ++req->stats.messages;
+  count_spread(req_id, req->root_cube, rep);
+  net_.send(req->root_owner, rep, "kws.t_query", kCtrlBytes,
+            [this, req_id, rep] {
+              Request* r = find(req_id);
+              // A resent handoff whose first copy arrived after all.
+              if (!r || !r->visit_order.empty()) return;
+              // Demoted while the handoff was in flight: the replica can no
+              // longer scan the root cell — run the coordinator at the
+              // owner after all.
+              r->root_peer = can_serve(rep, r->root_cube) ? rep : r->root_owner;
+              start_at_root(*r);
+            });
+  arm(req_id, Step::kHandoff, req->root_cube);
 }
 
 void OverlayIndex::failover_root(std::uint64_t req_id) {
@@ -333,6 +341,7 @@ bool OverlayIndex::cancel(std::uint64_t request) {
 }
 
 void OverlayIndex::start_at_root(Request& req) {
+  release(req, Step::kHandoff, req.root_cube);
   // The root examines its own index table first (paper step 0).
   req.visit_order.push_back(req.root_cube);
   const Visit& v0 = ensure_scan(req, req.root_cube, req.root_peer);
@@ -902,13 +911,18 @@ void OverlayIndex::on_expired(std::uint64_t id, Step step, cube::CubeId w) {
   // A repair round counts each batch it re-ships instead.
   if (step != Step::kRepair)
     count_retransmit(stats, pin != nullptr ? 0 : id, w,
-                     step == Step::kDone ? 1 : 0);
+                     step == Step::kDone      ? 1
+                     : step == Step::kHandoff ? 3
+                                              : 0);
   switch (step) {
     case Step::kPin:
       pin_attempt(id);
       return;
     case Step::kRoot:
       begin_root_route(id);
+      return;
+    case Step::kHandoff:
+      hand_off(id);
       return;
     case Step::kNode:
       // Repeated timeouts on one step usually mean the coordinator (or its

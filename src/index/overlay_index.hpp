@@ -432,7 +432,8 @@ class OverlayIndex {
   enum class Mode { kPlan, kLevels };
 
   /// The loss-guarded protocol steps (kNode once per cube node).
-  enum class Step : std::uint8_t { kPin, kRoot, kNode, kDone, kRepair };
+  enum class Step : std::uint8_t {
+    kPin, kRoot, kHandoff, kNode, kDone, kRepair };
 
   /// A guarded step: its retransmission timer (0 = not armed) and the sends
   /// made so far, the first included.
@@ -463,6 +464,7 @@ class OverlayIndex {
     sim::EndpointId searcher = 0;
     cube::CubeId root_cube = 0;
     sim::EndpointId root_peer = 0;
+    sim::EndpointId root_owner = 0;  ///< the root's owner the route found
     bool root_resolved = false;
     /// A failover re-resolution of the root is in flight (dedup guard).
     bool failover_rerouting = false;
@@ -638,6 +640,9 @@ class OverlayIndex {
   void start_level(std::uint64_t req_id);
   /// Routes the initial query to the root's peer; retried on timeout.
   void begin_root_route(std::uint64_t req_id);
+  /// Runs the coordinator at the root's owner, or for a hot root cell hands
+  /// it to the replica holder the rotation picks (a guarded step).
+  void hand_off(std::uint64_t req_id);
   /// Degraded-mode serving: re-resolves the root through the DHT and, if
   /// ownership moved (the root peer died), re-aims the coordinator at the
   /// surrogate owner and marks the request degraded.

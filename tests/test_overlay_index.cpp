@@ -11,6 +11,7 @@
 
 #include "common/rng.hpp"
 #include "index/logical_index.hpp"
+#include "net/fault_model.hpp"
 
 namespace hkws::index {
 namespace {
@@ -451,6 +452,90 @@ TEST(OverlayIndex, MessagesAreAccountedByKind) {
   EXPECT_GT(m.counter("msg.kws.t_query"), 0u);
   EXPECT_GT(m.counter("msg.kws.t_cont"), 0u);
   EXPECT_GT(m.counter("msg.kws.done"), 0u);
+}
+
+// A hot root cell hands the coordinator role from its owner to a replica
+// holder with one kws.t_query. That handoff is a guarded step: when it is
+// lost, the owner resends it to a fresh pick and the search still returns
+// the reference hits. The query's responsible node is the all-ones cube, so
+// its subcube is the root alone and the handoff is the only kws.t_query the
+// owner sends.
+TEST(OverlayIndex, LostHotRootHandoffIsRetransmitted) {
+  OverlayIndex::Config cfg{.r = 6, .step_timeout = 40, .max_retries = 3};
+  cfg.hot = {.enabled = true, .replicas = 2, .window = 1 << 20,
+             .min_scans = 2};
+  OverlayNet t(24, cfg);
+  const cube::CubeId all_ones = t.index->cube().node_count() - 1;
+  std::vector<Keyword> words;
+  for (int i = 0; t.index->responsible_node(KeywordSet(words)) != all_ones;
+       ++i) {
+    std::vector<Keyword> more = words;
+    more.push_back("w" + std::to_string(i));
+    if (t.index->responsible_node(KeywordSet(more)) !=
+        t.index->responsible_node(KeywordSet(words)))
+      words = std::move(more);
+  }
+  const KeywordSet query(words);
+  std::map<ObjectId, KeywordSet> objects;
+  LogicalIndex logical({.r = cfg.r, .hash_seed = cfg.hash_seed});
+  for (ObjectId id = 1; id <= 6; ++id) {
+    std::vector<Keyword> k = words;
+    k.push_back("extra" + std::to_string(id));
+    objects[id] = KeywordSet(std::move(k));
+    logical.insert(id, objects[id]);
+  }
+  t.publish_all(objects);
+  const std::vector<Hit> ref = logical.superset_search(query).hits;
+  ASSERT_FALSE(ref.empty());
+
+  // Heat the root cell and replicate it.
+  const sim::EndpointId owner = t.index->peer_of(all_ones);
+  for (int i = 0; i < 3; ++i) t.superset(query);
+  t.index->replication_step(1000);
+  std::set<sim::EndpointId> holders;
+  t.index->for_each_replica_entry(
+      [&](cube::CubeId u, const KeywordSet&, ObjectId, sim::EndpointId ep) {
+        if (u == all_ones) holders.insert(ep);
+      });
+  ASSERT_FALSE(holders.empty());
+  ASSERT_FALSE(holders.contains(owner));
+  ASSERT_NE(t.peer(0), owner);
+
+  struct DropFirstHandoff final : net::FaultModel {
+    sim::EndpointId owner = 0;
+    std::set<sim::EndpointId> holders;
+    bool dropped = false;
+    net::FaultActions inspect(sim::EndpointId from, sim::EndpointId to,
+                              const std::string& kind, std::uint64_t,
+                              Rng&) override {
+      if (dropped || from != owner || !holders.contains(to) ||
+          kind != "kws.t_query")
+        return {};
+      dropped = true;
+      return {.drop = true};
+    }
+  };
+  auto model = std::make_unique<DropFirstHandoff>();
+  model->owner = owner;
+  model->holders = holders;
+  const DropFirstHandoff& drop = *model;
+  t.net->set_fault_model(std::move(model));
+
+  // The rotation hands off within a round of owner + holders.
+  for (std::size_t i = 0; i <= holders.size() && !drop.dropped; ++i) {
+    std::optional<SearchResult> result;
+    t.index->superset_search(t.peer(0), query, 0,
+                             SearchStrategy::kTopDownSequential,
+                             [&](const SearchResult& r) { result = r; });
+    t.clock.run();
+    if (!drop.dropped) continue;
+    EXPECT_EQ(t.index->in_flight_requests(), 0u);
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(result->hits, ref);
+    EXPECT_GE(result->stats.retransmits, 1u);
+    EXPECT_FALSE(result->stats.failed);
+  }
+  EXPECT_TRUE(drop.dropped);
 }
 
 }  // namespace
