@@ -284,7 +284,7 @@ void OverlayIndex::hand_off(std::uint64_t req_id) {
             [this, req_id, rep] {
               Request* r = find(req_id);
               // A resent handoff whose first copy arrived after all.
-              if (!r || !r->visit_order.empty()) return;
+              if (!r || !r->answer.order.empty()) return;
               // Demoted while the handoff was in flight: the replica can no
               // longer scan the root cell — run the coordinator at the
               // owner after all.
@@ -343,7 +343,7 @@ bool OverlayIndex::cancel(std::uint64_t request) {
 void OverlayIndex::start_at_root(Request& req) {
   release(req, Step::kHandoff, req.root_cube);
   // The root examines its own index table first (paper step 0).
-  req.visit_order.push_back(req.root_cube);
+  req.answer.order.push_back(req.root_cube);
   const Visit& v0 = ensure_scan(req, req.root_cube, req.root_peer);
   const std::size_t c0 = v0.c1;
   req.collected += c0;
@@ -437,7 +437,7 @@ OverlayIndex::Visit& OverlayIndex::ensure_scan(Request& req, cube::CubeId w,
     // when the cut landed mid-way through one entry's object set.
     v.stop = req.mode != Mode::kLevels && req.threshold != 0 &&
              (v.truncated || req.collected + v.c1 >= req.threshold);
-    if (v.c1 > 0) ++req.results_expected;
+    if (v.c1 > 0) ++req.answer.expected;
     emit(req.id, "scan", w, peer);
   }
   if (v.c1 > 0 && ship) {
@@ -468,20 +468,19 @@ void OverlayIndex::on_results(std::uint64_t req_id, cube::CubeId w,
                               const HitBatchPool::Batch& batch) {
   Request* r = find(req_id);
   if (!r) return;
-  if (!r->delivered.insert(w).second) return;  // duplicate replay
-  r->node_hits.emplace(w, batch);
-  ++r->results_received;
+  if (!r->answer.batches.emplace(w, batch).second) return;  // a replay
   maybe_complete(req_id);
 }
 
-std::vector<Hit> OverlayIndex::assemble_hits(const Request& req) const {
+std::vector<Hit> OverlayIndex::HitAssembly::hits() const {
   std::size_t total = 0;
-  for (const auto& [w, batch] : req.node_hits) total += batch->size();
+  for (const auto& [w, batch] : batches)
+    if (batch) total += batch->size();
   std::vector<Hit> out;
   out.reserve(total);
-  for (const cube::CubeId w : req.visit_order) {
-    const auto it = req.node_hits.find(w);
-    if (it == req.node_hits.end()) continue;
+  for (const cube::CubeId w : order) {
+    const auto it = batches.find(w);
+    if (it == batches.end() || !it->second) continue;
     out.insert(out.end(), it->second->begin(), it->second->end());
   }
   return out;
@@ -586,7 +585,7 @@ void OverlayIndex::step_plan(std::uint64_t req_id) {
   }
   const cube::CubeId w = req->plan[req->plan_pos++];
   ++req->stats.rounds;
-  req->visit_order.push_back(w);
+  req->answer.order.push_back(w);
   visit_node(req_id, w);
 }
 
@@ -610,7 +609,8 @@ void OverlayIndex::start_level(std::uint64_t req_id) {
   ++req->stats.rounds;
   req->outstanding = nodes.size();
   emit(req_id, "level", req->level - 1, nodes.size());
-  req->visit_order.insert(req->visit_order.end(), nodes.begin(), nodes.end());
+  req->answer.order.insert(req->answer.order.end(), nodes.begin(),
+                           nodes.end());
 
   if (!cfg_.coalesce_visits) {
     for (const cube::CubeId w : nodes) visit_node(req_id, w);
@@ -826,13 +826,13 @@ void OverlayIndex::finish(std::uint64_t req_id) {
 
 void OverlayIndex::send_done(std::uint64_t req_id) {
   Request* req = find(req_id);
-  if (!req || req->done_received) return;
+  if (!req || req->answer.done) return;
   ++req->stats.messages;  // the final done notification to the searcher
   net_.send(req->root_peer, req->searcher, "kws.done", kCtrlBytes,
             [this, req_id] {
               Request* r = find(req_id);
-              if (!r || r->done_received) return;
-              r->done_received = true;
+              if (!r || r->answer.done) return;
+              r->answer.done = true;
               release(*r, Step::kDone, r->root_cube);
               maybe_complete(req_id);
             });
@@ -843,14 +843,13 @@ void OverlayIndex::repair_results(std::uint64_t req_id) {
   Request* r = find(req_id);
   if (!r) return;
   for (auto& [node, v] : r->visits) {
-    if (v.c1 == 0 || r->delivered.contains(node)) continue;
+    if (v.c1 == 0 || r->answer.batches.contains(node)) continue;
     if (cfg_.failover_after != 0 && !net_.is_registered(v.peer)) {
       // The batch's origin died with the batch still undelivered: the
       // hits are unrecoverable until background repair re-homes the
       // entries. Serve what arrived as a degraded result instead of
       // burning the budget re-shipping from a dead peer.
-      r->delivered.insert(node);
-      ++r->results_received;
+      r->answer.batches.emplace(node, nullptr);
       r->stats.complete = false;
       count_failover(*r, node, 1);
       continue;
@@ -967,14 +966,14 @@ void OverlayIndex::abort_request(std::uint64_t req_id) {
 void OverlayIndex::maybe_complete(std::uint64_t req_id) {
   Request* req = find(req_id);
   if (!req) return;
-  if (req->done_received && req->results_received == req->results_expected) {
+  if (req->answer.complete()) {
     deliver(*req);
     return;
   }
   // A result batch can be lost even though the done arrived; after a grace
   // timeout re-ship whatever the searcher is still missing. The repair
   // gives up when arming past its budget, not when its timer expires.
-  if (!req->done_received || cfg_.step_timeout == 0) return;
+  if (!req->answer.done || cfg_.step_timeout == 0) return;
   const Guard& g = *guard_of(req_id, Step::kRepair, 0);
   if (g.timer != 0) return;  // a repair round is already pending
   if (g.sends >= cfg_.max_retries) {
@@ -987,7 +986,7 @@ void OverlayIndex::maybe_complete(std::uint64_t req_id) {
 void OverlayIndex::deliver(Request& req) {
   release_timers(req);
   SearchResult result;
-  result.hits = assemble_hits(req);
+  result.hits = req.answer.hits();
   result.stats = req.stats;
   SearchCallback cb = std::move(req.done);
   const std::uint64_t id = req.id;
@@ -1034,11 +1033,8 @@ void OverlayIndex::cumulative_next(std::uint64_t session, std::size_t count,
     throw std::invalid_argument("cumulative_next: count must be > 0");
   s->want = count;
   s->got = 0;
-  s->hits.clear();
+  s->answer = {};
   s->stats = SearchStats{};
-  s->results_expected = 0;
-  s->results_received = 0;
-  s->batch_done = false;
   s->done = std::move(done);
 
   if (s->exhausted) {
@@ -1046,7 +1042,7 @@ void OverlayIndex::cumulative_next(std::uint64_t session, std::size_t count,
     net_.schedule_in(0, [this, session] {
       CumulativeState* st = find_session(session);
       if (!st) return;
-      st->batch_done = true;
+      st->answer.done = true;
       cumulative_maybe_complete(session);
     });
     return;
@@ -1088,6 +1084,7 @@ void OverlayIndex::cumulative_step(std::uint64_t session) {
   // The root's own table is the first node; scanning it costs no round.
   const cube::CubeId w = s->order[s->pos];
   if (w != s->root_cube) ++s->stats.rounds;
+  s->answer.order.push_back(w);
   cumulative_visit(session, w, s->offset);
 }
 
@@ -1111,22 +1108,21 @@ void OverlayIndex::cumulative_visit(std::uint64_t session, cube::CubeId w,
     if (const auto it = ps.tables.find(w); it != ps.tables.end())
       it->second.supersets_into(st->query, 0, nullptr, all);
     const std::size_t total = all.size();
-    std::vector<Hit> batch;
-    for (std::size_t i = offset; i < all.size() && batch.size() < room; ++i)
-      batch.push_back(all[i]);
-    const std::size_t taken = batch.size();
+    HitBatchPool::Batch batch = hit_pool_.acquire();
+    for (std::size_t i = offset; i < all.size() && batch->size() < room; ++i)
+      batch->push_back(all[i]);
+    const std::size_t taken = batch->size();
     if (taken > 0) {
       // Ship this node's slice straight to the searcher. Distinct kind from
       // the one-shot search's "kws.results": cumulative delivery has no
       // retransmission/dedup layer, so fault injectors must not target it.
-      ++st->results_expected;
+      ++st->answer.expected;
       charge(1);
       net_.send(peer, st->searcher, "kws.c_results", taken * kHitBytes,
-                [this, session, batch = std::move(batch)] {
+                [this, session, w, batch = std::move(batch)] {
                   CumulativeState* s2 = find_session(session);
                   if (!s2) return;
-                  s2->hits.insert(s2->hits.end(), batch.begin(), batch.end());
-                  ++s2->results_received;
+                  s2->answer.batches.emplace(w, batch);
                   cumulative_maybe_complete(session);
                 });
     }
@@ -1171,7 +1167,7 @@ void OverlayIndex::cumulative_finish_batch(std::uint64_t session) {
             [this, session] {
               CumulativeState* st = find_session(session);
               if (!st) return;
-              st->batch_done = true;
+              st->answer.done = true;
               cumulative_maybe_complete(session);
             });
 }
@@ -1179,10 +1175,9 @@ void OverlayIndex::cumulative_finish_batch(std::uint64_t session) {
 void OverlayIndex::cumulative_maybe_complete(std::uint64_t session) {
   CumulativeState* s = find_session(session);
   if (!s) return;
-  if (!s->batch_done || s->results_received != s->results_expected) return;
+  if (!s->answer.complete()) return;
   SearchResult result;
-  result.hits = std::move(s->hits);
-  s->hits.clear();
+  result.hits = s->answer.hits();
   result.stats = s->stats;
   result.stats.complete = s->exhausted;
   SearchCallback cb = std::move(s->done);

@@ -456,6 +456,21 @@ class OverlayIndex {
     HitBatchPool::Batch batch;  ///< null when the scan found nothing
   };
 
+  /// The searcher's side of one answer, shared by one-shot searches and
+  /// cumulative pages: result batches buffered by origin node and
+  /// concatenated in visit order, so the hit sequence is independent of
+  /// message arrival order (and identical to the LogicalIndex traversal
+  /// order on lossless runs).
+  struct HitAssembly {
+    std::vector<cube::CubeId> order;  ///< cube nodes in visit order
+    /// Batches that arrived, by origin node (null: written off by repair).
+    std::unordered_map<cube::CubeId, HitBatchPool::Batch> batches;
+    std::size_t expected = 0;  ///< result messages the nodes shipped
+    bool done = false;         ///< the done notification arrived
+    bool complete() const { return done && batches.size() == expected; }
+    std::vector<Hit> hits() const;
+  };
+
   struct Request {
     std::uint64_t id = 0;
     /// Prepared once; every visited node's table scan reuses its keys.
@@ -477,7 +492,6 @@ class OverlayIndex {
     // Loss-tolerance state (all empty/0 when step_timeout == 0).
     std::unordered_map<cube::CubeId, Visit> visits;     // scanned nodes
     std::unordered_set<cube::CubeId> answered;          // coordinator dedup
-    std::unordered_set<cube::CubeId> delivered;         // searcher dedup
     std::unordered_map<std::uint64_t, Guard> guards;  // by (node, step)
     // kPlan state: BFS (top-down), deepest-first (bottom-up) or cached
     // contributors' order, root excluded.
@@ -492,20 +506,11 @@ class OverlayIndex {
     std::size_t level = 0;        ///< depth of the next level to dispatch
     std::size_t level_count = 0;  ///< levels in the subcube's SBT
     std::size_t outstanding = 0;
-    bool level_stop = false;
     // Common bookkeeping.
     std::size_t collected = 0;
-    /// Cube nodes in dispatch order (root first). Hit batches buffered in
-    /// node_hits are concatenated in this order at completion, making the
-    /// hit sequence independent of message arrival order (and identical
-    /// to the LogicalIndex traversal order on lossless runs).
-    std::vector<cube::CubeId> visit_order;
-    std::unordered_map<cube::CubeId, HitBatchPool::Batch> node_hits;
+    HitAssembly answer;  ///< order: dispatch order, root first
     std::vector<std::pair<cube::CubeId, std::uint32_t>> contributors;
     SearchStats stats;
-    std::size_t results_expected = 0;
-    std::size_t results_received = 0;
-    bool done_received = false;
     bool stopped_early = false;
     bool record_in_cache = true;
     SearchCallback done;
@@ -526,11 +531,8 @@ class OverlayIndex {
     // Per-next() call bookkeeping.
     std::size_t want = 0;
     std::size_t got = 0;
-    std::vector<Hit> hits;
+    HitAssembly answer;
     SearchStats stats;
-    std::size_t results_expected = 0;
-    std::size_t results_received = 0;
-    bool batch_done = false;
     SearchCallback done;
   };
 
@@ -681,8 +683,6 @@ class OverlayIndex {
   void on_visit_batch_arrived(std::uint64_t req_id,
                               const std::vector<cube::CubeId>& nodes,
                               sim::EndpointId peer);
-  /// Concatenates the buffered per-node batches in visit order.
-  std::vector<Hit> assemble_hits(const Request& req) const;
   void on_results(std::uint64_t req_id, cube::CubeId w,
                   const HitBatchPool::Batch& batch);
   void on_node_answered(std::uint64_t req_id, cube::CubeId w,

@@ -258,8 +258,8 @@ TEST(SearchEquivalence, ThresholdedSequentialMatchesLogical) {
 // node's table, so each page ends on a node boundary or at the end. The
 // overlay notices exhaustion one page late when the last match fills a
 // page exactly; after the reference reports complete it may return one
-// more page, and that page must be empty. Fixed latency: a page is
-// assembled in the order its nodes' slices arrive at the searcher.
+// more page, and that page must be empty. Pages are assembled in visit
+// order, so random latency must not reorder them either.
 TEST(SearchEquivalence, CumulativePagesMatchLogicalSessions) {
   LogicalIndex logical({.r = kR});
   for (const auto& [id, k] : corpus(0xc0ffee)) logical.insert(id, k);
@@ -267,36 +267,40 @@ TEST(SearchEquivalence, CumulativePagesMatchLogicalSessions) {
   for (const std::size_t load : logical.loads())
     largest_table = std::max(largest_table, load);
 
-  Deployment d(true, nullptr);
-  for (const std::size_t page : {std::size_t{1}, std::size_t{3},
-                                 largest_table + 1}) {
-    for (const KeywordSet& q : probe_queries()) {
-      auto ref = logical.begin_cumulative(q);
-      const std::uint64_t session = d.index->open_cumulative(2, q);
-      const auto next_page = [&] {
-        std::optional<SearchResult> result;
-        d.index->cumulative_next(session, page,
-                                 [&](const SearchResult& r) { result = r; });
-        d.clock.run();
-        EXPECT_TRUE(result.has_value());
-        return result.value_or(SearchResult{});
-      };
-      std::size_t pages = 0;
-      for (bool complete = false; !complete; ++pages) {
-        ASSERT_LT(pages, 1000u) << "query=" << q.to_string();
-        const SearchResult want = ref.next(page);
-        const SearchResult got = next_page();
-        expect_identical(got.hits, want.hits, q, "cumulative page");
-        complete = want.stats.complete;
-        if (!complete) EXPECT_FALSE(got.stats.complete);
+  Deployment fixed(true, nullptr);
+  Deployment random(true, std::make_unique<sim::UniformLatency>(1, 11));
+  for (Deployment* dp : {&fixed, &random}) {
+    Deployment& d = *dp;
+    for (const std::size_t page : {std::size_t{1}, std::size_t{3},
+                                   largest_table + 1}) {
+      for (const KeywordSet& q : probe_queries()) {
+        auto ref = logical.begin_cumulative(q);
+        const std::uint64_t session = d.index->open_cumulative(2, q);
+        const auto next_page = [&] {
+          std::optional<SearchResult> result;
+          d.index->cumulative_next(session, page,
+                                   [&](const SearchResult& r) { result = r; });
+          d.clock.run();
+          EXPECT_TRUE(result.has_value());
+          return result.value_or(SearchResult{});
+        };
+        std::size_t pages = 0;
+        for (bool complete = false; !complete; ++pages) {
+          ASSERT_LT(pages, 1000u) << "query=" << q.to_string();
+          const SearchResult want = ref.next(page);
+          const SearchResult got = next_page();
+          expect_identical(got.hits, want.hits, q, "cumulative page");
+          complete = want.stats.complete;
+          if (!complete) EXPECT_FALSE(got.stats.complete);
+        }
+        if (!d.index->cumulative_exhausted(session)) {
+          const SearchResult tail = next_page();
+          EXPECT_TRUE(tail.hits.empty()) << "query=" << q.to_string();
+          EXPECT_TRUE(tail.stats.complete) << "query=" << q.to_string();
+        }
+        EXPECT_TRUE(d.index->cumulative_exhausted(session));
+        d.index->close_cumulative(session);
       }
-      if (!d.index->cumulative_exhausted(session)) {
-        const SearchResult tail = next_page();
-        EXPECT_TRUE(tail.hits.empty()) << "query=" << q.to_string();
-        EXPECT_TRUE(tail.stats.complete) << "query=" << q.to_string();
-      }
-      EXPECT_TRUE(d.index->cumulative_exhausted(session));
-      d.index->close_cumulative(session);
     }
   }
 }
