@@ -223,7 +223,6 @@ RunResult serve_run(const std::string& name, const workload::Corpus& corpus,
   cfg.search.limit = 64;
   cfg.search.strategy = index::SearchStrategy::kLevelParallel;
   cfg.latency_reservoir = 4096;  // bounded memory over long runs
-  cfg.record_traces = false;     // too many queries to keep full traces
   cfg.tracer = tracer;
   cfg.windows = &windows;
   engine::QueryEngine engine(*setup.service, setup.clock, cfg);
@@ -308,7 +307,6 @@ RunResult churn_run(const std::string& name, const workload::Corpus& corpus,
   cfg.search.limit = 64;
   cfg.search.strategy = index::SearchStrategy::kLevelParallel;
   cfg.latency_reservoir = 4096;
-  cfg.record_traces = false;
   cfg.windows = &windows;
   engine::QueryEngine engine(*setup.service, setup.clock, cfg);
 
@@ -457,7 +455,6 @@ RunResult hotspot_run(const std::string& name, const workload::Corpus& corpus,
   cfg.search.limit = 64;
   cfg.search.strategy = index::SearchStrategy::kLevelParallel;
   cfg.latency_reservoir = 4096;
-  cfg.record_traces = false;
   cfg.windows = &windows;
   engine::QueryEngine engine(*setup.service, setup.clock, cfg);
 
@@ -549,7 +546,6 @@ LossCheck loss_correctness(const workload::Corpus& corpus,
   cfg.deadline = 15000;
   cfg.search.limit = 0;  // exhaustive, so results are comparable
   cfg.search.strategy = index::SearchStrategy::kLevelParallel;
-  cfg.record_traces = false;
   engine::QueryEngine engine(*lossy.service, lossy.clock, cfg);
 
   LossCheck check;

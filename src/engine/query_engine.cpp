@@ -146,7 +146,6 @@ std::uint64_t QueryEngine::submit(sim::EndpointId searcher,
     // Saturated: shed at the door rather than grow an unbounded queue.
     rec.outcome = QueryOutcome::kShed;
     rec.finished = now;
-    if (cfg_.record_traces) rec.trace.push_back({now, "shed", 0, 0});
     metrics_.count("engine.shed");
     if (cfg_.windows != nullptr) cfg_.windows->count(now, "shed");
     if (cfg_.tracer != nullptr) {
@@ -160,7 +159,6 @@ std::uint64_t QueryEngine::submit(sim::EndpointId searcher,
   }
 
   pending_.emplace(id, std::move(rec));
-  note(id, "submit", static_cast<std::uint64_t>(priority));
   if (active_.size() < in_flight_limit()) {
     launch(id, searcher, query);
   } else {
@@ -224,7 +222,6 @@ void QueryEngine::launch(std::uint64_t id, sim::EndpointId searcher,
         clock_.set_timer(expires - now, [this, id] { on_deadline(id); });
   }
   rec.admitted = now;
-  note(id, "admit", active_.size());
   if (cfg_.tracer != nullptr) {
     if (cfg_.tracer->open_top(id) == "backlog") cfg_.tracer->end(now, id);
     cfg_.tracer->begin(now, id, "root_lookup", "engine");
@@ -326,7 +323,6 @@ void QueryEngine::seal(std::uint64_t id, QueryOutcome outcome,
       metrics_.observe("engine.queue_wait",
                        static_cast<double>(rec.queue_wait()));
       last_finish_ = std::max(last_finish_, now);
-      note(id, "complete", rec.hits);
       outcome_point = "complete";
       if (cfg_.windows != nullptr) {
         cfg_.windows->count(now, "completed");
@@ -344,7 +340,6 @@ void QueryEngine::seal(std::uint64_t id, QueryOutcome outcome,
       metrics_.observe("engine.queue_wait",
                        static_cast<double>(rec.queue_wait()));
       last_finish_ = std::max(last_finish_, now);
-      note(id, "degraded", rec.hits, rec.stats.failovers);
       outcome_point = "degraded";
       if (cfg_.windows != nullptr) {
         cfg_.windows->count(now, "degraded");
@@ -356,13 +351,11 @@ void QueryEngine::seal(std::uint64_t id, QueryOutcome outcome,
       break;
     case QueryOutcome::kTimedOut:
       metrics_.count("engine.timed_out");
-      note(id, "timeout");
       outcome_point = "timeout";
       if (cfg_.windows != nullptr) cfg_.windows->count(now, "timed_out");
       break;
     case QueryOutcome::kFailed:
       metrics_.count("engine.failed");
-      note(id, "failed");
       outcome_point = "failed";
       if (cfg_.windows != nullptr) cfg_.windows->count(now, "failed");
       break;
@@ -387,7 +380,6 @@ void QueryEngine::on_trace(const index::OverlayIndex::Trace& t) {
     cfg_.windows->count(clock_.now(), "retransmit");
   const auto it = by_ticket_.find(t.request);
   if (it == by_ticket_.end()) return;
-  note(it->second, t.point, t.a, t.b);
   if (cfg_.tracer != nullptr) emit_span(it->second, t.point, t.a, t.b);
 }
 
@@ -406,14 +398,6 @@ void QueryEngine::emit_span(std::uint64_t id, const char* point,
   } else {
     tracer.instant(now, id, point, "proto", a, b);
   }
-}
-
-void QueryEngine::note(std::uint64_t id, const char* point, std::uint64_t a,
-                       std::uint64_t b) {
-  if (!cfg_.record_traces) return;
-  const auto it = pending_.find(id);
-  if (it == pending_.end()) return;
-  it->second.trace.push_back(TracePoint{clock_.now(), point, a, b});
 }
 
 EngineReport QueryEngine::report() const {

@@ -22,10 +22,11 @@
 //  * Loss recovery (timeout/retransmission of protocol messages) lives in
 //    the index layer; the engine selects it via the service Options and
 //    surfaces the retransmission totals in its report.
-//  * Observability: a per-query trace (submit/admit/root/level/scan/…,
-//    timestamped), engine-level latency series (optionally reservoir-
-//    sampled), and an EngineReport with p50/p95/p99, achieved QPS, shed /
-//    timeout / retry counts and the per-peer scan-load histogram.
+//  * Observability: per-query spans on an optional obs::Tracer
+//    (submit/admit/root/level/scan/…, timestamped), engine-level latency
+//    series (optionally reservoir-sampled), and an EngineReport with
+//    p50/p95/p99, achieved QPS, shed / timeout / retry counts and the
+//    per-peer scan-load histogram.
 //
 // Single-threaded by construction: everything runs as events on the one
 // sim::EventQueue, so no locking — but the engine is re-entrant-safe in the
@@ -115,8 +116,6 @@ struct EngineConfig {
   index::KeywordSearchService::SearchOptions search;
   /// Reservoir cap for the engine's latency series (0 = keep everything).
   std::size_t latency_reservoir = 0;
-  /// Record the per-query protocol trace (root/level/scan milestones).
-  bool record_traces = true;
   /// Optional span tracer (not owned, may be null): each query becomes a
   /// "query" span with "backlog"/"root_lookup"/"level" child spans and
   /// "scan"/"retransmit" instants — see docs/OBSERVABILITY.md.
@@ -125,16 +124,6 @@ struct EngineConfig {
   /// submitted/completed/shed/... counts, latency quantiles, and
   /// in-flight/backlog gauges.
   obs::WindowedMetrics* windows = nullptr;
-};
-
-/// One timestamped milestone in a query's life.
-struct TracePoint {
-  sim::Time at = 0;
-  /// "submit", "admit", "shed", "root", "level", "scan", "retransmit",
-  /// "failed", "complete", "timeout" — see docs/ENGINE.md.
-  const char* point = "";
-  std::uint64_t a = 0;
-  std::uint64_t b = 0;
 };
 
 /// Everything the engine remembers about one finished query.
@@ -147,7 +136,6 @@ struct QueryRecord {
   sim::Time finished = 0;      ///< completion/timeout/shed time
   std::size_t hits = 0;        ///< results delivered (post-ranking)
   index::SearchStats stats;    ///< protocol cost of the search
-  std::vector<TracePoint> trace;
 
   /// End-to-end latency (finished - submitted).
   sim::Time latency() const noexcept { return finished - submitted; }
@@ -282,8 +270,6 @@ class QueryEngine {
   void seal(std::uint64_t id, QueryOutcome outcome, sim::Time finished_at);
   void seal(std::uint64_t id, QueryOutcome outcome);
   void on_trace(const index::OverlayIndex::Trace& t);
-  void note(std::uint64_t id, const char* point, std::uint64_t a = 0,
-            std::uint64_t b = 0);
   /// Converts one protocol trace point into tracer span/instant events.
   void emit_span(std::uint64_t id, const char* point, std::uint64_t a,
                  std::uint64_t b);

@@ -13,6 +13,9 @@ constexpr std::size_t kUnlimited = std::numeric_limits<std::size_t>::max();
 constexpr std::size_t kHitBytes = 48;   // rough wire size of one result hit
 constexpr std::size_t kCtrlBytes = 64;  // rough wire size of a control msg
 constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};  // node without a group
+// Per-cache floor when popularity-proportional sizing redistributes the
+// query-cache records budget.
+constexpr std::size_t kMinCacheRecords = 2;
 
 std::uint64_t total_count(const CachedTraversal& c) {
   std::uint64_t total = 0;
@@ -1595,7 +1598,7 @@ std::size_t OverlayIndex::replication_backlog() const {
 }
 
 void OverlayIndex::rebalance_caches() {
-  if (!cfg_.hot.size_caches || cfg_.cache_capacity == 0) return;
+  if (cfg_.cache_capacity == 0) return;
   const sim::Time now = net_.now();
   struct Slot {
     QueryCache* cache;
@@ -1620,7 +1623,7 @@ void OverlayIndex::rebalance_caches() {
   // the remainder is split in proportion to windowed scan counts (floor
   // rounding, so the sum never exceeds the budget).
   const std::size_t floor_each =
-      std::min(cfg_.hot.min_cache_records, cfg_.cache_capacity);
+      std::min(kMinCacheRecords, cfg_.cache_capacity);
   const std::size_t budget = cfg_.cache_capacity * slots.size();
   const std::size_t spare = budget - floor_each * slots.size();
   for (const Slot& s : slots) {

@@ -132,11 +132,6 @@ class OverlayIndex {
       /// Most-scanned cells replicated per replication_step (cap on the
       /// replicated set, not per-call work — the budget handles that).
       std::size_t max_hot = 8;
-      /// Re-target per-cell query-cache capacities in proportion to the
-      /// popularity window (total records budget held constant).
-      bool size_caches = true;
-      /// Per-cache floor when size_caches redistributes capacity.
-      std::size_t min_cache_records = 2;
     };
     HotCellConfig hot = {};
   };

@@ -12,6 +12,7 @@
 #include "dht/chord_network.hpp"
 #include "engine/load_driver.hpp"
 #include "net/fault_model.hpp"
+#include "obs/trace.hpp"
 #include "obs/windowed.hpp"
 #include "workload/arrivals.hpp"
 #include "workload/query_log.hpp"
@@ -563,29 +564,36 @@ TEST(QueryEngine, TraceRecordsCoverQueryLifecycle) {
   const auto sets = catalogue_sets();
   publish_catalogue(t, sets);
 
+  obs::Tracer tracer;
   EngineConfig cfg;
   cfg.search.limit = 0;
   cfg.search.strategy = index::SearchStrategy::kLevelParallel;
+  cfg.tracer = &tracer;
   QueryEngine engine(*t.service, t.clock, cfg);
-  engine.submit(1, KeywordSet{"alpha"});
+  const std::uint64_t id = engine.submit(1, KeywordSet{"alpha"});
   t.clock.run();
 
   ASSERT_EQ(engine.records().size(), 1u);
-  const auto& trace = engine.records()[0].trace;
-  auto has = [&](const char* point) {
-    return std::any_of(trace.begin(), trace.end(), [&](const TracePoint& p) {
-      return std::string(p.point) == point;
-    });
+  // The query's track: the "query" span opens at submit and "root_lookup"
+  // at admit; the protocol's root, level and scan points follow.
+  std::vector<obs::TraceEvent> trace;
+  for (const obs::TraceEvent& e : tracer.events())
+    if (e.tid == id) trace.push_back(e);
+  auto has = [&](const char* name, char ph) {
+    return std::any_of(trace.begin(), trace.end(),
+                       [&](const obs::TraceEvent& e) {
+                         return e.name == name && e.ph == ph;
+                       });
   };
-  EXPECT_TRUE(has("submit"));
-  EXPECT_TRUE(has("admit"));
-  EXPECT_TRUE(has("root"));
-  EXPECT_TRUE(has("level"));
-  EXPECT_TRUE(has("scan"));
-  EXPECT_TRUE(has("complete"));
+  EXPECT_TRUE(has("query", 'B'));
+  EXPECT_TRUE(has("root_lookup", 'B'));
+  EXPECT_TRUE(has("root", 'i'));
+  EXPECT_TRUE(has("level", 'B'));
+  EXPECT_TRUE(has("scan", 'i'));
+  EXPECT_TRUE(has("complete", 'i'));
   // Timestamps are monotone.
   for (std::size_t i = 1; i < trace.size(); ++i)
-    EXPECT_GE(trace[i].at, trace[i - 1].at);
+    EXPECT_GE(trace[i].ts, trace[i - 1].ts);
 }
 
 // --- Mirrored service --------------------------------------------------------
