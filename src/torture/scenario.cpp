@@ -1297,7 +1297,8 @@ void run_overlay(const ScenarioConfig& cfg, const FaultPlan& plan,
 
   // Load-balance invariant: the busiest peer's scan count vs the mean over
   // all live peers (idle peers count — that is what the skew is about).
-  if (cfg.max_scan_skew > 0.0 && rep.ok()) {
+  // Recorded whenever armed; checked only when nothing else failed.
+  if (cfg.max_scan_skew > 0.0) {
     std::uint64_t total = 0;
     std::uint64_t max_load = 0;
     for (const auto& [ep, n] : scan_loads) {
@@ -1309,7 +1310,8 @@ void run_overlay(const ScenarioConfig& cfg, const FaultPlan& plan,
       const double mean =
           static_cast<double>(total) / static_cast<double>(live);
       const double skew = static_cast<double>(max_load) / mean;
-      if (skew > cfg.max_scan_skew) {
+      rep.scan_skew = skew;
+      if (rep.ok() && skew > cfg.max_scan_skew) {
         std::ostringstream detail;
         detail << "max/mean scans per peer " << skew << " exceeds "
                << cfg.max_scan_skew << " (max=" << max_load
@@ -1633,10 +1635,6 @@ ScenarioConfig ScenarioConfig::hot_spot_preset(std::uint64_t seed) {
   cfg.churn = true;
   cfg.faults.rounds = cfg.rounds;
   cfg.faults.peer_failures = 1 + seed % 2;
-  // Lossless on purpose: the owner->replica root handoff is a single
-  // unguarded hop (see hot_spot_preset doc). Delays stay in play.
-  cfg.faults.allow_drops = false;
-  cfg.faults.allow_dups = false;
   return cfg;
 }
 
@@ -1678,8 +1676,9 @@ std::string ScenarioReport::to_string() const {
   std::ostringstream out;
   out << config.to_string() << "\n";
   out << "searches=" << searches << " mutations=" << mutations
-      << " cancels=" << cancels << " faults_applied=" << faults_applied
-      << "\n";
+      << " cancels=" << cancels << " faults_applied=" << faults_applied;
+  if (config.max_scan_skew > 0.0) out << " scan_skew=" << scan_skew;
+  out << "\n";
   out << "fault plan:\n" << plan.to_string();
   if (violations.empty()) {
     out << "OK\n";

@@ -143,10 +143,9 @@ struct ScenarioConfig {
 
   /// Hot-spot preset: Chord deployment, zipf-like recurring-query skew,
   /// mid-run peer kills, hot-cell replication on, and the load-balance
-  /// invariant armed. Lossless by construction: the owner->replica root
-  /// handoff is a single unguarded hop, so drop/dup faults are excluded
-  /// (delays stay). The replication-off control run must trip the
-  /// load_balance invariant; the feature run must pass everything.
+  /// invariant armed, under the deployment's usual drop/dup/delay faults.
+  /// The replication-off control run must trip the load_balance
+  /// invariant; the feature run must pass everything.
   static ScenarioConfig hot_spot_preset(std::uint64_t seed);
 
   std::string to_string() const;
@@ -165,6 +164,10 @@ struct ScenarioReport {
   std::size_t mutations = 0;
   std::size_t cancels = 0;
   std::uint64_t faults_applied = 0;
+  /// Max/mean scans per live peer at the end of the run: the value the
+  /// load-balance invariant checks. Recorded only when it is armed
+  /// (config.max_scan_skew > 0); 0 otherwise.
+  double scan_skew = 0.0;
 
   bool ok() const noexcept { return violations.empty(); }
   /// Seed + config + fault schedule + violations, ready to paste into a

@@ -90,12 +90,16 @@ bool run_one(ScenarioRunner& runner, const ScenarioConfig& cfg, bool shrink,
   ScenarioReport rep = runner.run(cfg);
   ++scenarios;
   if (rep.ok()) {
-    if (verbose)
+    if (verbose) {
       std::printf("ok    %s (searches=%zu mutations=%zu cancels=%zu "
-                  "faults=%llu)\n",
+                  "faults=%llu",
                   cfg.to_string().c_str(), rep.searches, rep.mutations,
                   rep.cancels,
                   static_cast<unsigned long long>(rep.faults_applied));
+      if (cfg.max_scan_skew > 0.0)
+        std::printf(" scan_skew=%g", rep.scan_skew);
+      std::printf(")\n");
+    }
     return true;
   }
   std::printf("FAIL  %s\n", cfg.to_string().c_str());
