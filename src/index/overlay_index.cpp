@@ -63,11 +63,6 @@ std::size_t OverlayIndex::room(const Request& req) const {
   return req.threshold > req.collected ? req.threshold - req.collected : 0;
 }
 
-OverlayIndex::Request* OverlayIndex::find(std::uint64_t req_id) {
-  const auto it = requests_.find(req_id);
-  return it == requests_.end() ? nullptr : it->second.get();
-}
-
 // --- Object maintenance -----------------------------------------------------
 
 void OverlayIndex::publish(sim::EndpointId publisher, ObjectId object,
@@ -132,14 +127,11 @@ void OverlayIndex::route_entry(sim::EndpointId from, ObjectId object,
         PeerState& ps = peer_state(overlay_.endpoint_of(rr.owner));
         if (add) {
           if (ps.tables[u].add(keywords, object)) ++mutation_epoch_;
-          replica_add(u, keywords, object);
-        } else {
-          if (const auto it = ps.tables.find(u); it != ps.tables.end()) {
-            if (it->second.remove(keywords, object)) ++mutation_epoch_;
-            if (it->second.empty()) ps.tables.erase(it);
-          }
-          replica_remove(u, keywords, object);
+        } else if (const auto it = ps.tables.find(u); it != ps.tables.end()) {
+          if (it->second.remove(keywords, object)) ++mutation_epoch_;
+          if (it->second.empty()) ps.tables.erase(it);
         }
+        replica_apply(u, keywords, object, add);
         if (const auto cit = ps.caches.find(u); cit != ps.caches.end())
           cit->second.erase_if(
               [&](const KeywordSet& q) { return q.subset_of(keywords); });
@@ -158,11 +150,6 @@ void OverlayIndex::pin_search(sim::EndpointId searcher,
   pin->done = std::move(done);
   pins_[id] = std::move(pin);
   pin_attempt(id);
-}
-
-OverlayIndex::PinState* OverlayIndex::find_pin(std::uint64_t pin_id) {
-  const auto it = pins_.find(pin_id);
-  return it == pins_.end() ? nullptr : it->second.get();
 }
 
 void OverlayIndex::pin_attempt(std::uint64_t pin_id) {
@@ -256,11 +243,10 @@ void OverlayIndex::begin_root_route(std::uint64_t req_id) {
         if (!r || r->root_resolved) return;
         r->root_resolved = true;
         release(*r, Step::kRoot, r->root_cube);
-        r->root_owner = overlay_.endpoint_of(rr.owner);
+        r->root_peer = r->root_owner = overlay_.endpoint_of(rr.owner);
         r->stats.messages += static_cast<std::size_t>(rr.hops);
         r->stats.nodes_contacted = 1;
-        emit(req_id, "root", r->root_owner,
-             static_cast<std::uint64_t>(rr.hops));
+        emit(req_id, "root", r->root_peer, static_cast<std::uint64_t>(rr.hops));
         hand_off(req_id);
       });
   Request* r = find(req_id);  // re-find: the route may complete in place
@@ -357,8 +343,7 @@ void OverlayIndex::start_at_root(Request& req) {
   const cube::SpanningBinomialTree sbt(cube_, req.root_cube);
   const bool subtree_trivial = sbt.size() == 1;
   if (req.threshold != 0 && req.collected >= req.threshold) {
-    req.stopped_early = !subtree_trivial;
-    finish(req.id);
+    finish(req.id, /*stopped_early=*/!subtree_trivial);
     return;
   }
 
@@ -374,7 +359,6 @@ void OverlayIndex::start_at_root(Request& req) {
             (req.threshold != 0 && total_count(*cached) >= req.threshold)) {
           req.mode = Mode::kPlan;
           req.stats.cache_hit = true;
-          req.record_in_cache = false;
           req.plan_complete_means_complete = cached->complete;
           for (const auto& [node, count] : cached->contributors)
             if (node != req.root_cube) req.plan.push_back(node);
@@ -582,8 +566,7 @@ void OverlayIndex::step_plan(std::uint64_t req_id) {
   Request* req = find(req_id);
   if (!req) return;
   if (req->plan_pos >= req->plan.size()) {
-    req->stopped_early = false;
-    finish(req_id);
+    finish(req_id, /*stopped_early=*/false);
     return;
   }
   const cube::CubeId w = req->plan[req->plan_pos++];
@@ -596,8 +579,7 @@ void OverlayIndex::start_level(std::uint64_t req_id) {
   Request* req = find(req_id);
   if (!req) return;
   if (req->level >= req->level_count) {
-    req->stopped_early = false;
-    finish(req_id);
+    finish(req_id, /*stopped_early=*/false);
     return;
   }
   req->level_next.clear();
@@ -786,8 +768,7 @@ void OverlayIndex::on_node_answered(std::uint64_t req_id, cube::CubeId w,
             !req->stats.cache_hit)
           left = cube::SpanningBinomialTree(cube_, req->root_cube)
                      .parent(req->plan[req->plan_pos]) != w;
-        req->stopped_early = left;
-        finish(req_id);
+        finish(req_id, /*stopped_early=*/left);
         return;
       }
       step_plan(req_id);
@@ -797,8 +778,7 @@ void OverlayIndex::on_node_answered(std::uint64_t req_id, cube::CubeId w,
       if (req->outstanding > 0) --req->outstanding;
       if (req->outstanding != 0) return;
       if (req->threshold != 0 && req->collected >= req->threshold) {
-        req->stopped_early = req->level < req->level_count;
-        finish(req_id);
+        finish(req_id, /*stopped_early=*/req->level < req->level_count);
         return;
       }
       start_level(req_id);
@@ -807,13 +787,13 @@ void OverlayIndex::on_node_answered(std::uint64_t req_id, cube::CubeId w,
   }
 }
 
-void OverlayIndex::finish(std::uint64_t req_id) {
+void OverlayIndex::finish(std::uint64_t req_id, bool stopped_early) {
   Request* req = find(req_id);
   if (!req) return;
-  req->stats.complete =
-      !req->stopped_early && req->plan_complete_means_complete;
+  req->stats.complete = !stopped_early && req->plan_complete_means_complete;
 
-  if (cfg_.cache_capacity != 0 && req->record_in_cache) {
+  // A search served from a cached plan records no new summary.
+  if (cfg_.cache_capacity != 0 && !req->stats.cache_hit) {
     PeerState& ps = peer_state(req->root_peer);
     auto cit = ps.caches.try_emplace(req->root_cube, cfg_.cache_capacity).first;
     CachedTraversal summary;
@@ -999,11 +979,6 @@ void OverlayIndex::deliver(Request& req) {
 
 // --- Cumulative superset search ------------------------------------------------
 
-OverlayIndex::CumulativeState* OverlayIndex::find_session(std::uint64_t id) {
-  const auto it = sessions_.find(id);
-  return it == sessions_.end() ? nullptr : it->second.get();
-}
-
 std::uint64_t OverlayIndex::open_cumulative(sim::EndpointId searcher,
                                             const KeywordSet& query) {
   if (query.empty())
@@ -1042,12 +1017,7 @@ void OverlayIndex::cumulative_next(std::uint64_t session, std::size_t count,
 
   if (s->exhausted) {
     // Nothing left; answer locally (no messages).
-    net_.schedule_in(0, [this, session] {
-      CumulativeState* st = find_session(session);
-      if (!st) return;
-      st->answer.done = true;
-      cumulative_maybe_complete(session);
-    });
+    net_.schedule_in(0, [this, session] { on_page_part(session, true); });
     return;
   }
 
@@ -1075,26 +1045,20 @@ void OverlayIndex::cumulative_next(std::uint64_t session, std::size_t count,
 void OverlayIndex::cumulative_step(std::uint64_t session) {
   CumulativeState* s = find_session(session);
   if (!s) return;
-  if (s->got >= s->want) {
-    cumulative_finish_batch(session);
-    return;
-  }
-  if (s->pos >= s->order.size()) {
-    s->exhausted = true;
-    cumulative_finish_batch(session);
+  if (s->got < s->want && s->pos >= s->order.size()) s->exhausted = true;
+  if (s->got >= s->want || s->exhausted) {
+    ++s->stats.messages;  // done notification root -> searcher
+    net_.send(s->root_peer, s->searcher, "kws.c_done", kCtrlBytes,
+              [this, session] { on_page_part(session, true); });
     return;
   }
   // The root's own table is the first node; scanning it costs no round.
   const cube::CubeId w = s->order[s->pos];
   if (w != s->root_cube) ++s->stats.rounds;
   s->answer.order.push_back(w);
-  cumulative_visit(session, w, s->offset);
-}
-
-void OverlayIndex::cumulative_visit(std::uint64_t session, cube::CubeId w,
-                                    std::size_t offset) {
-  CumulativeState* s = find_session(session);
-  if (!s) return;
+  // Visit w: scan it from the stored offset, ship up to the remaining want
+  // to the searcher, report back.
+  const std::size_t offset = s->offset;
   const std::size_t room = s->want - s->got;
   const Charge charge = [this, session](std::size_t n) {
     if (CumulativeState* st = find_session(session)) st->stats.messages += n;
@@ -1123,10 +1087,9 @@ void OverlayIndex::cumulative_visit(std::uint64_t session, cube::CubeId w,
       charge(1);
       net_.send(peer, st->searcher, "kws.c_results", taken * kHitBytes,
                 [this, session, w, batch = std::move(batch)] {
-                  CumulativeState* s2 = find_session(session);
-                  if (!s2) return;
-                  s2->answer.batches.emplace(w, batch);
-                  cumulative_maybe_complete(session);
+                  if (CumulativeState* s2 = find_session(session))
+                    s2->answer.batches.emplace(w, batch);
+                  on_page_part(session, false);
                 });
     }
     // Report (taken, total) back to the root coordinator.
@@ -1156,28 +1119,15 @@ void OverlayIndex::cumulative_visit(std::uint64_t session, cube::CubeId w,
   if (w == s->root_cube) {
     scan_at(s->root_peer);
   } else {
-    charge(0);  // cost accounted inside send_to_cube_node
     send_to_cube_node(s->root_peer, w, "kws.c_query", kCtrlBytes, charge,
                       std::move(scan_at));
   }
 }
 
-void OverlayIndex::cumulative_finish_batch(std::uint64_t session) {
+void OverlayIndex::on_page_part(std::uint64_t session, bool done) {
   CumulativeState* s = find_session(session);
   if (!s) return;
-  ++s->stats.messages;  // done notification root -> searcher
-  net_.send(s->root_peer, s->searcher, "kws.c_done", kCtrlBytes,
-            [this, session] {
-              CumulativeState* st = find_session(session);
-              if (!st) return;
-              st->answer.done = true;
-              cumulative_maybe_complete(session);
-            });
-}
-
-void OverlayIndex::cumulative_maybe_complete(std::uint64_t session) {
-  CumulativeState* s = find_session(session);
-  if (!s) return;
+  if (done) s->answer.done = true;
   if (!s->answer.complete()) return;
   SearchResult result;
   result.hits = s->answer.hits();
@@ -1231,7 +1181,7 @@ std::uint64_t OverlayIndex::repair_placement(std::size_t max_entries) {
     }
     peer_state(peer_of(m.u)).tables[m.u].add(m.keywords, m.object);
     // A placement move is not a deletion: replicas keep (or gain) the entry.
-    replica_add(m.u, m.keywords, m.object);
+    replica_apply(m.u, m.keywords, m.object, /*add=*/true);
   }
   if (!moves.empty()) {
     net_.metrics().count("kws.repair_entries", moves.size());
@@ -1286,41 +1236,22 @@ void OverlayIndex::purge_dead() {
 
 // --- Hot-cell replication ----------------------------------------------------
 
-void OverlayIndex::replica_add(cube::CubeId u, const KeywordSet& keywords,
-                               ObjectId o) {
-  if (!cfg_.hot.enabled) return;
-  const auto it = replicas_.find(u);
-  if (it == replicas_.end()) return;
-  for (const sim::EndpointId h : it->second.holders) {
-    if (!net_.is_registered(h)) continue;
-    const auto pit = peers_.find(h);
-    if (pit == peers_.end()) continue;
-    pit->second.replica_tables[u].add(keywords, o);
-  }
-}
-
-void OverlayIndex::replica_remove(cube::CubeId u, const KeywordSet& keywords,
-                                  ObjectId o) {
+void OverlayIndex::replica_apply(cube::CubeId u, const KeywordSet& keywords,
+                                 ObjectId o, bool add) {
   if (!cfg_.hot.enabled) return;
   const auto it = replicas_.find(u);
   if (it == replicas_.end()) return;
   for (const sim::EndpointId h : it->second.holders) {
     const auto pit = peers_.find(h);
     if (pit == peers_.end()) continue;
-    const auto tit = pit->second.replica_tables.find(u);
-    if (tit == pit->second.replica_tables.end()) continue;
-    tit->second.remove(keywords, o);
-    if (tit->second.empty()) pit->second.replica_tables.erase(tit);
+    auto& tables = pit->second.replica_tables;
+    if (add) {
+      if (net_.is_registered(h)) tables[u].add(keywords, o);
+    } else if (const auto tit = tables.find(u); tit != tables.end()) {
+      tit->second.remove(keywords, o);
+      if (tit->second.empty()) tables.erase(tit);
+    }
   }
-}
-
-bool OverlayIndex::is_replica_holder(cube::CubeId u,
-                                     sim::EndpointId peer) const {
-  if (!cfg_.hot.enabled) return false;
-  const auto it = replicas_.find(u);
-  if (it == replicas_.end()) return false;
-  const auto& holders = it->second.holders;
-  return std::find(holders.begin(), holders.end(), peer) != holders.end();
 }
 
 sim::EndpointId OverlayIndex::pick_replica(cube::CubeId w) {
@@ -1481,11 +1412,7 @@ std::uint64_t OverlayIndex::replication_step(std::size_t max_entries) {
   for (const auto& [n, u] : ranked) {
     const dht::RingId owner_ring = overlay_.owner_of(ring_key_of(u));
     const sim::EndpointId owner_ep = overlay_.endpoint_of(owner_ring);
-    const IndexTable* src = nullptr;
-    if (const auto oit = peers_.find(owner_ep); oit != peers_.end())
-      if (const auto tit = oit->second.tables.find(u);
-          tit != oit->second.tables.end())
-        src = &tit->second;
+    const IndexTable* src = table_of(u);
     const auto rit = replicas_.find(u);
     const std::vector<sim::EndpointId> prior =
         rit != replicas_.end() ? rit->second.holders
@@ -1500,25 +1427,20 @@ std::uint64_t OverlayIndex::replication_step(std::size_t max_entries) {
       if (peers_.contains(ep) && peers_.at(ep).replica_tables.contains(u))
         holders.push_back(ep);  // synced: already charged in load_est
     }
+    const auto eligible = [&](sim::EndpointId ep) {
+      return ep != owner_ep &&
+             std::find(holders.begin(), holders.end(), ep) == holders.end();
+    };
     bool budget_hit = false;
     while (holders.size() < want && !budget_hit) {
       const auto best = std::min_element(
           load_est.begin(), load_est.end(),
           [&](const auto& a, const auto& b) {
-            const bool a_ok =
-                a.first != owner_ep &&
-                std::find(holders.begin(), holders.end(), a.first) ==
-                    holders.end();
-            const bool b_ok =
-                b.first != owner_ep &&
-                std::find(holders.begin(), holders.end(), b.first) ==
-                    holders.end();
-            if (a_ok != b_ok) return a_ok;
+            if (eligible(a.first) != eligible(b.first))
+              return eligible(a.first);
             return a.second < b.second;  // ties: smallest endpoint id wins
           });
-      if (best == load_est.end() || best->first == owner_ep ||
-          std::find(holders.begin(), holders.end(), best->first) !=
-              holders.end())
+      if (best == load_est.end() || !eligible(best->first))
         break;  // no eligible peer left
       const sim::EndpointId ep = best->first;
       const std::size_t size = src != nullptr ? src->object_count() : 0;
@@ -1571,9 +1493,14 @@ std::size_t OverlayIndex::replication_backlog() const {
   std::size_t backlog = 0;
   for (const auto& [u, rs] : replicas_) {
     const IndexTable* primary = table_of(u);
-    const auto contains = [](const IndexTable* t, const KeywordSet& k,
-                             ObjectId o) {
-      return t != nullptr && t->contains(k, o);
+    // Entries of `from` that `in` misses.
+    const auto missing = [](const IndexTable* from, const IndexTable* in) {
+      std::size_t n = 0;
+      if (from != nullptr)
+        for (const auto& [k, objects] : from->entries())
+          for (const ObjectId o : objects)
+            if (in == nullptr || !in->contains(k, o)) ++n;
+      return n;
     };
     for (const sim::EndpointId h : rs.holders) {
       if (!net_.is_registered(h)) continue;
@@ -1582,16 +1509,9 @@ std::size_t OverlayIndex::replication_backlog() const {
         if (const auto tit = pit->second.replica_tables.find(u);
             tit != pit->second.replica_tables.end())
           rep = &tit->second;
-      // Owner entries the holder still misses (resync direction) ...
-      if (primary != nullptr)
-        for (const auto& [k, objects] : primary->entries())
-          for (const ObjectId o : objects)
-            if (!contains(rep, k, o)) ++backlog;
-      // ... and replica entries the owner misses (restore direction).
-      if (rep != nullptr)
-        for (const auto& [k, objects] : rep->entries())
-          for (const ObjectId o : objects)
-            if (!contains(primary, k, o)) ++backlog;
+      // Owner entries the holder still misses (resync direction) and
+      // replica entries the owner misses (restore direction).
+      backlog += missing(primary, rep) + missing(rep, primary);
     }
   }
   return backlog;

@@ -427,8 +427,7 @@ class OverlayIndex {
   enum class Mode { kPlan, kLevels };
 
   /// The loss-guarded protocol steps (kNode once per cube node).
-  enum class Step : std::uint8_t {
-    kPin, kRoot, kHandoff, kNode, kDone, kRepair };
+  enum class Step { kPin, kRoot, kHandoff, kNode, kDone, kRepair };
 
   /// A guarded step: its retransmission timer (0 = not armed) and the sends
   /// made so far, the first included.
@@ -506,8 +505,6 @@ class OverlayIndex {
     HitAssembly answer;  ///< order: dispatch order, root first
     std::vector<std::pair<cube::CubeId, std::uint32_t>> contributors;
     SearchStats stats;
-    bool stopped_early = false;
-    bool record_in_cache = true;
     SearchCallback done;
   };
 
@@ -543,7 +540,6 @@ class OverlayIndex {
     SearchCallback done;
   };
 
-  PinState* find_pin(std::uint64_t pin_id);
   /// Sends (or resends) the pin query; arms its timer when guarded.
   void pin_attempt(std::uint64_t pin_id);
   /// The pin's one way to end: erase it, then call back.
@@ -556,14 +552,11 @@ class OverlayIndex {
                    const KeywordSet& keywords, bool add,
                    std::function<void(int hops)> landed);
 
-  CumulativeState* find_session(std::uint64_t id);
+  /// At the root: ends the page, or visits the next node of the BFS order.
   void cumulative_step(std::uint64_t session);
-  /// Visits cube node `w` for the session: scans from the stored offset,
-  /// ships up to the remaining want to the searcher, reports back.
-  void cumulative_visit(std::uint64_t session, cube::CubeId w,
-                        std::size_t offset);
-  void cumulative_finish_batch(std::uint64_t session);
-  void cumulative_maybe_complete(std::uint64_t session);
+  /// At the searcher: a page's slice landed (or, with `done`, its done
+  /// notification); delivers the page once it is complete.
+  void on_page_part(std::uint64_t session, bool done);
 
   PeerState& peer_state(sim::EndpointId ep) { return peers_[ep]; }
 
@@ -571,11 +564,8 @@ class OverlayIndex {
 
   /// Write-through: mirrors an index mutation into every live holder's
   /// replica table for `u`, keeping replicas byte-identical to the primary.
-  void replica_add(cube::CubeId u, const KeywordSet& keywords, ObjectId o);
-  void replica_remove(cube::CubeId u, const KeywordSet& keywords, ObjectId o);
-
-  /// Whether `peer` currently holds a replica of cube node `u`.
-  bool is_replica_holder(cube::CubeId u, sim::EndpointId peer) const;
+  void replica_apply(cube::CubeId u, const KeywordSet& keywords, ObjectId o,
+                     bool add);
 
   /// Round-robin spread: the replica holder that should serve the next
   /// visit of `w`, or 0 when the owner should (not replicated, or the
@@ -709,9 +699,22 @@ class OverlayIndex {
   void release_timers(Request& req);
   /// A search's one way to end: release its timers, erase it, call back.
   void deliver(Request& req);
-  void finish(std::uint64_t req_id);
+  /// Ends the walk: records its summary in the root's cache, sends done.
+  void finish(std::uint64_t req_id, bool stopped_early);
   void maybe_complete(std::uint64_t req_id);
-  Request* find(std::uint64_t req_id);
+  /// The live request, pin or session `id` names, or nullptr.
+  template <typename T>
+  static T* find_in(
+      const std::unordered_map<std::uint64_t, std::unique_ptr<T>>& map,
+      std::uint64_t id) {
+    const auto it = map.find(id);
+    return it == map.end() ? nullptr : it->second.get();
+  }
+  Request* find(std::uint64_t id) { return find_in(requests_, id); }
+  PinState* find_pin(std::uint64_t id) { return find_in(pins_, id); }
+  CumulativeState* find_session(std::uint64_t id) {
+    return find_in(sessions_, id);
+  }
   void emit(std::uint64_t request, const char* point, std::uint64_t a = 0,
             std::uint64_t b = 0) {
     if (trace_) trace_(Trace{request, point, a, b});
