@@ -272,7 +272,7 @@ void OverlayIndex::hand_off(std::uint64_t req_id) {
   net_.send(req->root_owner, rep, "kws.t_query", kCtrlBytes,
             [this, req_id, rep] {
               Request* r = find(req_id);
-              // A resent handoff whose first copy arrived after all.
+              // An earlier copy of a resent handoff started it already.
               if (!r || !r->answer.order.empty()) return;
               // Demoted while the handoff was in flight: the replica can no
               // longer scan the root cell — run the coordinator at the

@@ -34,10 +34,12 @@
 //    so the hit sequence is independent of message arrival order — and
 //    byte-identical with coalescing on or off.
 //  * Superset search optionally runs with loss-tolerant delivery: when
-//    Config::step_timeout is set, every protocol step (root contact,
-//    per-node T_QUERY, the T_CONT/T_STOP reply, result delivery, and the
-//    final done notification) is guarded by a cancelable timer and
-//    retransmitted up to Config::max_retries times. Retransmitted steps are
+//    Config::step_timeout is set, every protocol step (root route, a hot
+//    root's handoff to a replica holder, per-node T_QUERY with its
+//    T_CONT/T_STOP reply, result delivery, and the final done
+//    notification) is one Guard — a cancelable timer plus a send count,
+//    armed by arm() and expired through on_expired() — and retransmitted
+//    up to Config::max_retries times. Retransmitted steps are
 //    idempotent — each node memoizes its first scan per request and
 //    replays the same batch, and the searcher deduplicates batches by
 //    origin node — so a search over a lossy network returns exactly the
