@@ -873,9 +873,8 @@ void OverlayIndex::release(Request& req, Step step, cube::CubeId w) {
 }
 
 void OverlayIndex::on_expired(std::uint64_t id, Step step, cube::CubeId w) {
-  // Completion cancels a step's timer, so the guard and its owner are live.
   Guard* g = guard_of(id, step, w);
-  if (g == nullptr) return;
+  if (g == nullptr) return;  // the pin or search has ended
   g->timer = 0;
   const int sends = g->sends;
   PinState* pin = step == Step::kPin ? find_pin(id) : nullptr;
