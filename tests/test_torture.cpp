@@ -5,7 +5,13 @@
 // from the printed seed.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "index/query_cache.hpp"
+#include "obs/trace.hpp"
 #include "torture/scenario.hpp"
 #include "torture/shrink.hpp"
 
@@ -91,6 +97,117 @@ TEST(Torture, RunsAreDeterministicPerSeed) {
   EXPECT_EQ(a.cancels, b.cancels);
   EXPECT_EQ(a.faults_applied, b.faults_applied);
   EXPECT_EQ(a.violations.size(), b.violations.size());
+}
+
+/// FNV-1a over a string.
+std::uint64_t fnv1a(std::string_view s) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// One line per scenario: its report counts, the violation count and a
+/// digest of the run's Chrome trace export (every wire send, the torture
+/// instants and the maintenance plane's repair ticks).
+std::string digest_line(const std::string& label, const ScenarioConfig& cfg) {
+  obs::Tracer tracer;
+  ScenarioRunner runner;
+  runner.set_tracer(&tracer);
+  const ScenarioReport rep = runner.run(cfg);
+  char buf[256];
+  std::snprintf(buf, sizeof buf,
+                "%s searches=%zu mutations=%zu cancels=%zu faults=%llu",
+                label.c_str(), rep.searches, rep.mutations, rep.cancels,
+                static_cast<unsigned long long>(rep.faults_applied));
+  std::string line = buf;
+  if (cfg.max_scan_skew > 0.0) {
+    std::snprintf(buf, sizeof buf, " skew=%.6f", rep.scan_skew);
+    line += buf;
+  }
+  std::snprintf(buf, sizeof buf, " violations=%zu trace=%016llx",
+                rep.violations.size(),
+                static_cast<unsigned long long>(
+                    fnv1a(tracer.to_chrome_json())));
+  return line + buf;
+}
+
+/// A Chord seed whose scenario draws a peer failure (the instant repair)
+/// with the query cache on; seed 2 draws one with the cache off.
+constexpr std::uint64_t kChordChurnSeed = 11;
+
+/// The checked-in records of the scenarios below, generated by this test
+/// (its failure output prints the run's table). The simulator is
+/// deterministic, so any difference is a behaviour change of the harness
+/// or of the stack it drives.
+constexpr const char* kDigests[] = {
+    "chord/top-down/1 searches=12 mutations=58 cancels=1 faults=3 violations=0 trace=7fa2a32cff665058",
+    "chord/bottom-up/1 searches=12 mutations=58 cancels=1 faults=3 violations=0 trace=6a6c9bd3ca1f0cef",
+    "chord/level-parallel/1 searches=12 mutations=58 cancels=1 faults=3 violations=0 trace=cfe3609a650b090b",
+    "pastry/top-down/1 searches=12 mutations=58 cancels=1 faults=7 violations=0 trace=28ad1ca6843c25be",
+    "pastry/bottom-up/1 searches=12 mutations=58 cancels=1 faults=7 violations=0 trace=9418108c6f7fefbc",
+    "pastry/level-parallel/1 searches=12 mutations=58 cancels=1 faults=8 violations=0 trace=4192d90444ae5846",
+    "mirrored/top-down/1 searches=12 mutations=58 cancels=2 faults=6 violations=0 trace=d8e63fe31520e87b",
+    "mirrored/bottom-up/1 searches=12 mutations=58 cancels=2 faults=6 violations=0 trace=fc74348b9d05f809",
+    "mirrored/level-parallel/1 searches=12 mutations=58 cancels=2 faults=6 violations=0 trace=137e1482f9bc72ab",
+    "chord/top-down/2 searches=18 mutations=61 cancels=3 faults=2 violations=0 trace=4d71cafabde95cc0",
+    "chord/bottom-up/2 searches=18 mutations=61 cancels=3 faults=2 violations=0 trace=1d14d614ffc60e70",
+    "chord/level-parallel/2 searches=18 mutations=61 cancels=3 faults=2 violations=0 trace=4fd8da79124b944a",
+    "pastry/top-down/2 searches=18 mutations=61 cancels=4 faults=3 violations=0 trace=2282e94a264d38ea",
+    "pastry/bottom-up/2 searches=18 mutations=61 cancels=4 faults=4 violations=0 trace=5512e35624ec47a4",
+    "pastry/level-parallel/2 searches=18 mutations=61 cancels=4 faults=4 violations=0 trace=296a3741fecc3b6c",
+    "mirrored/top-down/2 searches=18 mutations=61 cancels=3 faults=3 violations=0 trace=4e01f1ec0d656015",
+    "mirrored/bottom-up/2 searches=18 mutations=61 cancels=3 faults=4 violations=0 trace=e518e3eb3dd246f4",
+    "mirrored/level-parallel/2 searches=18 mutations=61 cancels=3 faults=3 violations=0 trace=5a1b552c7dffd463",
+    "chord/top-down/11 searches=35 mutations=88 cancels=3 faults=5 violations=0 trace=0c96da9796d88843",
+    "churn/1 searches=16 mutations=63 cancels=3 faults=21 violations=0 trace=b518539b52098679",
+    "churn/2 searches=24 mutations=64 cancels=6 faults=11 violations=0 trace=134d0041adfd891d",
+    "churn/3 searches=20 mutations=70 cancels=3 faults=16 violations=0 trace=126b2b6ce4e97066",
+    "hot-spot/1 searches=144 mutations=73 cancels=18 faults=21 skew=2.490066 violations=0 trace=e9307533740778f8",
+    "hot-spot/2 searches=144 mutations=70 cancels=12 faults=9 skew=2.957746 violations=0 trace=0e32c8d614d8cf28",
+    "hot-spot/3 searches=144 mutations=80 cancels=22 faults=16 skew=1.870824 violations=0 trace=b1402f104127c2d8",
+    "hot-spot/4 searches=144 mutations=63 cancels=19 faults=1 skew=1.809524 violations=0 trace=cfd2923205652442",
+};
+
+TEST(Torture, SeededRunsMatchTheirCheckedInDigests) {
+  std::vector<std::string> got;
+  for (std::uint64_t seed : {1ULL, 2ULL}) {
+    for (Deployment d :
+         {Deployment::kChord, Deployment::kPastry, Deployment::kMirrored}) {
+      for (SearchStrategy s : kAllStrategies)
+        got.push_back(digest_line(std::string(to_string(d)) + "/" +
+                                      to_string(s) + "/" +
+                                      std::to_string(seed),
+                                  ScenarioConfig::from_seed(seed, d, s)));
+    }
+  }
+  const ScenarioConfig churn = ScenarioConfig::from_seed(
+      kChordChurnSeed, Deployment::kChord, SearchStrategy::kTopDownSequential);
+  ASSERT_TRUE(churn.churn);
+  got.push_back(digest_line(
+      "chord/top-down/" + std::to_string(kChordChurnSeed), churn));
+  for (std::uint64_t seed = 1; seed <= 3; ++seed)
+    got.push_back(digest_line("churn/" + std::to_string(seed),
+                              ScenarioConfig::churn_preset(seed)));
+  for (std::uint64_t seed = 1; seed <= 4; ++seed)
+    got.push_back(digest_line("hot-spot/" + std::to_string(seed),
+                              ScenarioConfig::hot_spot_preset(seed)));
+
+  const std::vector<std::string> want(std::begin(kDigests),
+                                      std::end(kDigests));
+  bool same = got.size() == want.size();
+  for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+    EXPECT_EQ(got[i], want[i]) << "record " << i;
+    same = same && got[i] == want[i];
+  }
+  EXPECT_EQ(got.size(), want.size());
+  if (!same) {
+    std::string dump;
+    for (const std::string& line : got) dump += "    \"" + line + "\",\n";
+    ADD_FAILURE() << "the runs' records:\n" << dump;
+  }
 }
 
 TEST(Torture, ChurnScenariosSurvive) {
