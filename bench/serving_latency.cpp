@@ -285,19 +285,9 @@ RunResult churn_run(const std::string& name, const workload::Corpus& corpus,
   mcfg.detector.timeout = 400;
   mcfg.entries_per_tick = 64;
   mcfg.refs_per_tick = 64;
-  maint::MaintenancePlane plane(
-      *setup.net, mcfg, [chord] { chord->stabilize_all(); },
-      [svc](std::size_t entries, std::size_t refs) {
-        return svc->repair_step(entries, refs);
-      },
-      [svc] { return svc->repair_backlog(); });
+  maint::MaintenancePlane plane(*setup.net, mcfg, *chord, *svc);
   plane.set_windows(&windows);
-  if (heal) {
-    std::vector<sim::EndpointId> members;
-    for (dht::RingId id : chord->live_ids())
-      members.push_back(chord->endpoint_of(id));
-    plane.start(members);
-  }
+  if (heal) plane.start();
 
   engine::EngineConfig cfg;
   cfg.max_in_flight = 64;
@@ -395,7 +385,7 @@ workload::QueryLog sharpen_hot_head(const workload::QueryLog& log) {
 /// Part E: the hot-head workload under open-loop load, with the
 /// maintenance plane's always-on replication ticker promoting hot cells in
 /// the background (or idling, for the control). The runs differ ONLY in
-/// Options::hot_cells.enabled, so the skew cut and the message overhead of
+/// Options::hot.enabled, so the skew cut and the message overhead of
 /// replication read off the off/on pair directly. Query cache off: cached
 /// answers would absorb exactly the recurring head the skew measurement
 /// needs on the wire.
@@ -409,21 +399,19 @@ RunResult hotspot_run(const std::string& name, const workload::Corpus& corpus,
   opts.step_timeout = 800;  // >> p99 round trip at median 30
   opts.max_retries = 4;
   opts.failover_after = 2;
-  opts.hot_cells.enabled = replication;
+  opts.hot.enabled = replication;
   // Level-parallel head queries touch hundreds of cells each, so the hot
   // set is wide and moderately hot rather than narrow and extreme: promote
   // early (low min_scans) and cap generously, and use enough replicas that
   // the owner's 1/(replicas+1) residual share sits near the mean.
-  opts.hot_cells.replicas = 7;
-  opts.hot_cells.window = 20000;  // sliding: a scan counts for 20-40 s
-  opts.hot_cells.min_scans = 8;
-  opts.hot_cells.max_hot = 768;
+  opts.hot.replicas = 7;
+  opts.hot.window = 20000;  // sliding: a scan counts for 20-40 s
+  opts.hot.min_scans = 8;
+  opts.hot.max_hot = 768;
   opts.windows = &windows;
   Setup setup(opts, 0x407 + (replication ? 1 : 0));
   setup.publish(corpus);
 
-  dht::ChordNetwork* chord = setup.dht.get();
-  index::KeywordSearchService* svc = setup.service.get();
   maint::MaintenancePlane::Config mcfg;
   mcfg.detector.period = 500;  // WAN-ish latency: see churn_run
   mcfg.detector.timeout = 400;
@@ -431,21 +419,9 @@ RunResult hotspot_run(const std::string& name, const workload::Corpus& corpus,
   // lazy ticker would leave most of the load unspread.
   mcfg.replication_interval = 250;
   mcfg.replica_entries_per_tick = 8192;
-  maint::MaintenancePlane plane(
-      *setup.net, mcfg, [chord] { chord->stabilize_all(); },
-      [svc](std::size_t entries, std::size_t refs) {
-        return svc->repair_step(entries, refs);
-      },
-      [svc] { return svc->repair_backlog(); });
-  plane.set_replication(
-      [svc](std::size_t n) { return svc->replication_step(n); });
+  maint::MaintenancePlane plane(*setup.net, mcfg, *setup.dht, *setup.service);
   plane.set_windows(&windows);
-  {
-    std::vector<sim::EndpointId> members;
-    for (dht::RingId id : chord->live_ids())
-      members.push_back(chord->endpoint_of(id));
-    plane.start(members);
-  }
+  plane.start();
 
   engine::EngineConfig cfg;
   cfg.max_in_flight = 64;

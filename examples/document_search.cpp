@@ -51,8 +51,11 @@ int main() {
   sim::EventQueue clock;
   sim::Network net(clock);
   auto overlay = dht::ChordNetwork::build(net, 32, {});
-  index::KeywordSearchService service(
-      overlay, {.r = 8, .replication_factor = 2});
+  index::KeywordSearchService::Options config;
+  config.r = 8;
+  config.cache_capacity = 32;
+  config.replication_factor = 2;
+  index::KeywordSearchService service(overlay, config);
 
   // Publish each document under the keyword set of its title + body.
   for (const auto& doc : library()) {

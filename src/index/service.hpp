@@ -12,6 +12,12 @@
 //   resolve               object id -> replica holders (DOLR read)
 //   repair                churn maintenance for all owned state
 //
+// Options is the whole OverlayIndex::Config plus the service's own fields
+// (DOLR replication, mirroring, metrics sink), so a deployment built
+// through the service runs the index a hand-built one would. The
+// background maint::MaintenancePlane drives repair_step, repair_backlog
+// and replication_step of one service.
+//
 // Everything is asynchronous over the simulated network; callbacks fire as
 // simulation events.
 #pragma once
@@ -29,28 +35,17 @@ namespace hkws::index {
 
 class KeywordSearchService {
  public:
-  struct Options {
-    int r = 10;                      ///< hypercube dimension
-    int replication_factor = 2;     ///< DOLR reference replicas
-    bool mirror_index = false;      ///< secondary hypercube (§3.4)
-    std::size_t cache_capacity = 32;  ///< per-node query-cache records
-    std::uint64_t hash_seed = seeds::kKeywordHash;
-    /// Retransmission timeout per protocol step (0 = loss recovery off).
-    sim::Time step_timeout = 0;
-    /// Retransmissions allowed per step before the search fails.
-    int max_retries = 3;
-    /// Degraded-mode serving: consecutive step timeouts before a search
-    /// fails over to the surrogate owner (see OverlayIndex::Config).
-    /// 0 = off.
-    int failover_after = 0;
+  /// The index configuration (OverlayIndex::Config, handed to the primary
+  /// cube as is; the mirror derives its own from it) plus the service's
+  /// own fields. Popularity-aware hot-cell replication (`hot`) runs on the
+  /// primary cube only: the mirror's traffic share is already a failover
+  /// artifact.
+  struct Options : OverlayIndex::Config {
+    int replication_factor = 2;  ///< DOLR reference replicas
+    bool mirror_index = false;   ///< secondary hypercube (§3.4)
     /// Windowed-metrics sink for mirror-failover observability (optional;
     /// not owned, must outlive the service).
     obs::WindowedMetrics* windows = nullptr;
-    /// Popularity-aware hot-cell replication + cache sizing, forwarded to
-    /// the primary cube (disabled by default; the mirror cube never
-    /// replicates hot cells — its traffic share is already a failover
-    /// artifact). See OverlayIndex::Config::HotCellConfig.
-    OverlayIndex::Config::HotCellConfig hot_cells;
   };
 
   KeywordSearchService(dht::Overlay& overlay, Options options);
@@ -129,7 +124,7 @@ class KeywordSearchService {
 
   /// One rate-limited hot-cell replication round on the primary cube (see
   /// OverlayIndex::replication_step); the maintenance plane's replication
-  /// ticker calls this. No-op returning 0 unless Options::hot_cells.enabled.
+  /// ticker calls this. No-op returning 0 unless Options::hot.enabled.
   std::uint64_t replication_step(std::size_t max_entries);
 
   /// Outstanding hot-cell replication work on the primary cube.
@@ -140,13 +135,13 @@ class KeywordSearchService {
   dht::Dolr& dolr() noexcept { return dolr_; }
   OverlayIndex& primary_index();
   const OverlayIndex& primary_index() const;
-  const Options& options() const noexcept { return options_; }
+  /// The secondary cube; null unless Options::mirror_index.
+  OverlayIndex* mirror_index();
 
  private:
   Answer decorate(SearchResult result, const KeywordSet& query,
                   const SearchOptions& options) const;
 
-  Options options_;
   dht::Dolr dolr_;
   std::unique_ptr<OverlayIndex> plain_;     // exactly one of these two
   std::unique_ptr<MirroredIndex> mirrored_;

@@ -1,22 +1,28 @@
 #include "maint/maintenance.hpp"
 
+#include <vector>
+
+#include "dht/chord_network.hpp"
+#include "index/service.hpp"
 #include "obs/trace.hpp"
 #include "obs/windowed.hpp"
 
 namespace hkws::maint {
 
 MaintenancePlane::MaintenancePlane(net::Transport& net, Config cfg,
-                                   StabilizeFn stabilize,
-                                   RepairStepFn repair_step, BacklogFn backlog)
+                                   dht::ChordNetwork& ring,
+                                   index::KeywordSearchService& service)
     : net_(net),
       cfg_(cfg),
-      stabilize_(std::move(stabilize)),
-      repair_step_(std::move(repair_step)),
-      backlog_(std::move(backlog)),
+      ring_(ring),
+      service_(service),
       detector_(net, cfg.detector,
                 [this](sim::EndpointId ep) { on_death(ep); }) {}
 
-void MaintenancePlane::start(const std::vector<sim::EndpointId>& members) {
+void MaintenancePlane::start() {
+  std::vector<sim::EndpointId> members;
+  for (const dht::RingId id : ring_.live_ids())
+    members.push_back(ring_.endpoint_of(id));
   detector_.start(members);
   arm_replication_ticker();
 }
@@ -44,7 +50,7 @@ void MaintenancePlane::set_windows(obs::WindowedMetrics* windows) {
 
 bool MaintenancePlane::converged() const {
   return pending_stabilize_ == 0 && detector_.suspected_count() == 0 &&
-         (!backlog_ || backlog_() == 0);
+         service_.repair_backlog() == 0;
 }
 
 void MaintenancePlane::on_death(sim::EndpointId ep) {
@@ -68,14 +74,15 @@ void MaintenancePlane::arm_ticker() {
 
 void MaintenancePlane::arm_replication_ticker() {
   if (replication_timer_ != 0 || !detector_.running()) return;
-  if (!replicate_ || cfg_.replication_interval == 0) return;
+  if (cfg_.replication_interval == 0) return;
   replication_timer_ =
       net_.set_timer(cfg_.replication_interval, [this] { replication_tick(); });
 }
 
 void MaintenancePlane::replication_tick() {
   replication_timer_ = 0;
-  const std::uint64_t copied = replicate_(cfg_.replica_entries_per_tick);
+  const std::uint64_t copied =
+      service_.replication_step(cfg_.replica_entries_per_tick);
   if (copied > 0) net_.metrics().count("maint.replica_entries", copied);
   if (windows_ != nullptr && copied > 0)
     windows_->count(net_.now(), "replica.entries_copied", copied);
@@ -86,7 +93,7 @@ void MaintenancePlane::replication_tick() {
 
 void MaintenancePlane::stabilize_once() {
   const std::uint64_t before = net_.metrics().counter("net.messages");
-  stabilize_();
+  ring_.stabilize_all();
   synthetic_ += net_.metrics().counter("net.messages") - before;
 }
 
@@ -98,11 +105,10 @@ void MaintenancePlane::tick() {
   for (int i = 0; i < cfg_.stabilize_rounds_per_tick && pending_stabilize_ > 0;
        ++i, --pending_stabilize_)
     stabilize_once();
-  std::uint64_t work = 0;
-  if (repair_step_) work = repair_step_(cfg_.entries_per_tick,
-                                        cfg_.refs_per_tick);
+  const std::uint64_t work =
+      service_.repair_step(cfg_.entries_per_tick, cfg_.refs_per_tick);
   work_done_ += work;
-  const std::size_t backlog = backlog_ ? backlog_() : 0;
+  const std::size_t backlog = service_.repair_backlog();
   const sim::Time now = net_.now();
   if (work > 0) net_.metrics().count("maint.repair_work", work);
   if (windows_ != nullptr) {

@@ -1,8 +1,10 @@
 // MaintenancePlane — the repair half of the self-healing maintenance
-// plane. It couples the heartbeat FailureDetector to the overlay's and
-// index's repair machinery, replacing the all-at-once repair sweeps the
-// harnesses used to run in zero simulated time with *incremental*
-// background work on the simulation event queue:
+// plane. It couples the heartbeat FailureDetector to one Chord ring and
+// the KeywordSearchService indexing over it (the ring's stabilize_all, the
+// service's repair_step / repair_backlog / replication_step), replacing
+// the all-at-once repair sweeps the harnesses used to run in zero
+// simulated time with *incremental* background work on the simulation
+// event queue:
 //
 //   * confirmed death  ->  schedules a budget of DHT stabilization rounds
 //     (routing heal) and (re)activates the repair ticker
@@ -16,7 +18,7 @@
 // degrade via the index's failover path, and recover completeness once
 // converged() reports the plane has drained its backlog.
 //
-// Accounting: Chord/Pastry stabilization charges lookup hops to
+// Accounting: Chord stabilization charges lookup hops to
 // "net.messages" synchronously, without a matching wire delivery. The
 // plane measures the "net.messages" counter delta across each (purely
 // synchronous) stabilize call and reports the sum as
@@ -26,9 +28,16 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "maint/failure_detector.hpp"
+
+namespace hkws::dht {
+class ChordNetwork;
+}  // namespace hkws::dht
+
+namespace hkws::index {
+class KeywordSearchService;
+}  // namespace hkws::index
 
 namespace hkws::obs {
 class Tracer;
@@ -57,31 +66,18 @@ class MaintenancePlane {
     std::size_t replica_entries_per_tick = 64;
   };
 
-  /// One overlay stabilization round (e.g. ChordNetwork::stabilize_all).
-  /// Must be synchronous: the plane measures its "net.messages" charge as
-  /// a counter delta around the call.
-  using StabilizeFn = std::function<void()>;
-  /// One budgeted repair slice: (entry_budget, ref_budget) -> work done
-  /// (e.g. KeywordSearchService::repair_step).
-  using RepairStepFn = std::function<std::uint64_t(std::size_t, std::size_t)>;
-  /// Outstanding repair work (e.g. KeywordSearchService::repair_backlog).
-  using BacklogFn = std::function<std::size_t()>;
-  /// One budgeted hot-cell replication round: max_entries -> entries copied
-  /// (e.g. KeywordSearchService::replication_step).
-  using ReplicationFn = std::function<std::uint64_t(std::size_t)>;
+  /// Wires the plane to one Chord ring and the service indexing over it:
+  /// stabilization is ring.stabilize_all(), a repair slice is
+  /// service.repair_step, the backlog is service.repair_backlog, and a
+  /// replication round (when Config::replication_interval != 0) is
+  /// service.replication_step. Both must outlive the plane.
+  MaintenancePlane(net::Transport& net, Config cfg, dht::ChordNetwork& ring,
+                   index::KeywordSearchService& service);
 
-  MaintenancePlane(net::Transport& net, Config cfg, StabilizeFn stabilize,
-                   RepairStepFn repair_step, BacklogFn backlog);
-
-  /// Installs the hot-cell replication hook. Call before start(); the
-  /// ticker only arms when both the hook and Config::replication_interval
-  /// are set.
-  void set_replication(ReplicationFn fn) { replicate_ = std::move(fn); }
-
-  /// Starts the failure detector over `members`. The repair ticker stays
-  /// dormant until the first confirmed death; the replication ticker (if
-  /// configured) arms immediately.
-  void start(const std::vector<sim::EndpointId>& members);
+  /// Starts the failure detector over the ring's live peers. The repair
+  /// ticker stays dormant until the first confirmed death; the replication
+  /// ticker (if configured) arms immediately.
+  void start();
 
   /// Stops detector and ticker, cancelling every armed timer.
   void stop();
@@ -134,10 +130,8 @@ class MaintenancePlane {
 
   net::Transport& net_;
   Config cfg_;
-  StabilizeFn stabilize_;
-  RepairStepFn repair_step_;
-  BacklogFn backlog_;
-  ReplicationFn replicate_;
+  dht::ChordNetwork& ring_;
+  index::KeywordSearchService& service_;
   FailureDetector detector_;
   obs::WindowedMetrics* windows_ = nullptr;
   obs::Tracer* tracer_ = nullptr;

@@ -21,13 +21,12 @@
 #include "cubenet/hypercup_index.hpp"
 #include "cubenet/hypercup_network.hpp"
 #include "dht/chord_network.hpp"
-#include "dht/dolr.hpp"
 #include "dht/pastry_network.hpp"
 #include "index/decomposed.hpp"
 #include "index/logical_index.hpp"
-#include "index/mirrored.hpp"
 #include "index/overlay_index.hpp"
 #include "index/ranking.hpp"
+#include "index/service.hpp"
 #include "maint/maintenance.hpp"
 #include "net/tcp_transport.hpp"
 #include "net/udp_transport.hpp"
@@ -87,6 +86,9 @@ struct Oracle {
 ///           wall-clock sleep in transport ticks; draining is wait_idle.
 ///  * in-process — neither set: synchronous deployments; async methods are
 ///           no-ops.
+///
+/// Every driver hands execute() one: the networked deployments a sim or
+/// socket Runtime, HyperCuP a sim one, direct and decomposed an empty one.
 ///
 /// Thread-safety protocol for socket mode, relied on throughout execute():
 /// completion callbacks run on the strand and write into the report; the
@@ -252,11 +254,6 @@ struct Ops {
   std::function<std::vector<ObjectId>(
       std::uint64_t, const std::map<ObjectId, KeywordSet>&)>
       fail_peer;
-  sim::EventQueue* clock = nullptr;  ///< null for in-process deployments
-  sim::Network* net = nullptr;
-  /// Execution substrate. Drivers that support the tcp backend supply one;
-  /// when null, execute() builds a sim/in-process Runtime from clock/net.
-  Runtime* rt = nullptr;
   /// Continuous churn: the self-healing plane racing the workload (null
   /// when disabled — the control run). Not owned.
   maint::MaintenancePlane* plane = nullptr;
@@ -382,16 +379,11 @@ void check_search_result(const SearchResult& r, const KeywordSet& query,
 /// Generic workload engine: drives Ops through cfg.rounds of quiesced
 /// mutations followed by overlapping searches, applying churn events and
 /// checking every invariant.
-void execute(const ScenarioConfig& cfg, Ops& ops, ScenarioReport& rep,
-             obs::Tracer* tracer) {
+void execute(const ScenarioConfig& cfg, Ops& ops, Runtime& rt,
+             ScenarioReport& rep, obs::Tracer* tracer) {
   Rng wl(mix64(cfg.seed ^ kWorkloadSalt));
   Oracle oracle;
   ObjectId next_id = 1;
-
-  Runtime local_rt;
-  local_rt.clock = ops.clock;
-  local_rt.transport = ops.net;
-  Runtime& rt = ops.rt != nullptr ? *ops.rt : local_rt;
 
   const auto ts = [&rt]() -> sim::Time { return rt.now(); };
   if (tracer != nullptr)
@@ -674,13 +666,9 @@ void execute(const ScenarioConfig& cfg, Ops& ops, ScenarioReport& rep,
       // exhaustion; on tcp there is no queue to exhaust and the bound — in
       // wall-clock transport ticks — is the only hang detector.
       const sim::Time hang_deadline = rt.now() + 60000;
-      if (rt.is_sim()) {
-        while (outstanding > 0 &&
-               (ops.plane == nullptr || ops.clock->now() < hang_deadline) &&
-               ops.clock->step()) {
-        }
-      } else {
-        while (outstanding > 0 && rt.now() < hang_deadline) rt.step();
+      const bool bounded = ops.plane != nullptr || rt.is_socket();
+      while (outstanding > 0 && (!bounded || rt.now() < hang_deadline) &&
+             rt.step()) {
       }
       if (outstanding > 0) {
         rep.violations.push_back(
@@ -915,7 +903,8 @@ void run_direct(const ScenarioConfig& cfg, ScenarioReport& rep,
       return "per-node loads do not sum to object_count";
     return std::nullopt;
   };
-  execute(cfg, ops, rep, tracer);
+  Runtime in_process;
+  execute(cfg, ops, in_process, rep, tracer);
 }
 
 void run_decomposed(const ScenarioConfig& cfg, ScenarioReport& rep,
@@ -960,7 +949,8 @@ void run_decomposed(const ScenarioConfig& cfg, ScenarioReport& rep,
     }
     return std::nullopt;
   };
-  execute(cfg, ops, rep, tracer);
+  Runtime in_process;
+  execute(cfg, ops, in_process, rep, tracer);
 }
 
 void run_hypercup(const ScenarioConfig& cfg, const FaultPlan& plan,
@@ -979,9 +969,10 @@ void run_hypercup(const ScenarioConfig& cfg, const FaultPlan& plan,
     return static_cast<cube::CubeId>(pubs.next_below(hnet.size()));
   };
 
+  Runtime rt;
+  rt.clock = &clock;
+  rt.transport = &net;
   Ops ops;
-  ops.clock = &clock;
-  ops.net = &net;
   ops.overshoot_ok = true;  // credit-based forwarding may exceed threshold
   ops.publish = [&](ObjectId id, const KeywordSet& k,
                     std::function<void()> done) {
@@ -1009,103 +1000,94 @@ void run_hypercup(const ScenarioConfig& cfg, const FaultPlan& plan,
              std::to_string(live.size());
     return std::nullopt;
   };
-  execute(cfg, ops, rep, tracer);
+  execute(cfg, ops, rt, rep, tracer);
   rep.faults_applied = inj->applied();
 }
 
-/// Builds the socket substrate for a non-sim backend: TCP streams or UDP
-/// datagrams (one envelope frame per datagram), seeded from the scenario.
-std::unique_ptr<net::SocketTransport> make_socket(const ScenarioConfig& cfg) {
-  if (cfg.backend == Backend::kUdp)
-    return std::make_unique<net::UdpTransport>();
-  net::TcpTransport::Config tc;
-  tc.seed = mix64(cfg.seed ^ kNetSalt);
-  return std::make_unique<net::TcpTransport>(tc);
-}
-
-/// Installs the scenario's fault injector on whichever backend carries the
-/// run: the sim fabric (which draws from its own RNG) or the socket
-/// transport (given an Rng seeded from the scenario).
-void install_faults(const ScenarioConfig& cfg, sim::Network* simnet,
-                    net::SocketTransport* sock,
-                    std::unique_ptr<FaultInjector> injector) {
-  if (sock != nullptr)
-    sock->set_fault_model(std::move(injector), mix64(cfg.seed ^ kNetSalt ^ 2));
-  else
-    simnet->set_fault_model(std::move(injector));
-}
-
-/// Shared driver for OverlayIndex over either DHT. `chord` is non-null for
-/// the Chord deployment (whose stabilize recipe enables churn).
-void run_overlay(const ScenarioConfig& cfg, const FaultPlan& plan,
+/// The networked deployments, built the way a user builds them: Chord,
+/// Pastry or mirrored (two cubes over Chord) through one
+/// KeywordSearchService, on the simulator or a socket transport, with the
+/// service's MaintenancePlane where the scenario runs one.
+void run_service(const ScenarioConfig& cfg, const FaultPlan& plan,
                  ScenarioReport& rep, obs::Tracer* tracer) {
-  const bool sock_mode = cfg.backend != Backend::kSim;
+  const bool mirrored = cfg.deployment == Deployment::kMirrored;
   sim::EventQueue clock;
   auto injector = std::make_unique<FaultInjector>(plan);
   FaultInjector* inj = injector.get();
 
-  // Substrate: the sim fabric, or a real SocketTransport (TCP or UDP);
-  // either way the same plan injects below the protocol, in the backend's
-  // own send path.
+  // Substrate: the sim fabric, or a real SocketTransport (TCP streams, or
+  // UDP datagrams with one envelope frame per datagram); either way the
+  // same plan injects below the protocol, in the backend's own send path.
   std::unique_ptr<sim::Network> simnet;
   std::unique_ptr<net::SocketTransport> sock;
-  net::Transport* transport = nullptr;
-  if (sock_mode) {
-    sock = make_socket(cfg);
-    transport = sock.get();
+  if (cfg.backend == Backend::kUdp) {
+    sock = std::make_unique<net::UdpTransport>();
+  } else if (cfg.backend == Backend::kTcp) {
+    net::TcpTransport::Config tc;
+    tc.seed = mix64(cfg.seed ^ kNetSalt);
+    sock = std::make_unique<net::TcpTransport>(tc);
   } else {
     simnet = std::make_unique<sim::Network>(
         clock, std::make_unique<sim::UniformLatency>(1, 12),
         mix64(cfg.seed ^ kNetSalt));
-    transport = simnet.get();
   }
+  net::Transport& transport =
+      sock != nullptr ? static_cast<net::Transport&>(*sock) : *simnet;
 
   Runtime rt;
-  rt.clock = sock_mode ? nullptr : &clock;
+  rt.clock = simnet != nullptr ? &clock : nullptr;
   rt.sock = sock.get();
-  rt.transport = transport;
+  rt.transport = &transport;
   rt.capture_strand();
 
   std::unique_ptr<dht::Overlay> overlay;
   dht::ChordNetwork* chord = nullptr;
-  if (cfg.deployment == Deployment::kChord) {
+  if (cfg.deployment == Deployment::kPastry) {
+    overlay = std::make_unique<dht::PastryNetwork>(
+        dht::PastryNetwork::build(transport, cfg.peers, {}));
+  } else {
     auto c = std::make_unique<dht::ChordNetwork>(
-        dht::ChordNetwork::build(*transport, cfg.peers, {}));
+        dht::ChordNetwork::build(transport, cfg.peers, {}));
     chord = c.get();
     overlay = std::move(c);
-  } else {
-    overlay = std::make_unique<dht::PastryNetwork>(
-        dht::PastryNetwork::build(*transport, cfg.peers, {}));
   }
-  dht::Dolr dolr(*overlay);
-  index::OverlayIndex::Config oicfg;
-  oicfg.r = cfg.r;
-  oicfg.cache_capacity = cfg.cache_capacity;
-  // Exercise the VisitBatch path under faults: the conservation and
-  // soundness invariants must hold with coalesced rounds too.
-  oicfg.coalesce_visits = true;
-  oicfg.step_timeout = cfg.retransmission ? 80 : 0;
-  oicfg.max_retries = 8;
+
+  // coalesce_visits keeps its default (on), so the conservation and
+  // soundness invariants must hold with coalesced VisitBatch rounds too.
+  index::KeywordSearchService::Options opts;
+  opts.r = cfg.r;
+  opts.cache_capacity = cfg.cache_capacity;
+  opts.step_timeout = cfg.retransmission ? 80 : 0;
+  opts.max_retries = 8;
   // Exponential backoff with seeded jitter on the retries: under a
   // partition window, blind fixed-period retransmission would burn the
   // retry budget into the cut; backoff stretches the schedule across it.
-  oicfg.backoff_cap = 640;
-  oicfg.backoff_jitter = 40;
-  oicfg.backoff_seed = mix64(cfg.seed ^ kNetSalt ^ 3);
+  opts.backoff_cap = 640;
+  opts.backoff_jitter = 40;
+  opts.backoff_seed = mix64(cfg.seed ^ kNetSalt ^ 3);
   if (cfg.hot_spot) {
     // One popularity window covers the whole run, so the recurring-query
     // head accumulates scans fast enough to cross the hot threshold within
     // the first rounds.
-    oicfg.hot.enabled = cfg.hot_replication;
-    oicfg.hot.replicas = 3;
-    oicfg.hot.window = 1 << 20;
-    oicfg.hot.min_scans = 4;
-    oicfg.hot.max_hot = 16;
+    opts.hot.enabled = cfg.hot_replication;
+    opts.hot.replicas = 3;
+    opts.hot.window = 1 << 20;
+    opts.hot.min_scans = 4;
+    opts.hot.max_hot = 16;
   }
-  index::OverlayIndex oi(dolr, oicfg);
+  // Continuous churn keeps references replicated so the DOLR layer has
+  // something to repair from; every other scenario stays unreplicated.
+  opts.replication_factor = cfg.continuous_churn ? 3 : 1;
+  opts.mirror_index = mirrored;
+  index::KeywordSearchService service(*overlay, opts);
+  index::OverlayIndex& primary = service.primary_index();
+  index::OverlayIndex* mirror = service.mirror_index();
   // Faults start only now: overlay construction traffic stays pristine,
   // and wire numbering starts at the next message.
-  install_faults(cfg, simnet.get(), sock.get(), std::move(injector));
+  if (sock != nullptr)
+    sock->set_fault_model(std::move(injector), mix64(cfg.seed ^ kNetSalt ^ 2));
+  else
+    simnet->set_fault_model(std::move(injector));
   if (tracer != nullptr && simnet != nullptr)
     obs::attach_network(*tracer, *simnet);
 
@@ -1114,48 +1096,54 @@ void run_overlay(const ScenarioConfig& cfg, const FaultPlan& plan,
   // that is the point).
   std::map<sim::EndpointId, std::uint64_t> scan_loads;
   if (cfg.max_scan_skew > 0.0)
-    oi.set_trace([&scan_loads](const index::OverlayIndex::Trace& t) {
+    primary.set_trace([&scan_loads](const index::OverlayIndex::Trace& t) {
       if (std::string_view(t.point) == "scan") ++scan_loads[t.b];
     });
 
   constexpr sim::EndpointId kHome = 1;  // publisher/searcher; never fails
 
-  // Hot-spot runs drive replication the way production does: the plane's
-  // always-on replication ticker promotes/demotes/resyncs in the
-  // background while the workload races it.
+  // The maintenance plane on the Chord ring: heartbeat detection plus
+  // budgeted background repair racing the workload (continuous churn), or
+  // the always-on replication ticker promoting, demoting and resyncing hot
+  // cells the way production does (hot spot).
+  const bool heals = cfg.continuous_churn && cfg.self_healing;
+  const bool replicates = cfg.hot_spot && cfg.hot_replication;
   std::unique_ptr<maint::MaintenancePlane> plane;
-  if (cfg.hot_spot && cfg.hot_replication && chord != nullptr) {
+  if (chord != nullptr && (heals || replicates)) {
     maint::MaintenancePlane::Config pc;
-    pc.replication_interval = 40;
-    pc.replica_entries_per_tick = 512;
-    plane = std::make_unique<maint::MaintenancePlane>(
-        *transport, pc, [chord] { chord->stabilize_all(); },
-        [&oi](std::size_t entries, std::size_t) {
-          oi.purge_dead();
-          return oi.repair_placement(entries);
-        },
-        [&oi] { return oi.misplaced_entries() + oi.replication_backlog(); });
-    plane->set_replication(
-        [&oi](std::size_t n) { return oi.replication_step(n); });
+    if (replicates) {
+      pc.replication_interval = 40;
+      pc.replica_entries_per_tick = 512;
+    }
+    plane = std::make_unique<maint::MaintenancePlane>(transport, pc, *chord,
+                                                      service);
     if (tracer != nullptr) plane->set_tracer(tracer);
-    std::vector<sim::EndpointId> members;
-    for (const dht::RingId id : chord->live_ids())
-      members.push_back(chord->endpoint_of(id));
-    rt.post_sync([&] { plane->start(members); });
+    rt.post_sync([&] { plane->start(); });
+    // Real-runtime composition: connection-death reports from the socket
+    // layer feed the failure detector's fast path (the observer already
+    // runs on the dispatch strand, the detector's serialization domain).
+    if (sock != nullptr && cfg.continuous_churn) {
+      maint::MaintenancePlane* p = plane.get();
+      sock->set_peer_down_observer(
+          [p](sim::EndpointId ep) { p->detector().note_transport_down(ep); });
+    }
   }
 
   // Every op initiation below is strand-marshaled through rt.post_sync —
   // a direct call on the simulator, the thread-safety boundary on tcp.
+  const auto result_of = [](const index::KeywordSearchService::Answer& a) {
+    return SearchResult{a.hits, a.stats};
+  };
   Ops ops;
-  ops.clock = rt.clock;
-  ops.net = simnet.get();
-  ops.rt = &rt;
   ops.plane = plane.get();
-  ops.overshoot_ok = cfg.strategy == SearchStrategy::kLevelParallel;
+  // Level-parallel rounds may overshoot a threshold; the mirrored merge
+  // truncates the union to it, so a mirrored result never does.
+  ops.overshoot_ok =
+      !mirrored && cfg.strategy == SearchStrategy::kLevelParallel;
   ops.publish = [&](ObjectId id, const KeywordSet& k,
                     std::function<void()> done) {
     rt.post_sync([&] {
-      oi.publish(
+      service.publish(
           kHome, id, k,
           [done](const index::OverlayIndex::PublishResult&) { done(); });
     });
@@ -1163,137 +1151,154 @@ void run_overlay(const ScenarioConfig& cfg, const FaultPlan& plan,
   ops.withdraw = [&](ObjectId id, const KeywordSet& k,
                      std::function<void()> done) {
     rt.post_sync([&] {
-      oi.withdraw(kHome, id, k,
-                  [done](const index::OverlayIndex::WithdrawResult&) {
-                    done();
-                  });
+      service.withdraw(kHome, id, k,
+                       [done](const index::OverlayIndex::WithdrawResult&) {
+                         done();
+                       });
     });
   };
   ops.pin = [&](const KeywordSet& q,
                 std::function<void(const SearchResult&)> cb) {
-    rt.post_sync([&] { oi.pin_search(kHome, q, std::move(cb)); });
+    rt.post_sync([&] {
+      service.pin(kHome, q,
+                  [cb = std::move(cb), result_of](
+                      const index::KeywordSearchService::Answer& a) {
+                    cb(result_of(a));
+                  });
+    });
   };
   ops.search = [&](const KeywordSet& q, std::size_t t,
                    std::function<void(const SearchResult&)> cb) {
-    std::uint64_t handle = 0;
+    index::KeywordSearchService::SearchOptions so;
+    so.limit = t;
+    so.strategy = cfg.strategy;
+    std::uint64_t ticket = 0;
     rt.post_sync([&] {
-      handle = oi.superset_search(kHome, q, t, cfg.strategy, std::move(cb));
+      ticket = service.search(
+          kHome, q, so,
+          [cb = std::move(cb), result_of](
+              const index::KeywordSearchService::Answer& a) {
+            cb(result_of(a));
+          });
     });
-    return handle;
+    return ticket;
   };
-  ops.cancel = [&](std::uint64_t id) {
+  ops.cancel = [&](std::uint64_t ticket) {
     bool cancelled = false;
-    rt.post_sync([&] { cancelled = oi.cancel(id); });
+    rt.post_sync([&] { cancelled = service.cancel_search(ticket); });
     return cancelled;
   };
-  ops.browse = [&](const KeywordSet& q, std::size_t page,
-                   std::function<void(const std::vector<Hit>&, bool)> cb) {
-    rt.post_sync([&] {
-      const std::uint64_t sess = oi.open_cumulative(kHome, q);
-      auto all = std::make_shared<std::vector<Hit>>();
-      auto pages = std::make_shared<std::size_t>(0);
-      auto step = std::make_shared<std::function<void()>>();
-      *step = [&oi, sess, page, all, pages, cb, step] {
-        if (++*pages > 100000) {
-          oi.close_cumulative(sess);
-          cb(*all, false);
-          *step = nullptr;
-          return;
-        }
-        oi.cumulative_next(
-            sess, page, [&oi, sess, all, cb, step](const SearchResult& r) {
-              all->insert(all->end(), r.hits.begin(), r.hits.end());
-              if (r.stats.complete) {
-                oi.close_cumulative(sess);
-                cb(*all, true);
-                *step = nullptr;  // break the self-reference cycle
-              } else {
-                (*step)();
-              }
-            });
-      };
-      (*step)();
-    });
+  if (!mirrored) {
+    ops.browse = [&](const KeywordSet& q, std::size_t page,
+                     std::function<void(const std::vector<Hit>&, bool)> cb) {
+      rt.post_sync([&] {
+        const std::uint64_t sess = service.open_browse(kHome, q);
+        auto all = std::make_shared<std::vector<Hit>>();
+        auto pages = std::make_shared<std::size_t>(0);
+        auto step = std::make_shared<std::function<void()>>();
+        *step = [&service, sess, page, all, pages, cb, step] {
+          if (++*pages > 100000) {
+            service.close_browse(sess);
+            cb(*all, false);
+            *step = nullptr;
+            return;
+          }
+          service.browse_next(
+              sess, page,
+              [&service, sess, all, cb,
+               step](const index::KeywordSearchService::Answer& a) {
+                all->insert(all->end(), a.hits.begin(), a.hits.end());
+                if (a.stats.complete) {
+                  service.close_browse(sess);
+                  cb(*all, true);
+                  *step = nullptr;  // break the self-reference cycle
+                } else {
+                  (*step)();
+                }
+              });
+        };
+        (*step)();
+      });
+    };
+  }
+  ops.in_flight = [&] {
+    return primary.in_flight_requests() +
+           (mirror != nullptr ? mirror->in_flight_requests() : 0);
   };
-  ops.in_flight = [&] { return oi.in_flight_requests(); };
   ops.check_occupancy =
-      [&](const std::map<ObjectId, KeywordSet>& live) {
-        return overlay_occupancy(oi, "overlay", live);
-      };
-  if (chord != nullptr) {
-    ops.fail_peer = [&, chord](std::uint64_t ordinal,
-                               const std::map<ObjectId, KeywordSet>& live) {
+      [&](const std::map<ObjectId, KeywordSet>& live)
+      -> std::optional<std::string> {
+    if (mirror == nullptr) return overlay_occupancy(primary, "overlay", live);
+    if (auto err = overlay_occupancy(primary, "primary", live)) return err;
+    return overlay_occupancy(*mirror, "mirror", live);
+  };
+  if (chord != nullptr && (!mirrored || cfg.continuous_churn)) {
+    ops.fail_peer = [&](std::uint64_t ordinal,
+                        const std::map<ObjectId, KeywordSet>& live) {
       // Kill, survivor scan and stabilization touch protocol state, so each
       // burst runs strand-serialized; the drains between them must run from
       // the engine thread (on tcp the strand cannot wait for itself).
       std::vector<ObjectId> lost;
-      bool no_quorum = false;
+      bool killed = false;
       rt.post_sync([&] {
         std::vector<sim::EndpointId> candidates;
         for (sim::EndpointId ep = 2; ep <= cfg.peers; ++ep)
           if (chord->is_live(ep)) candidates.push_back(ep);
-        if (candidates.size() < 4) {
-          no_quorum = true;
-          return;
-        }
+        if (candidates.size() < (cfg.continuous_churn ? 6u : 4u)) return;
         const sim::EndpointId victim =
             candidates[ordinal % candidates.size()];
-        if (cfg.hot_spot) {
-          // Hot-spot kill: the plane is parked around the (synchronous)
-          // repair so its detector never double-heals, the queue is
-          // drained, and a full replication round restores owner tables
-          // from any surviving replica copies — entries are only truly
-          // lost when no live peer holds them in either a primary or a
-          // replica table.
-          if (plane != nullptr) plane->stop();
-          chord->fail(victim);
-          std::set<ObjectId> survivors;
-          oi.for_each_entry([&](cube::CubeId, const KeywordSet&, ObjectId id,
-                                sim::EndpointId ep) {
-            if (chord->is_live(ep)) survivors.insert(id);
-          });
-          oi.for_each_replica_entry([&](cube::CubeId, const KeywordSet&,
-                                        ObjectId id, sim::EndpointId ep) {
-            if (chord->is_live(ep)) survivors.insert(id);
-          });
-          for (const auto& [id, k] : live)
-            if (!survivors.contains(id)) lost.push_back(id);
-          for (int i = 0; i < 30; ++i) chord->stabilize_all();
-          return;
+        killed = true;
+        if (cfg.continuous_churn) {
+          // Raw kill: no stabilization, no repair — detection and healing
+          // are the plane's responsibility (or deliberately nobody's, when
+          // the self-healing control is off).
+          if (plane != nullptr) plane->note_true_failure(victim);
+        } else if (plane != nullptr) {
+          // The plane is parked around the (synchronous) instant repair so
+          // its detector never double-heals.
+          plane->stop();
         }
-        // Entries that die with the victim, per current (canonical after
-        // the previous round's repair) placement.
-        for (const auto& [id, k] : live)
-          if (oi.peer_of(oi.responsible_node(k)) == victim)
-            lost.push_back(id);
         chord->fail(victim);
-        for (int i = 0; i < 30; ++i) chord->stabilize_all();
+        // An object is gone for good only when no live peer holds an
+        // entry of it: not in the primary or a hot-cell replica table, and
+        // not in the mirror (back-to-back kills in one round can take the
+        // primary and mirror copies with different victims before the
+        // plane has had any time to heal).
+        std::set<ObjectId> survivors;
+        const auto collect = [&](cube::CubeId, const KeywordSet&,
+                                 ObjectId id, sim::EndpointId ep) {
+          if (chord->is_live(ep)) survivors.insert(id);
+        };
+        primary.for_each_entry(collect);
+        primary.for_each_replica_entry(collect);
+        if (mirror != nullptr) mirror->for_each_entry(collect);
+        for (const auto& [id, k] : live)
+          if (!survivors.contains(id)) lost.push_back(id);
+        if (!cfg.continuous_churn)
+          for (int i = 0; i < 30; ++i) chord->stabilize_all();
       });
-      if (no_quorum) return std::vector<ObjectId>{};
+      if (!killed || cfg.continuous_churn) return lost;
+      // Instant repair, then (hot spot) a full replication round that
+      // restores owner tables from any surviving replica copies.
       rt.drain_full();
       rt.post_sync([&] {
-        oi.purge_dead();
-        oi.repair_placement();
+        service.repair();
         if (cfg.hot_spot)
-          oi.replication_step(std::numeric_limits<std::size_t>::max());
+          service.replication_step(std::numeric_limits<std::size_t>::max());
       });
       rt.drain_full();
-      if (cfg.hot_spot && plane != nullptr) {
-        std::vector<sim::EndpointId> members;
-        rt.post_sync([&] {
-          for (const dht::RingId id : chord->live_ids())
-            members.push_back(chord->endpoint_of(id));
-          plane->start(members);
-        });
-      }
+      if (plane != nullptr) rt.post_sync([&] { plane->start(); });
       return lost;
     };
   }
-  execute(cfg, ops, rep, tracer);
+  execute(cfg, ops, rt, rep, tracer);
   rt.fence();
   rt.post_sync([&] {
     if (plane != nullptr) plane->stop();  // idempotent; covers early exits
   });
+  // The observer closes over the plane, which is destroyed before the
+  // transport: detach it before teardown.
+  if (sock != nullptr) sock->set_peer_down_observer(nullptr);
 
   // Load-balance invariant: the busiest peer's scan count vs the mean over
   // all live peers (idle peers count — that is what the skew is about).
@@ -1320,198 +1325,6 @@ void run_overlay(const ScenarioConfig& cfg, const FaultPlan& plan,
       }
     }
   }
-  rep.faults_applied = inj->applied();
-}
-
-void run_mirrored(const ScenarioConfig& cfg, const FaultPlan& plan,
-                  ScenarioReport& rep, obs::Tracer* tracer) {
-  const bool sock_mode = cfg.backend != Backend::kSim;
-  sim::EventQueue clock;
-  auto injector = std::make_unique<FaultInjector>(plan);
-  FaultInjector* inj = injector.get();
-
-  std::unique_ptr<sim::Network> simnet;
-  std::unique_ptr<net::SocketTransport> sock;
-  net::Transport* transport = nullptr;
-  if (sock_mode) {
-    sock = make_socket(cfg);
-    transport = sock.get();
-  } else {
-    simnet = std::make_unique<sim::Network>(
-        clock, std::make_unique<sim::UniformLatency>(1, 12),
-        mix64(cfg.seed ^ kNetSalt));
-    transport = simnet.get();
-  }
-
-  Runtime rt;
-  rt.clock = sock_mode ? nullptr : &clock;
-  rt.sock = sock.get();
-  rt.transport = transport;
-  rt.capture_strand();
-
-  auto chord = std::make_unique<dht::ChordNetwork>(
-      dht::ChordNetwork::build(*transport, cfg.peers, {}));
-  // Continuous churn keeps references replicated so the DOLR layer has
-  // something to repair from; the plain scenario stays unreplicated.
-  dht::Dolr dolr(*chord,
-                 {.replication_factor = cfg.continuous_churn ? 3 : 1});
-  index::MirroredIndex mi(
-      dolr, {.r = cfg.r,
-             .cache_capacity = cfg.cache_capacity,
-             .coalesce_visits = true,
-             .step_timeout = cfg.retransmission ? sim::Time{80} : sim::Time{0},
-             .max_retries = 8,
-             .backoff_cap = 640,
-             .backoff_jitter = 40,
-             .backoff_seed = mix64(cfg.seed ^ kNetSalt ^ 3)});
-  install_faults(cfg, simnet.get(), sock.get(), std::move(injector));
-  if (tracer != nullptr && simnet != nullptr)
-    obs::attach_network(*tracer, *simnet);
-
-  constexpr sim::EndpointId kHome = 1;
-  dht::ChordNetwork* c = chord.get();
-
-  // Self-healing plane: heartbeat detection over all peers plus the same
-  // stabilize/repair recipe the service layer composes, budgeted per tick.
-  std::unique_ptr<maint::MaintenancePlane> plane;
-  if (cfg.continuous_churn && cfg.self_healing) {
-    plane = std::make_unique<maint::MaintenancePlane>(
-        *transport, maint::MaintenancePlane::Config{},
-        [c] { c->stabilize_all(); },
-        [&mi, &dolr](std::size_t entries, std::size_t refs) {
-          mi.purge_dead();
-          const std::uint64_t moved = mi.repair_placement(entries);
-          std::uint64_t work = moved;
-          const std::size_t left =
-              entries > moved
-                  ? entries - static_cast<std::size_t>(moved)
-                  : 0;
-          work += mi.resync(left);
-          work += dolr.repair_replicas(refs);
-          return work;
-        },
-        [&mi, &dolr] {
-          return dolr.replication_backlog() + mi.misplaced_entries() +
-                 mi.resync_backlog();
-        });
-    if (tracer != nullptr) plane->set_tracer(tracer);
-    std::vector<sim::EndpointId> members;
-    for (dht::RingId id : c->live_ids())
-      members.push_back(c->endpoint_of(id));
-    rt.post_sync([&] { plane->start(members); });
-    // Real-runtime composition: connection-death reports from the socket
-    // layer feed the failure detector's fast path (the observer already
-    // runs on the dispatch strand, the detector's serialization domain).
-    if (sock != nullptr) {
-      maint::MaintenancePlane* p = plane.get();
-      sock->set_peer_down_observer(
-          [p](sim::EndpointId ep) { p->detector().note_transport_down(ep); });
-    }
-  }
-
-  // Op initiations marshal through rt.post_sync (direct calls on the sim).
-  Ops ops;
-  ops.clock = rt.clock;
-  ops.net = simnet.get();
-  ops.rt = &rt;
-  ops.plane = plane.get();
-  // Each cube may overshoot under kLevelParallel but the merge truncates
-  // to the threshold, so the merged result never overshoots.
-  ops.overshoot_ok = false;
-  ops.publish = [&](ObjectId id, const KeywordSet& k,
-                    std::function<void()> done) {
-    rt.post_sync([&] {
-      mi.publish(
-          kHome, id, k,
-          [done](const index::OverlayIndex::PublishResult&) { done(); });
-    });
-  };
-  ops.withdraw = [&](ObjectId id, const KeywordSet& k,
-                     std::function<void()> done) {
-    rt.post_sync([&] {
-      mi.withdraw(kHome, id, k,
-                  [done](const index::OverlayIndex::WithdrawResult&) {
-                    done();
-                  });
-    });
-  };
-  ops.pin = [&](const KeywordSet& q,
-                std::function<void(const SearchResult&)> cb) {
-    rt.post_sync([&] { mi.pin_search(kHome, q, std::move(cb)); });
-  };
-  ops.search = [&](const KeywordSet& q, std::size_t t,
-                   std::function<void(const SearchResult&)> cb) {
-    std::uint64_t ticket = 0;
-    rt.post_sync([&] {
-      ticket = mi.superset_search(kHome, q, t, cfg.strategy, std::move(cb));
-    });
-    return ticket;
-  };
-  ops.cancel = [&](std::uint64_t ticket) {
-    bool cancelled = false;
-    rt.post_sync([&] { cancelled = mi.cancel(ticket); });
-    return cancelled;
-  };
-  ops.in_flight = [&] {
-    return mi.primary().in_flight_requests() +
-           mi.mirror().in_flight_requests();
-  };
-  ops.check_occupancy =
-      [&](const std::map<ObjectId, KeywordSet>& live)
-      -> std::optional<std::string> {
-    if (auto err = overlay_occupancy(mi.primary(), "primary", live))
-      return err;
-    return overlay_occupancy(mi.mirror(), "mirror", live);
-  };
-  if (cfg.continuous_churn) {
-    // Raw kill: no stabilization, no repair — detection and healing are
-    // the plane's responsibility (or deliberately nobody's, when the
-    // self-healing control is off). Returns the objects that are gone for
-    // good: both cube placements sat on the victim, so no copy survives to
-    // repair from.
-    ops.fail_peer = [&mi, c, &plane, &rt, peers = cfg.peers](
-                        std::uint64_t ordinal,
-                        const std::map<ObjectId, KeywordSet>& live) {
-      // One strand-serialized block: the kill and the survivor scan are a
-      // single recipe with no drain in the middle (detection and healing
-      // belong to the plane, racing this from its own timers).
-      std::vector<ObjectId> lost;
-      rt.post_sync([&] {
-        std::vector<sim::EndpointId> candidates;
-        for (sim::EndpointId ep = 2; ep <= peers; ++ep)
-          if (c->is_live(ep)) candidates.push_back(ep);
-        if (candidates.size() < 6) return;
-        const sim::EndpointId victim =
-            candidates[ordinal % candidates.size()];
-        if (plane != nullptr) plane->note_true_failure(victim);
-        c->fail(victim);
-        // An object is gone for good only when *neither* cube still holds
-        // its entry at a live peer (back-to-back kills in one round can
-        // take the primary and mirror copies with different victims before
-        // the plane has had any time to heal).
-        std::set<ObjectId> survivors;
-        const auto collect = [&](index::OverlayIndex& cube) {
-          cube.for_each_entry([&](cube::CubeId, const KeywordSet&,
-                                  ObjectId id, sim::EndpointId ep) {
-            if (c->is_live(ep)) survivors.insert(id);
-          });
-        };
-        collect(mi.primary());
-        collect(mi.mirror());
-        for (const auto& [id, k] : live)
-          if (!survivors.contains(id)) lost.push_back(id);
-      });
-      return lost;
-    };
-  }
-  execute(cfg, ops, rep, tracer);
-  rt.fence();
-  rt.post_sync([&] {
-    if (plane != nullptr) plane->stop();  // idempotent; covers early exits
-  });
-  // The observer closes over the plane, which is destroyed before the
-  // transport: detach it before teardown.
-  if (sock != nullptr) sock->set_peer_down_observer(nullptr);
   rep.faults_applied = inj->applied();
 }
 
@@ -1710,10 +1523,8 @@ ScenarioReport ScenarioRunner::run(const ScenarioConfig& cfg,
       break;
     case Deployment::kChord:
     case Deployment::kPastry:
-      run_overlay(cfg, plan, rep, tracer_);
-      break;
     case Deployment::kMirrored:
-      run_mirrored(cfg, plan, rep, tracer_);
+      run_service(cfg, plan, rep, tracer_);
       break;
   }
   return rep;

@@ -22,13 +22,21 @@ namespace {
 
 // --- Fixture ----------------------------------------------------------------
 
+/// The options these tests run: r = 6 and a `cache`-record query cache.
+index::KeywordSearchService::Options options(std::size_t cache = 32) {
+  index::KeywordSearchService::Options o;
+  o.r = 6;
+  o.cache_capacity = cache;
+  return o;
+}
+
 struct EngineNet {
   sim::EventQueue clock;
   std::unique_ptr<sim::Network> net;
   std::unique_ptr<dht::ChordNetwork> dht;
   std::unique_ptr<index::KeywordSearchService> service;
 
-  explicit EngineNet(index::KeywordSearchService::Options opts = {.r = 6},
+  explicit EngineNet(index::KeywordSearchService::Options opts,
                      std::unique_ptr<sim::LatencyModel> latency = nullptr,
                      std::uint64_t seed = 1) {
     net = std::make_unique<sim::Network>(clock, std::move(latency), seed);
@@ -93,7 +101,7 @@ std::vector<KeywordSet> test_queries() {
 TEST(QueryEngine, ConcurrentInterleavedSearchesAreExact) {
   // Randomized per-message latency interleaves N overlapping traversals;
   // a small in-flight cap forces backlog churn on top.
-  EngineNet t({.r = 6}, std::make_unique<sim::UniformLatency>(1, 20), 99);
+  EngineNet t(options(), std::make_unique<sim::UniformLatency>(1, 20), 99);
   const auto sets = catalogue_sets();
   publish_catalogue(t, sets);
 
@@ -139,7 +147,7 @@ TEST(QueryEngine, ConcurrentInterleavedSearchesAreExact) {
 // divided by the number of peers that happened to serve a scan, which
 // understates the skew whenever part of the ring sits idle.)
 TEST(QueryEngine, ScanSkewCountsIdlePeersInTheMean) {
-  EngineNet t({.r = 6});
+  EngineNet t(options());
   const auto sets = catalogue_sets();
   publish_catalogue(t, sets);
 
@@ -180,8 +188,10 @@ TEST(QueryEngine, ScanSkewCountsIdlePeersInTheMean) {
 // --- Loss + retransmission --------------------------------------------------
 
 TEST(QueryEngine, LossyNetworkYieldsExactResultsViaRetransmission) {
-  EngineNet t({.r = 6, .step_timeout = 200, .max_retries = 6},
-              std::make_unique<sim::UniformLatency>(1, 20), 7);
+  auto opts = options();
+  opts.step_timeout = 200;
+  opts.max_retries = 6;
+  EngineNet t(opts, std::make_unique<sim::UniformLatency>(1, 20), 7);
   const auto sets = catalogue_sets();
   publish_catalogue(t, sets);  // publish losslessly, then break the network
   t.net->set_fault_model(std::make_unique<net::BernoulliDrop>(0.08));
@@ -215,7 +225,7 @@ TEST(QueryEngine, LossyNetworkYieldsExactResultsViaRetransmission) {
 // --- Admission control -------------------------------------------------------
 
 TEST(QueryEngine, ShedsWhenBacklogFull) {
-  EngineNet t({.r = 6});
+  EngineNet t(options());
   const auto sets = catalogue_sets();
   publish_catalogue(t, sets);
 
@@ -244,7 +254,7 @@ TEST(QueryEngine, ShedsWhenBacklogFull) {
 }
 
 TEST(QueryEngine, PriorityBacklogServesHighPriorityFirst) {
-  EngineNet t({.r = 6});
+  EngineNet t(options());
   const auto sets = catalogue_sets();
   publish_catalogue(t, sets);
 
@@ -269,7 +279,7 @@ TEST(QueryEngine, PriorityBacklogServesHighPriorityFirst) {
 // --- Deadlines ---------------------------------------------------------------
 
 TEST(QueryEngine, DeadlineTimesOutAndCancelsCleanly) {
-  EngineNet t({.r = 6}, std::make_unique<sim::FixedLatency>(10));
+  EngineNet t(options(), std::make_unique<sim::FixedLatency>(10));
   const auto sets = catalogue_sets();
   publish_catalogue(t, sets);
 
@@ -305,7 +315,7 @@ TEST(QueryEngine, DeadlineTimesOutAndCancelsCleanly) {
 }
 
 TEST(QueryEngine, BacklogEntriesPastDeadlineTimeOutWithoutLaunching) {
-  EngineNet t({.r = 6}, std::make_unique<sim::FixedLatency>(50));
+  EngineNet t(options(), std::make_unique<sim::FixedLatency>(50));
   const auto sets = catalogue_sets();
   publish_catalogue(t, sets);
 
@@ -340,8 +350,7 @@ TEST(QueryEngine, BacklogExpiryTaxonomyIsDisjointAndBackdated) {
   // Measure the (deterministic) cold service time of the probe query.
   sim::Time service_l = 0;
   {
-    EngineNet t({.r = 6, .cache_capacity = 0},
-                std::make_unique<sim::FixedLatency>(10));
+    EngineNet t(options(0), std::make_unique<sim::FixedLatency>(10));
     publish_catalogue(t, sets);
     QueryEngine probe(*t.service, t.clock,
                       EngineConfig{.search = {.limit = 0}});
@@ -355,8 +364,7 @@ TEST(QueryEngine, BacklogExpiryTaxonomyIsDisjointAndBackdated) {
   const sim::Time kDeadline = 3 * kL + kL / 2;
   const sim::Time kStop = kDeadline + 2 * kL;  // when the chain stops
 
-  EngineNet t({.r = 6, .cache_capacity = 0},
-              std::make_unique<sim::FixedLatency>(10));
+  EngineNet t(options(0), std::make_unique<sim::FixedLatency>(10));
   publish_catalogue(t, sets);
   EngineConfig cfg;
   cfg.max_in_flight = 1;
@@ -434,8 +442,7 @@ TEST(QueryEngine, BacklogExpiryTaxonomyIsDisjointAndBackdated) {
 // gauges on submission entry — before the backlog push — so the exported
 // peak under-read the true high water.
 TEST(QueryEngine, GaugesTrackPeaksOnEveryTransition) {
-  EngineNet t({.r = 6, .cache_capacity = 0},
-              std::make_unique<sim::FixedLatency>(10));
+  EngineNet t(options(0), std::make_unique<sim::FixedLatency>(10));
   const auto sets = catalogue_sets();
   publish_catalogue(t, sets);
 
@@ -484,8 +491,7 @@ TEST(QueryEngine, AdaptiveAdmissionRecoversAfterOverload) {
   // the probe query — both deterministic under fixed link latency.
   sim::Time cold_l = 0, warm_l = 0;
   {
-    EngineNet t({.r = 6, .cache_capacity = 0},
-                std::make_unique<sim::FixedLatency>(10));
+    EngineNet t(options(0), std::make_unique<sim::FixedLatency>(10));
     publish_catalogue(t, sets);
     QueryEngine probe(*t.service, t.clock,
                       EngineConfig{.search = {.limit = 0}});
@@ -502,8 +508,7 @@ TEST(QueryEngine, AdaptiveAdmissionRecoversAfterOverload) {
   ASSERT_LT(cold_l, 2 * warm_l);
   ASSERT_GT(cold_l, warm_l);
 
-  EngineNet t({.r = 6, .cache_capacity = 0},
-              std::make_unique<sim::FixedLatency>(10));
+  EngineNet t(options(0), std::make_unique<sim::FixedLatency>(10));
   publish_catalogue(t, sets);
   EngineConfig cfg;
   cfg.max_in_flight = 8;  // the controller's starting point
@@ -560,7 +565,7 @@ TEST(QueryEngine, AdaptiveAdmissionRecoversAfterOverload) {
 // --- Trace records -----------------------------------------------------------
 
 TEST(QueryEngine, TraceRecordsCoverQueryLifecycle) {
-  EngineNet t({.r = 6});
+  EngineNet t(options());
   const auto sets = catalogue_sets();
   publish_catalogue(t, sets);
 
@@ -599,7 +604,9 @@ TEST(QueryEngine, TraceRecordsCoverQueryLifecycle) {
 // --- Mirrored service --------------------------------------------------------
 
 TEST(QueryEngine, MirroredServiceSmoke) {
-  EngineNet t({.r = 6, .mirror_index = true});
+  auto opts = options();
+  opts.mirror_index = true;
+  EngineNet t(opts);
   const auto sets = catalogue_sets();
   publish_catalogue(t, sets);
 
@@ -636,12 +643,11 @@ TEST(QueryEngine, DegradedOutcomesAccountedSeparately) {
   // deterministically until one of them degrades at least one query.
   for (sim::EndpointId victim = 2; victim <= 24; ++victim) {
     // Query caching off: round two must re-traverse, not answer from cache.
-    EngineNet t({.r = 6,
-                 .mirror_index = true,
-                 .cache_capacity = 0,
-                 .step_timeout = 200,
-                 .max_retries = 2},
-                std::make_unique<sim::UniformLatency>(1, 20), 7);
+    auto opts = options(0);
+    opts.mirror_index = true;
+    opts.step_timeout = 200;
+    opts.max_retries = 2;
+    EngineNet t(opts, std::make_unique<sim::UniformLatency>(1, 20), 7);
     publish_catalogue(t, sets);
 
     EngineConfig cfg;
@@ -691,7 +697,7 @@ TEST(QueryEngine, DegradedOutcomesAccountedSeparately) {
 // --- Load driver -------------------------------------------------------------
 
 TEST(LoadDriver, ReplaysWholeLogOpenLoop) {
-  EngineNet t({.r = 6});
+  EngineNet t(options());
   const auto sets = catalogue_sets();
   publish_catalogue(t, sets);
 

@@ -20,6 +20,15 @@ namespace {
 
 using index::KeywordSearchService;
 
+/// The options these tests run: r = 6 with a 32-record query cache.
+KeywordSearchService::Options options(bool mirror = false) {
+  KeywordSearchService::Options o;
+  o.r = 6;
+  o.cache_capacity = 32;
+  o.mirror_index = mirror;
+  return o;
+}
+
 struct Plant {
   sim::EventQueue clock;
   std::unique_ptr<sim::Network> net;
@@ -27,24 +36,13 @@ struct Plant {
   std::unique_ptr<KeywordSearchService> service;
   std::unique_ptr<MaintenancePlane> plane;
 
-  explicit Plant(KeywordSearchService::Options opts = {.r = 6},
+  explicit Plant(KeywordSearchService::Options opts = options(),
                  MaintenancePlane::Config cfg = {}) {
     net = std::make_unique<sim::Network>(clock);
     dht = std::make_unique<dht::ChordNetwork>(
         dht::ChordNetwork::build(*net, 24, {}));
     service = std::make_unique<KeywordSearchService>(*dht, opts);
-    plane = std::make_unique<MaintenancePlane>(
-        *net, cfg, [this] { dht->stabilize_all(); },
-        [this](std::size_t entries, std::size_t refs) {
-          return service->repair_step(entries, refs);
-        },
-        [this] { return service->repair_backlog(); });
-  }
-
-  std::vector<sim::EndpointId> members() const {
-    std::vector<sim::EndpointId> eps;
-    for (dht::RingId id : dht->live_ids()) eps.push_back(dht->endpoint_of(id));
-    return eps;
+    plane = std::make_unique<MaintenancePlane>(*net, cfg, *dht, *service);
   }
 
   void seed_corpus() {
@@ -83,7 +81,7 @@ struct Plant {
 TEST(FailureDetector, ConfirmsDeadPeerWithinDetectionWindow) {
   Plant t;
   t.seed_corpus();
-  t.plane->start(t.members());
+  t.plane->start();
   const sim::Time failed_at = t.clock.now();
   t.kill_one_entry_holder();
   const auto& det = t.plane->detector();
@@ -108,7 +106,7 @@ TEST(FailureDetector, ConfirmsDeadPeerWithinDetectionWindow) {
 TEST(FailureDetector, TransportDownConfirmsImmediately) {
   Plant t;
   t.seed_corpus();
-  t.plane->start(t.members());
+  t.plane->start();
   const sim::Time before = t.clock.now();
   const sim::EndpointId victim = t.kill_one_entry_holder();
   auto& det = t.plane->detector();
@@ -130,7 +128,7 @@ TEST(FailureDetector, TransportDownConfirmsImmediately) {
 
 TEST(FailureDetector, NoFalsePositivesOnHealthyNetwork) {
   Plant t;
-  t.plane->start(t.members());
+  t.plane->start();
   t.clock.run_until(t.clock.now() + 5000);
   EXPECT_EQ(t.plane->detector().confirmed_count(), 0u);
   EXPECT_EQ(t.plane->detector().suspected_count(), 0u);
@@ -143,10 +141,10 @@ TEST(MaintenancePlane, HealsToConvergenceAfterFailure) {
   obs::WindowedMetrics windows(200);
   // Mirrored: lost primary entries are recoverable from the mirror cube,
   // so a death always leaves real repair work behind.
-  Plant t({.r = 6, .mirror_index = true});
+  Plant t(options(true));
   t.plane->set_windows(&windows);
   t.seed_corpus();
-  t.plane->start(t.members());
+  t.plane->start();
   t.kill_one_entry_holder();
   ASSERT_TRUE(t.pump_until([&] { return t.plane->converged(); }));
   EXPECT_EQ(t.service->repair_backlog(), 0u);
@@ -176,9 +174,9 @@ TEST(MaintenancePlane, RepairIsRateLimitedPerTick) {
   MaintenancePlane::Config cfg;
   cfg.entries_per_tick = 1;
   cfg.refs_per_tick = 1;
-  Plant t({.r = 6, .mirror_index = true}, cfg);
+  Plant t(options(true), cfg);
   t.seed_corpus();
-  t.plane->start(t.members());
+  t.plane->start();
   t.kill_one_entry_holder();
   const std::size_t initial_backlog = [&] {
     // Let detection finish first so purge creates the backlog.
@@ -196,7 +194,7 @@ TEST(MaintenancePlane, RepairIsRateLimitedPerTick) {
 TEST(MaintenancePlane, StopCancelsEveryTimer) {
   Plant t;
   t.seed_corpus();
-  t.plane->start(t.members());
+  t.plane->start();
   t.kill_one_entry_holder();
   t.clock.run_until(t.clock.now() + 500);
   EXPECT_GT(t.plane->armed_timers(), 0u);
@@ -212,9 +210,9 @@ TEST(MaintenancePlane, StopCancelsEveryTimer) {
 }
 
 TEST(MaintenancePlane, TickerDisarmsWhenIdleAndRearmsOnNextDeath) {
-  Plant t({.r = 6, .mirror_index = true});
+  Plant t(options(true));
   t.seed_corpus();
-  t.plane->start(t.members());
+  t.plane->start();
   t.kill_one_entry_holder();
   ASSERT_TRUE(t.pump_until([&] { return t.plane->converged(); }));
   // Give the ticker its idle slices to disarm: only detector timers left.

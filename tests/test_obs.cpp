@@ -137,8 +137,10 @@ struct EngineNet {
         clock, std::make_unique<sim::UniformLatency>(1, 20), 99);
     dht = std::make_unique<dht::ChordNetwork>(
         dht::ChordNetwork::build(*net, 24, {}));
-    service = std::make_unique<index::KeywordSearchService>(
-        *dht, index::KeywordSearchService::Options{.r = 6});
+    index::KeywordSearchService::Options opts;
+    opts.r = 6;
+    opts.cache_capacity = 32;
+    service = std::make_unique<index::KeywordSearchService>(*dht, opts);
   }
 };
 

@@ -12,13 +12,24 @@
 namespace hkws::index {
 namespace {
 
+/// The options these tests run: r = 6 with a 32-record query cache.
+KeywordSearchService::Options options(int replication_factor = 2,
+                                      bool mirror = false) {
+  KeywordSearchService::Options o;
+  o.r = 6;
+  o.cache_capacity = 32;
+  o.replication_factor = replication_factor;
+  o.mirror_index = mirror;
+  return o;
+}
+
 struct ServiceNet {
   sim::EventQueue clock;
   std::unique_ptr<sim::Network> net;
   std::unique_ptr<dht::ChordNetwork> dht;
   std::unique_ptr<KeywordSearchService> service;
 
-  explicit ServiceNet(KeywordSearchService::Options opts = {}) {
+  explicit ServiceNet(KeywordSearchService::Options opts) {
     net = std::make_unique<sim::Network>(clock);
     dht = std::make_unique<dht::ChordNetwork>(
         dht::ChordNetwork::build(*net, 24, {}));
@@ -45,7 +56,7 @@ void publish_catalogue(ServiceNet& t) {
 }
 
 TEST(Service, PublishSearchRoundTrip) {
-  ServiceNet t({.r = 6});
+  ServiceNet t(options());
   publish_catalogue(t);
   const auto answer = t.search(KeywordSet({"music"}));
   std::set<ObjectId> ids;
@@ -55,7 +66,7 @@ TEST(Service, PublishSearchRoundTrip) {
 }
 
 TEST(Service, RankingOrderApplied) {
-  ServiceNet t({.r = 6});
+  ServiceNet t(options());
   publish_catalogue(t);
   KeywordSearchService::SearchOptions opts;
   opts.order = RankingPreference::kSpecificFirst;
@@ -68,7 +79,7 @@ TEST(Service, RankingOrderApplied) {
 }
 
 TEST(Service, RefinementsAndExpansionAttached) {
-  ServiceNet t({.r = 6});
+  ServiceNet t(options());
   publish_catalogue(t);
   KeywordSearchService::SearchOptions opts;
   opts.refinement_categories = 5;
@@ -81,7 +92,7 @@ TEST(Service, RefinementsAndExpansionAttached) {
 }
 
 TEST(Service, PinIsExact) {
-  ServiceNet t({.r = 6});
+  ServiceNet t(options());
   publish_catalogue(t);
   std::optional<KeywordSearchService::Answer> answer;
   t.service->pin(1, KeywordSet({"music", "mp3"}),
@@ -93,7 +104,7 @@ TEST(Service, PinIsExact) {
 }
 
 TEST(Service, BrowsePagesAreDisjoint) {
-  ServiceNet t({.r = 6});
+  ServiceNet t(options());
   for (ObjectId o = 1; o <= 17; ++o)
     t.service->publish(2, o, KeywordSet({"page", "v" + std::to_string(o)}));
   t.clock.run();
@@ -118,7 +129,7 @@ TEST(Service, BrowsePagesAreDisjoint) {
 }
 
 TEST(Service, ResolveFindsReplicaHolders) {
-  ServiceNet t({.r = 6, .replication_factor = 3});
+  ServiceNet t(options(3));
   publish_catalogue(t);
   std::optional<dht::Dolr::ReadResult> read;
   t.service->resolve(7, 2, [&](const dht::Dolr::ReadResult& r) { read = r; });
@@ -128,7 +139,7 @@ TEST(Service, ResolveFindsReplicaHolders) {
 }
 
 TEST(Service, WithdrawRemovesFromSearch) {
-  ServiceNet t({.r = 6});
+  ServiceNet t(options());
   publish_catalogue(t);
   t.service->withdraw(3, 2, KeywordSet({"music", "mp3", "live"}));
   t.clock.run();
@@ -137,7 +148,7 @@ TEST(Service, WithdrawRemovesFromSearch) {
 }
 
 TEST(Service, MirroredModeSurvivesFailuresWithRepair) {
-  ServiceNet t({.r = 6, .replication_factor = 3, .mirror_index = true});
+  ServiceNet t(options(3, true));
   publish_catalogue(t);
   t.dht->fail(5);
   t.dht->fail(9);
@@ -149,7 +160,7 @@ TEST(Service, MirroredModeSurvivesFailuresWithRepair) {
 }
 
 TEST(Service, BrowseWorksInMirroredMode) {
-  ServiceNet t({.r = 6, .mirror_index = true});
+  ServiceNet t(options(2, true));
   for (ObjectId o = 1; o <= 12; ++o)
     t.service->publish(2, o, KeywordSet({"page", "v" + std::to_string(o)}));
   t.clock.run();
@@ -170,7 +181,7 @@ TEST(Service, BrowseWorksInMirroredMode) {
 }
 
 TEST(Service, PinMissIsEmptyNotError) {
-  ServiceNet t({.r = 6});
+  ServiceNet t(options());
   publish_catalogue(t);
   std::optional<KeywordSearchService::Answer> answer;
   t.service->pin(1, KeywordSet({"does", "not", "exist"}),
@@ -185,7 +196,7 @@ TEST(Service, WorksOverPastryToo) {
   sim::EventQueue clock;
   sim::Network net(clock);
   auto pastry = dht::PastryNetwork::build(net, 24, {});
-  KeywordSearchService service(pastry, {.r = 6});
+  KeywordSearchService service(pastry, options());
   service.publish(2, 1, KeywordSet({"a", "b"}));
   clock.run();
   std::optional<KeywordSearchService::Answer> answer;
