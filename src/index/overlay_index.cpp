@@ -953,15 +953,12 @@ void OverlayIndex::maybe_complete(std::uint64_t req_id) {
     return;
   }
   // A result batch can be lost even though the done arrived; after a grace
-  // timeout re-ship whatever the searcher is still missing. The repair
-  // gives up when arming past its budget, not when its timer expires.
+  // timeout re-ship whatever the searcher is still missing. Like every
+  // guard, the repair gives up on an expiry past its budget, so its last
+  // re-shipment still gets a full timeout to land.
   if (!req->answer.done || cfg_.step_timeout == 0) return;
-  const Guard& g = *guard_of(req_id, Step::kRepair, 0);
-  if (g.timer != 0) return;  // a repair round is already pending
-  if (g.sends >= cfg_.max_retries) {
-    abort_request(req_id);
-    return;
-  }
+  if (guard_of(req_id, Step::kRepair, 0)->timer != 0)
+    return;  // a repair round is already pending
   arm(req_id, Step::kRepair, 0);
 }
 

@@ -538,5 +538,42 @@ TEST(OverlayIndex, LostHotRootHandoffIsRetransmitted) {
   EXPECT_TRUE(drop.dropped);
 }
 
+// A kws.results batch lost before the done notification lands is re-shipped
+// by the post-done result repair, a guarded step like every other: with
+// max_retries = 1 its one re-shipment gets a full timeout to arrive, and
+// the search returns the reference hits, complete.
+TEST(OverlayIndex, LostResultBatchGetsItsLastReshipment) {
+  OverlayNet t(16, {.r = 4, .step_timeout = 40, .max_retries = 1});
+  const auto objects = random_objects(24, 8, 5);
+  LogicalIndex logical({.r = 4});
+  for (const auto& [id, k] : objects) logical.insert(id, k);
+  t.publish_all(objects);
+  const KeywordSet query({"w1"});
+  const std::vector<Hit> ref = logical.superset_search(query).hits;
+  ASSERT_EQ(ref.size(), 8u);
+
+  struct DropFirstResults final : net::FaultModel {
+    bool dropped = false;
+    net::FaultActions inspect(sim::EndpointId, sim::EndpointId,
+                              const std::string& kind, std::uint64_t,
+                              Rng&) override {
+      if (dropped || kind != "kws.results") return {};
+      dropped = true;
+      return {.drop = true};
+    }
+  };
+  auto model = std::make_unique<DropFirstResults>();
+  const DropFirstResults& drop = *model;
+  t.net->set_fault_model(std::move(model));
+
+  const SearchResult r = t.superset(query);
+  ASSERT_TRUE(drop.dropped);
+  EXPECT_FALSE(r.stats.failed);
+  EXPECT_TRUE(r.stats.complete);
+  EXPECT_EQ(r.hits, ref);
+  EXPECT_EQ(r.stats.retransmits, 1u);
+  EXPECT_EQ(t.index->in_flight_requests(), 0u);
+}
+
 }  // namespace
 }  // namespace hkws::index
