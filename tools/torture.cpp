@@ -1,8 +1,8 @@
 // Seed-driven protocol torture CLI.
 //
 // Default run: a sweep of seeded scenarios across every search strategy and
-// deployment (>= 200 scenarios), printing one line per failure and exiting
-// non-zero if any invariant was violated. A failing seed is reproduced with
+// deployment plus the hot-spot preset (>= 200 scenarios), printing one line
+// per failure and exiting non-zero if any invariant was violated. A failing seed is reproduced with
 //
 //     tools/torture --seed N [--deployment D] [--strategy S]
 //
@@ -57,9 +57,10 @@ void usage(const char* argv0) {
       "          [--churn] [--no-heal] [--no-shrink] [--verbose]\n"
       "\n"
       "Without --seed: sweeps COUNT seeds (default 15) starting at --start\n"
-      "(default 1) over every strategy x deployment combination. With\n"
-      "--seed: replays that single seed (optionally filtered), shrinking\n"
-      "the fault schedule of any failure.\n"
+      "(default 1) over every strategy x deployment combination plus the\n"
+      "hot-spot preset (chord, top-down). With --seed: replays that single\n"
+      "seed (optionally filtered), shrinking the fault schedule of any\n"
+      "failure.\n"
       "\n"
       "--transport tcp|udp: runs the battery on the real runtime — every\n"
       "wire message crosses a loopback socket (TCP streams, or one UDP\n"
@@ -251,6 +252,13 @@ int main(int argc, char** argv) {
           ++failures;
       }
     }
+    // The hot-spot preset (Chord, top-down): replication racing kills under
+    // the load-balance invariant, as in the socket battery.
+    const ScenarioConfig hot = ScenarioConfig::hot_spot_preset(seed);
+    if ((!only_deployment || hot.deployment == *only_deployment) &&
+        (!only_strategy || hot.strategy == *only_strategy) &&
+        !run_one(runner, hot, shrink, verbose, scenarios))
+      ++failures;
   };
 
   if (single_seed) {
