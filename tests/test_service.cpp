@@ -159,6 +159,22 @@ TEST(Service, MirroredModeSurvivesFailuresWithRepair) {
   EXPECT_EQ(answer.hits.size(), 3u);
 }
 
+TEST(Service, MirrorIndexIsTheSecondaryCube) {
+  ServiceNet plain(options());
+  EXPECT_EQ(plain.service->mirror_index(), nullptr);
+  ServiceNet t(options(2, true));
+  publish_catalogue(t);
+  const OverlayIndex* mirror = t.service->mirror_index();
+  ASSERT_NE(mirror, nullptr);
+  EXPECT_NE(mirror, &t.service->primary_index());
+  std::size_t entries = 0;
+  mirror->for_each_entry(
+      [&](cube::CubeId, const KeywordSet&, ObjectId, sim::EndpointId) {
+        ++entries;
+      });
+  EXPECT_EQ(entries, 4u);
+}
+
 TEST(Service, BrowseWorksInMirroredMode) {
   ServiceNet t(options(2, true));
   for (ObjectId o = 1; o <= 12; ++o)
