@@ -1131,8 +1131,13 @@ void run_service(const ScenarioConfig& cfg, const FaultPlan& plan,
 
   // Every op initiation below is strand-marshaled through rt.post_sync —
   // a direct call on the simulator, the thread-safety boundary on tcp.
-  const auto result_of = [](const index::KeywordSearchService::Answer& a) {
-    return SearchResult{a.hits, a.stats};
+  // The battery checks SearchResults; the service answers with the same
+  // hits, ordered by rank, and the same stats.
+  using Answer = index::KeywordSearchService::Answer;
+  const auto adapt = [](std::function<void(const SearchResult&)> cb) {
+    return [cb = std::move(cb)](const Answer& a) {
+      cb(SearchResult{a.hits, a.stats});
+    };
   };
   Ops ops;
   ops.plane = plane.get();
@@ -1159,13 +1164,7 @@ void run_service(const ScenarioConfig& cfg, const FaultPlan& plan,
   };
   ops.pin = [&](const KeywordSet& q,
                 std::function<void(const SearchResult&)> cb) {
-    rt.post_sync([&] {
-      service.pin(kHome, q,
-                  [cb = std::move(cb), result_of](
-                      const index::KeywordSearchService::Answer& a) {
-                    cb(result_of(a));
-                  });
-    });
+    rt.post_sync([&] { service.pin(kHome, q, adapt(std::move(cb))); });
   };
   ops.search = [&](const KeywordSet& q, std::size_t t,
                    std::function<void(const SearchResult&)> cb) {
@@ -1174,12 +1173,7 @@ void run_service(const ScenarioConfig& cfg, const FaultPlan& plan,
     so.strategy = cfg.strategy;
     std::uint64_t ticket = 0;
     rt.post_sync([&] {
-      ticket = service.search(
-          kHome, q, so,
-          [cb = std::move(cb), result_of](
-              const index::KeywordSearchService::Answer& a) {
-            cb(result_of(a));
-          });
+      ticket = service.search(kHome, q, so, adapt(std::move(cb)));
     });
     return ticket;
   };
@@ -1205,8 +1199,7 @@ void run_service(const ScenarioConfig& cfg, const FaultPlan& plan,
           }
           service.browse_next(
               sess, page,
-              [&service, sess, all, cb,
-               step](const index::KeywordSearchService::Answer& a) {
+              [&service, sess, all, cb, step](const Answer& a) {
                 all->insert(all->end(), a.hits.begin(), a.hits.end());
                 if (a.stats.complete) {
                   service.close_browse(sess);
