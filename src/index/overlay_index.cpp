@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -582,18 +583,33 @@ void OverlayIndex::start_level(std::uint64_t req_id) {
     finish(req_id, /*stopped_early=*/false);
     return;
   }
-  req->level_next.clear();
-  cube::SpanningBinomialTree(cube_, req->root_cube)
-      .expand_level(req->level_nodes, req->level_next);
-  std::swap(req->level_nodes, req->level_next);
+  const cube::SpanningBinomialTree sbt(cube_, req->root_cube);
+  const std::size_t first = req->level;
+  std::vector<cube::CubeId>& next = req->level_next;
+  next.clear();
+  sbt.expand_level(req->level_nodes, next);
+  ++req->level;
+  ++req->stats.levels;
+  if (one_round(*req)) {
+    // An exhaustive search cannot stop at a level boundary, so it dispatches
+    // every remaining level in this one round, in BFS order, and each peer
+    // gets one batch for the whole subcube. The reserve keeps the span over
+    // the last level valid while its children are appended behind it.
+    next.reserve(static_cast<std::size_t>(sbt.size()) - 1);
+    for (std::size_t begin = 0; req->level < req->level_count;
+         ++req->level, ++req->stats.levels) {
+      const std::size_t end = next.size();
+      sbt.expand_level(std::span(next).subspan(begin, end - begin), next);
+      begin = end;
+    }
+  }
+  std::swap(req->level_nodes, next);
   // Handlers never run inside a send (net::Transport's contract), so req
   // and its level stay valid through the dispatch below.
   const std::vector<cube::CubeId>& nodes = req->level_nodes;
-  ++req->level;
-  ++req->stats.levels;
   ++req->stats.rounds;
   req->outstanding = nodes.size();
-  emit(req_id, "level", req->level - 1, nodes.size());
+  emit(req_id, "level", first, nodes.size());
   req->answer.order.insert(req->answer.order.end(), nodes.begin(),
                            nodes.end());
 
@@ -797,7 +813,18 @@ void OverlayIndex::finish(std::uint64_t req_id, bool stopped_early) {
     PeerState& ps = peer_state(req->root_peer);
     auto cit = ps.caches.try_emplace(req->root_cube, cfg_.cache_capacity).first;
     CachedTraversal summary;
-    summary.contributors = req->contributors;
+    if (one_round(*req)) {
+      // One round's answers arrive in any order across levels. The plan
+      // keeps the visit order, so a search it serves returns the hits in
+      // the order this one did.
+      const std::unordered_map<cube::CubeId, std::uint32_t> count(
+          req->contributors.begin(), req->contributors.end());
+      for (const cube::CubeId w : req->answer.order)
+        if (const auto it = count.find(w); it != count.end())
+          summary.contributors.push_back(*it);
+    } else {
+      summary.contributors = req->contributors;
+    }
     summary.complete = req->stats.complete;
     // Stamp with the epoch captured at request start: if a mutation raced
     // this traversal, the entry is already stale and will never be served.

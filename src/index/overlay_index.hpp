@@ -28,7 +28,11 @@
 //    nodes ride along for free). Per-node step timers stay armed: a lost
 //    batch falls back to individual retransmission, which replays each
 //    node's memoized scan, so loss tolerance and surrogate failover are
-//    unchanged. See docs/PERF.md.
+//    unchanged. An exhaustive search (threshold 0) cannot stop at a level
+//    boundary, so with coalescing on its round is the whole subcube: every
+//    SBT level goes out at once, in BFS order, and each peer gets one
+//    message and answers once. A thresholded search keeps one round per
+//    level for its early stop. See docs/PERF.md.
 //  * Hit assembly is deterministic: each node's result batch is buffered
 //    by origin and concatenated in dispatch (visit) order at completion,
 //    so the hit sequence is independent of message arrival order — and
@@ -81,9 +85,11 @@ class OverlayIndex {
     std::uint64_t ring_salt = seeds::kCubeToDht;
     std::size_t cache_capacity = 0;  ///< per-node query-cache records; 0 = off
     /// Merge a level-parallel round's visits to co-hosted cube nodes (same
-    /// cached live contact) into one VisitBatch wire message per peer.
-    /// Only cuts messages once contacts are warm. Results are
-    /// byte-identical either way (see protocol notes above).
+    /// cached live contact) into one VisitBatch wire message per peer, and
+    /// run an exhaustive search's whole subcube as one round. Only cuts
+    /// messages once contacts are warm. Results are byte-identical either
+    /// way (see protocol notes above); off, every search dispatches level
+    /// by level (the paper's §3.5).
     bool coalesce_visits = true;
     /// Superset-search retransmission timeout in ticks; 0 disables loss
     /// tolerance (legacy behaviour: a lost message stalls the request until
@@ -225,7 +231,8 @@ class OverlayIndex {
 
   /// One protocol milestone of an in-flight request. Points currently
   /// emitted: "root" (a = root peer, b = route hops), "scan" (a = cube
-  /// node, b = peer that served it), "level" (a = level index, b = width),
+  /// node, b = peer that served it), "level" (one per dispatch round: a =
+  /// its first level, b = nodes dispatched; a one-round search has one),
   /// "coalesce" (a = co-host peer, b = visits merged into the batch),
   /// "retransmit" (a = cube node or root cube), "failed" (budget
   /// exhausted), "spread" (a = cube node, b = replica holder serving the
@@ -496,8 +503,9 @@ class OverlayIndex {
     bool plan_complete_means_complete = true;
     // kLevels state. start_level expands each level from the previous one
     // when it dispatches it, so a search that stops early never builds its
-    // deeper levels; the two buffers are reused from level to level.
-    std::vector<cube::CubeId> level_nodes;  ///< the level last dispatched
+    // deeper levels; the two buffers are reused from level to level. A
+    // one_round() search expands every level in its one dispatch.
+    std::vector<cube::CubeId> level_nodes;  ///< the round last dispatched
     std::vector<cube::CubeId> level_next;   ///< expansion scratch
     std::size_t level = 0;        ///< depth of the next level to dispatch
     std::size_t level_count = 0;  ///< levels in the subcube's SBT
@@ -626,7 +634,15 @@ class OverlayIndex {
   /// At the root: scans its table (step 0), then a cached plan or the walk.
   void start_at_root(Request& req);
   void step_plan(std::uint64_t req_id);
+  /// Dispatches the next level, or with one_round() every remaining level.
   void start_level(std::uint64_t req_id);
+  /// Whether a level-parallel search visits its whole subcube in one round:
+  /// coalescing is on and the threshold is 0, so no level boundary can stop
+  /// it early.
+  bool one_round(const Request& req) const {
+    return req.mode == Mode::kLevels && req.threshold == 0 &&
+           cfg_.coalesce_visits;
+  }
   /// Routes the initial query to the root's peer; retried on timeout.
   void begin_root_route(std::uint64_t req_id);
   /// Runs the coordinator at the root's owner, or for a hot root cell hands

@@ -19,6 +19,10 @@ enum class SearchStrategy {
   kBottomUpSequential,
   /// The §3.5 speed-up: all nodes of an SBT level are queried in parallel;
   /// latency drops to r - |One(F_h(K))| rounds at the same message cost.
+  /// With co-host coalescing on (OverlayIndex's default), an exhaustive
+  /// search (threshold 0) queries every level in one round, one message
+  /// per peer; a thresholded one keeps a round per level for its early
+  /// stop.
   kLevelParallel,
 };
 
@@ -29,9 +33,13 @@ struct SearchStats {
   /// Messages: T_QUERY per contacted node, T_CONT/T_STOP coordination
   /// replies, and one result delivery per contributing node.
   std::size_t messages = 0;
-  /// Sequential steps (the time proxy for sequential strategies).
+  /// Dispatch rounds, the time proxy: one per node visited after the root
+  /// for the sequential strategies, one per dispatched level for
+  /// kLevelParallel, and 1 when OverlayIndex runs an exhaustive
+  /// kLevelParallel search's whole subcube in one coalesced round.
   std::size_t rounds = 0;
-  /// Tree levels explored (the time proxy for kLevelParallel).
+  /// SBT levels the search covered, the root's included; a level-parallel
+  /// search that stops early covers fewer.
   std::size_t levels = 0;
   /// Whether the root answered the traversal plan from its query cache.
   bool cache_hit = false;

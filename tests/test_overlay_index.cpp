@@ -8,8 +8,10 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <string_view>
 
 #include "common/rng.hpp"
+#include "cube/sbt.hpp"
 #include "index/logical_index.hpp"
 #include "net/fault_model.hpp"
 
@@ -573,6 +575,122 @@ TEST(OverlayIndex, LostResultBatchGetsItsLastReshipment) {
   EXPECT_EQ(r.hits, ref);
   EXPECT_EQ(r.stats.retransmits, 1u);
   EXPECT_EQ(t.index->in_flight_requests(), 0u);
+}
+
+// The subcube of a one-keyword query at r = 6: five free dimensions, 32
+// nodes on six SBT levels, spread over the 16 peers.
+const KeywordSet kOneWord({"w1"});
+
+// An exhaustive level-parallel search with coalescing on has no level
+// boundary to stop at, so on warm contacts it dispatches its whole subcube
+// in one round: each peer gets one kws.visit_batch (or one kws.t_query if
+// it hosts a single node) and answers once.
+TEST(OverlayIndex, ExhaustiveLevelParallelSearchSendsOneMessagePerPeer) {
+  OverlayNet t(16, {.r = 6});
+  const auto objects = random_objects(60, 8, 11);
+  t.publish_all(objects);
+  LogicalIndex logical({.r = 6});
+  for (const auto& [id, k] : objects) logical.insert(id, k);
+  const std::vector<Hit> ref = logical.superset_search(kOneWord).hits;
+  ASSERT_FALSE(ref.empty());
+  const cube::CubeId root = t.index->responsible_node(kOneWord);
+  const int dimension = t.index->cube().zero_count(root);
+  ASSERT_EQ(dimension, 5);
+
+  t.superset(kOneWord, 0, SearchStrategy::kLevelParallel);  // learn contacts
+  const sim::EndpointId coordinator = t.index->peer_of(root);
+  std::map<sim::EndpointId, int> visits;
+  t.net->set_send_observer(
+      [&](const std::string& kind, const net::SendRecord& r) {
+        if (r.from == coordinator &&
+            (kind == "kws.visit_batch" || kind == "kws.t_query"))
+          ++visits[r.to];
+      });
+  const SearchResult r =
+      t.superset(kOneWord, 0, SearchStrategy::kLevelParallel);
+  t.net->set_send_observer(nullptr);
+
+  EXPECT_EQ(r.hits, ref);
+  EXPECT_TRUE(r.stats.complete);
+  EXPECT_EQ(r.stats.rounds, 1u);
+  EXPECT_EQ(r.stats.levels, static_cast<std::size_t>(dimension) + 1);
+  EXPECT_EQ(r.stats.nodes_contacted, std::size_t{1} << dimension);
+  EXPECT_GT(r.stats.coalesced_batches, 0u);
+  ASSERT_FALSE(visits.empty());
+  for (const auto& [peer, sends] : visits)
+    EXPECT_EQ(sends, 1) << "peer " << peer;
+}
+
+// A lost batch falls back to per-node retransmission: each node of the
+// dropped kws.visit_batch keeps its own step guard, so each is resent on
+// its own, and the search still returns the reference hits, complete.
+TEST(OverlayIndex, LostSubcubeBatchRetransmitsEachNodeOnItsOwn) {
+  OverlayNet t(16, {.r = 6, .step_timeout = 40, .max_retries = 3});
+  const auto objects = random_objects(60, 8, 11);
+  t.publish_all(objects);
+  LogicalIndex logical({.r = 6});
+  for (const auto& [id, k] : objects) logical.insert(id, k);
+  const std::vector<Hit> ref = logical.superset_search(kOneWord).hits;
+  t.superset(kOneWord, 0, SearchStrategy::kLevelParallel);  // learn contacts
+
+  struct DropFirstBatch final : net::FaultModel {
+    sim::EndpointId to = 0;
+    net::FaultActions inspect(sim::EndpointId, sim::EndpointId dest,
+                              const std::string& kind, std::uint64_t,
+                              Rng&) override {
+      if (to != 0 || kind != "kws.visit_batch") return {};
+      to = dest;
+      return {.drop = true};
+    }
+  };
+  auto model = std::make_unique<DropFirstBatch>();
+  const DropFirstBatch& drop = *model;
+  t.net->set_fault_model(std::move(model));
+  std::set<cube::CubeId> resent;
+  t.index->set_trace([&](const OverlayIndex::Trace& tr) {
+    if (std::string_view(tr.point) == "retransmit") resent.insert(tr.a);
+  });
+  const SearchResult r =
+      t.superset(kOneWord, 0, SearchStrategy::kLevelParallel);
+  t.index->set_trace(nullptr);
+
+  // The batch carried every node of the subcube that its peer hosts.
+  ASSERT_NE(drop.to, 0u);
+  const cube::CubeId root = t.index->responsible_node(kOneWord);
+  std::set<cube::CubeId> batch;
+  for (const cube::CubeId w :
+       cube::SpanningBinomialTree(t.index->cube(), root).bfs_order())
+    if (w != root && t.index->peer_of(w) == drop.to) batch.insert(w);
+  ASSERT_GE(batch.size(), 2u);
+  EXPECT_EQ(resent, batch);
+  EXPECT_EQ(r.stats.retransmits, batch.size());
+  EXPECT_EQ(r.hits, ref);
+  EXPECT_TRUE(r.stats.complete);
+  EXPECT_FALSE(r.stats.failed);
+  EXPECT_EQ(t.index->in_flight_requests(), 0u);
+}
+
+// A thresholded level-parallel search keeps one round per level, which its
+// early stop needs, and so does every search with coalescing off: that is
+// the paper's level-by-level dispatch.
+TEST(OverlayIndex, LevelRoundsStayWithAThresholdOrWithoutCoalescing) {
+  const auto objects = random_objects(60, 8, 11);
+  for (const bool coalesce : {true, false}) {
+    OverlayNet t(16, {.r = 6, .coalesce_visits = coalesce});
+    t.publish_all(objects);
+    const int dimension =
+        t.index->cube().zero_count(t.index->responsible_node(kOneWord));
+    t.superset(kOneWord, 0, SearchStrategy::kLevelParallel);  // warm
+    for (const std::size_t threshold : {std::size_t{0}, std::size_t{1000}}) {
+      if (coalesce && threshold == 0) continue;  // the one-round case
+      const SearchResult r =
+          t.superset(kOneWord, threshold, SearchStrategy::kLevelParallel);
+      EXPECT_TRUE(r.stats.complete);
+      EXPECT_EQ(r.stats.rounds, static_cast<std::size_t>(dimension))
+          << "coalesce=" << coalesce << " threshold=" << threshold;
+      EXPECT_EQ(r.stats.levels, static_cast<std::size_t>(dimension) + 1);
+    }
+  }
 }
 
 }  // namespace
