@@ -463,58 +463,58 @@ constexpr const char* kGolden[] = {
     "plain bu t3 warm base,w0 t=1748 [20,26,29] n=1 m=6 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
     "plain bu t1 cold w4 t=2208 [19] n=26 m=94 r=25 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
     "plain bu t1 warm w4 t=2236 [19] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain lp t0 cold w5 t=2321 [32,4,9,22,14,10,16,18,28,36] n=32 m=60 r=5 l=6 ch=0 c=1 rt=0 cb=5 cv=10 f=0 fo=0 d=0",
-    "plain lp t0 warm w5 t=2369 [32,4,9,22,14,10,16,18,28,36] n=3 m=11 r=2 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain lp t3 cold base,w1 t=2394 [5,7,8] n=1 m=5 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain lp t3 warm base,w1 t=2413 [5,7,8] n=1 m=5 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain lp t1 cold w2 t=2469 [20] n=6 m=26 r=1 l=2 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain lp t1 warm w2 t=2499 [20] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "== plain searches t=2499",
-    "  kws.coalesced_visits=10",
-    "  msg.kws.batch_reply=5",
+    "plain lp t0 cold w5 t=2267 [32,4,9,22,14,10,16,18,28,36] n=32 m=35 r=1 l=6 ch=0 c=1 rt=0 cb=9 cv=26 f=0 fo=0 d=0",
+    "plain lp t0 warm w5 t=2323 [32,4,9,22,14,10,16,18,28,36] n=3 m=11 r=2 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain lp t3 cold base,w1 t=2340 [5,7,8] n=1 m=5 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain lp t3 warm base,w1 t=2364 [5,7,8] n=1 m=5 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain lp t1 cold w2 t=2422 [20] n=6 m=26 r=1 l=2 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain lp t1 warm w2 t=2454 [20] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "== plain searches t=2454",
+    "  kws.coalesced_visits=26",
+    "  msg.kws.batch_reply=8",
     "  msg.kws.batch_results=1",
     "  msg.kws.done=18",
-    "  msg.kws.results=31",
-    "  msg.kws.t_cont=172",
-    "  msg.kws.t_query=343",
+    "  msg.kws.results=30",
+    "  msg.kws.t_cont=158",
+    "  msg.kws.t_query=329",
     "  msg.kws.t_stop=5",
-    "  msg.kws.visit_batch=5",
-    "  net.bytes=54384",
-    "  net.delivered=806",
-    "  net.local=13",
-    "  net.messages=806",
-    "  wire=f821964df52efc0 trace=92cd163d729289a0",
-    "plain pin 1 t=2512 [1] n=1 m=4 r=1 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain pin 9 t=2533 [4,9] n=1 m=4 r=1 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain pin absent t=2552 [] n=1 m=3 r=1 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain browse3 base p0 t=2571 [6,11,21] n=1 m=5 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain browse3 base p1 t=2582 [24,27,30] n=1 m=3 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain browse3 base p2 t=2594 [33,34,15] n=1 m=3 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain browse3 base p3 t=2634 [20,26,29] n=4 m=9 r=3 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain browse3 base p4 t=2676 [1,13,5] n=4 m=10 r=3 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain browse3 base p5 t=2702 [7,8,25] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain browse3 base p6 t=2720 [31,12,35] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain browse3 base p7 t=2745 [32,4,9] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain browse3 base p8 t=2763 [22,17,23] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain browse3 base p9 t=2784 [14,10,16] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain browse3 base p10 t=2882 [18,19,28] n=10 m=21 r=9 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain browse3 base p11 t=2906 [36,2,3] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain browse3 base p12 t=3083 [] n=18 m=36 r=17 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain browse2 w1 p0 t=3157 [5,7] n=6 m=15 r=5 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain browse2 w1 p1 t=3178 [8,25] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain browse2 w1 p2 t=3198 [31,12] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain browse2 w1 p3 t=3217 [35,32] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain browse2 w1 p4 t=3230 [4,9] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain browse2 w1 p5 t=3484 [2] n=27 m=55 r=26 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain browse1 base+w2 p0 t=3507 [20] n=1 m=5 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain browse1 base+w2 p1 t=3520 [26] n=1 m=3 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain browse1 base+w2 p2 t=3533 [29] n=1 m=3 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain browse1 base+w2 p3 t=3545 [13] n=1 m=3 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain browse1 base+w2 p4 t=3627 [18] n=5 m=19 r=4 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain browse1 base+w2 p5 t=3649 [2] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain browse1 base+w2 p6 t=3664 [3] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain browse1 base+w2 p7 t=3870 [] n=12 m=37 r=11 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "== plain pins and pages t=3870",
+    "  msg.kws.visit_batch=8",
+    "  net.bytes=53088",
+    "  net.delivered=783",
+    "  net.local=11",
+    "  net.messages=783",
+    "  wire=7c9bf8ecdbff0f8a trace=1634b44590cab1f4",
+    "plain pin 1 t=2464 [1] n=1 m=4 r=1 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain pin 9 t=2493 [4,9] n=1 m=4 r=1 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain pin absent t=2513 [] n=1 m=3 r=1 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain browse3 base p0 t=2527 [6,11,21] n=1 m=5 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain browse3 base p1 t=2542 [24,27,30] n=1 m=3 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain browse3 base p2 t=2552 [33,34,15] n=1 m=3 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain browse3 base p3 t=2586 [20,26,29] n=4 m=9 r=3 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain browse3 base p4 t=2625 [1,13,5] n=4 m=10 r=3 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain browse3 base p5 t=2647 [7,8,25] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain browse3 base p6 t=2668 [31,12,35] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain browse3 base p7 t=2690 [32,4,9] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain browse3 base p8 t=2711 [22,17,23] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain browse3 base p9 t=2728 [14,10,16] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain browse3 base p10 t=2827 [18,19,28] n=10 m=21 r=9 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain browse3 base p11 t=2848 [36,2,3] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain browse3 base p12 t=3037 [] n=18 m=36 r=17 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain browse2 w1 p0 t=3096 [5,7] n=6 m=15 r=5 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain browse2 w1 p1 t=3116 [8,25] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain browse2 w1 p2 t=3137 [31,12] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain browse2 w1 p3 t=3159 [35,32] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain browse2 w1 p4 t=3185 [4,9] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain browse2 w1 p5 t=3453 [2] n=27 m=55 r=26 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain browse1 base+w2 p0 t=3472 [20] n=1 m=5 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain browse1 base+w2 p1 t=3484 [26] n=1 m=3 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain browse1 base+w2 p2 t=3488 [29] n=1 m=3 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain browse1 base+w2 p3 t=3493 [13] n=1 m=3 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain browse1 base+w2 p4 t=3589 [18] n=5 m=19 r=4 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain browse1 base+w2 p5 t=3610 [2] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain browse1 base+w2 p6 t=3632 [3] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain browse1 base+w2 p7 t=3803 [] n=12 m=37 r=11 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "== plain pins and pages t=3803",
     "  msg.kws.c_cont=86",
     "  msg.kws.c_done=27",
     "  msg.kws.c_next=24",
@@ -523,186 +523,183 @@ constexpr const char* kGolden[] = {
     "  msg.kws.c_results=26",
     "  msg.kws.pin=8",
     "  msg.kws.pin_reply=3",
-    "  net.bytes=74128",
-    "  net.delivered=1097",
-    "  net.local=28",
-    "  net.messages=1097",
-    "  wire=c6fa2cf1279ad9af trace=92cd163d729289a0",
+    "  net.bytes=72832",
+    "  net.delivered=1074",
+    "  net.local=26",
+    "  net.messages=1074",
+    "  wire=a3d38cfbf1ce89fa trace=1634b44590cab1f4",
     "withdraw 5 removed=0",
     "withdraw 5 removed=1",
     "withdraw 8 removed=1",
     "deindexed 12 has=0",
-    "plain after deindex t=4271 [6,11,21,24,27,30,33,34,15,20,26,29,1,13,7,25,31,35,32,4,9,22,17,23,14,10,16,18,19,28,36,2,3] n=32 m=69 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain after deindex t=4220 [6,11,21,24,27,30,33,34,15,20,26,29,1,13,7,25,31,35,32,4,9,22,17,23,14,10,16,18,19,28,36,2,3] n=32 m=69 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
     "reindexed 12 has=1 epoch=40",
-    "plain mutated td t0 cold base t=4565 [6,11,21,24,27,30,33,34,15,20,26,29,1,13,7,25,31,12,35,32,4,9,22,17,23,14,10,16,18,19,28,36,2,3] n=32 m=69 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain mutated td t0 warm base t=4888 [6,11,21,24,27,30,33,34,15,20,26,29,1,13,7,25,31,12,35,32,4,9,22,17,23,14,10,16,18,19,28,36,2,3] n=32 m=69 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain mutated td t3 cold w1 t=4959 [7,25,31] n=6 m=16 r=5 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain mutated td t3 warm w1 t=5003 [7,25,31] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain mutated td t1 cold base,w2 t=5013 [20] n=1 m=6 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain mutated td t1 warm base,w2 t=5041 [20] n=1 m=6 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain mutated bu t0 cold w3 t=5371 [15,19,29,1,31,22] n=32 m=69 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain mutated bu t0 warm w3 t=5736 [15,19,29,1,31,22] n=32 m=69 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain mutated bu t3 cold base,w0 t=5770 [20,26,29] n=1 m=6 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain mutated bu t3 warm base,w0 t=5793 [20,26,29] n=1 m=6 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain mutated bu t1 cold w4 t=6072 [19] n=26 m=56 r=25 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain mutated bu t1 warm w4 t=6099 [19] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain mutated lp t0 cold w5 t=6176 [32,4,9,22,14,10,16,18,28,36] n=32 m=59 r=5 l=6 ch=0 c=1 rt=0 cb=5 cv=10 f=0 fo=0 d=0",
-    "plain mutated lp t0 warm w5 t=6221 [32,4,9,22,14,10,16,18,28,36] n=3 m=11 r=2 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain mutated lp t3 cold base,w1 t=6240 [7,25,31] n=1 m=5 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain mutated lp t3 warm base,w1 t=6266 [7,25,31] n=1 m=5 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain mutated lp t1 cold w2 t=6312 [20] n=6 m=14 r=1 l=2 ch=0 c=0 rt=0 cb=1 cv=2 f=0 fo=0 d=0",
-    "plain mutated lp t1 warm w2 t=6348 [20] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain mutated td t0 cold base t=4526 [6,11,21,24,27,30,33,34,15,20,26,29,1,13,7,25,31,12,35,32,4,9,22,17,23,14,10,16,18,19,28,36,2,3] n=32 m=69 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain mutated td t0 warm base t=4834 [6,11,21,24,27,30,33,34,15,20,26,29,1,13,7,25,31,12,35,32,4,9,22,17,23,14,10,16,18,19,28,36,2,3] n=32 m=69 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain mutated td t3 cold w1 t=4903 [7,25,31] n=6 m=16 r=5 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain mutated td t3 warm w1 t=4933 [7,25,31] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain mutated td t1 cold base,w2 t=4960 [20] n=1 m=6 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain mutated td t1 warm base,w2 t=4997 [20] n=1 m=6 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain mutated bu t0 cold w3 t=5306 [15,19,29,1,31,22] n=32 m=69 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain mutated bu t0 warm w3 t=5681 [15,19,29,1,31,22] n=32 m=69 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain mutated bu t3 cold base,w0 t=5709 [20,26,29] n=1 m=6 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain mutated bu t3 warm base,w0 t=5737 [20,26,29] n=1 m=6 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain mutated bu t1 cold w4 t=6007 [19] n=26 m=56 r=25 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain mutated bu t1 warm w4 t=6046 [19] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain mutated lp t0 cold w5 t=6088 [32,4,9,22,14,10,16,18,28,36] n=32 m=32 r=1 l=6 ch=0 c=1 rt=0 cb=10 cv=28 f=0 fo=0 d=0",
+    "plain mutated lp t0 warm w5 t=6129 [32,4,9,22,14,10,16,18,28,36] n=3 m=11 r=2 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain mutated lp t3 cold base,w1 t=6156 [7,25,31] n=1 m=5 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain mutated lp t3 warm base,w1 t=6173 [7,25,31] n=1 m=5 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain mutated lp t1 cold w2 t=6205 [20] n=6 m=14 r=1 l=2 ch=0 c=0 rt=0 cb=1 cv=2 f=0 fo=0 d=0",
+    "plain mutated lp t1 warm w2 t=6255 [20] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
     "cancel mid=1",
-    "== plain mutations t=6376",
+    "== plain mutations t=6284",
     "  kws.cancelled=2",
-    "  kws.coalesced_visits=22",
+    "  kws.coalesced_visits=56",
     "  msg.dolr.delete=8",
     "  msg.dolr.unreplicate=3",
-    "  msg.kws.batch_reply=11",
+    "  msg.kws.batch_reply=18",
     "  msg.kws.batch_results=2",
     "  msg.kws.delete=6",
     "  msg.kws.done=37",
     "  msg.kws.insert=101",
-    "  msg.kws.results=66",
-    "  msg.kws.t_cont=372",
-    "  msg.kws.t_query=620",
-    "  msg.kws.t_stop=10",
-    "  msg.kws.visit_batch=11",
-    "  net.bytes=116620",
-    "  net.delivered=1666",
-    "  net.local=46",
-    "  net.messages=1666",
-    "  wire=cd48237c89ec9d0d trace=e8c913a0c3dea19c",
-    "guarded td t0 cold base t=7003 [1006,1011,1021,1024,1027,1030,1033,1034,1015,1020,1026,1029,1001,1013,1005,1007,1008,1025,1031,1012,1035,1032,1004,1009,1022,1017,1023,1014,1010,1016,1018,1019,1028,1036,1002,1003] n=32 m=113 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded td t0 warm base t=7309 [1006,1011,1021,1024,1027,1030,1033,1034,1015,1020,1026,1029,1001,1013,1005,1007,1008,1025,1031,1012,1035,1032,1004,1009,1022,1017,1023,1014,1010,1016,1018,1019,1028,1036,1002,1003] n=32 m=69 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded td t3 cold w1 t=7401 [1005,1007,1008] n=6 m=24 r=5 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded td t3 warm w1 t=7441 [1005,1007,1008] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded td t1 cold base,w2 t=7465 [1020] n=1 m=6 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded td t1 warm base,w2 t=7494 [1020] n=1 m=6 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded bu t0 cold w3 t=7782 [1015,1019,1029,1001,1031,1022] n=32 m=69 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded bu t0 warm w3 t=8110 [1015,1019,1029,1001,1031,1022] n=32 m=69 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded bu t3 cold base,w0 t=8140 [1020,1026,1029] n=1 m=6 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded bu t3 warm base,w0 t=8172 [1020,1026,1029] n=1 m=6 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded bu t1 cold w4 t=8600 [1019] n=26 m=94 r=25 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded bu t1 warm w4 t=8636 [1019] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded lp t0 cold w5 t=8723 [1032,1004,1009,1022,1014,1010,1016,1018,1028,1036] n=32 m=60 r=5 l=6 ch=0 c=1 rt=0 cb=5 cv=10 f=0 fo=0 d=0",
-    "guarded lp t0 warm w5 t=8775 [1032,1004,1009,1022,1014,1010,1016,1018,1028,1036] n=3 m=11 r=2 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded lp t3 cold base,w1 t=8804 [1005,1007,1008] n=1 m=5 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded lp t3 warm base,w1 t=8820 [1005,1007,1008] n=1 m=5 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded lp t1 cold w2 t=8876 [1020] n=6 m=26 r=1 l=2 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded lp t1 warm w2 t=8925 [1020] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "  msg.kws.results=65",
+    "  msg.kws.t_cont=343",
+    "  msg.kws.t_query=592",
+    "  msg.kws.t_stop=11",
+    "  msg.kws.visit_batch=18",
+    "  net.bytes=114508",
+    "  net.delivered=1623",
+    "  net.local=42",
+    "  net.messages=1623",
+    "  wire=acb6972cf2ab3121 trace=5547c819d61f9b1",
+    "guarded td t0 cold base t=6892 [1006,1011,1021,1024,1027,1030,1033,1034,1015,1020,1026,1029,1001,1013,1005,1007,1008,1025,1031,1012,1035,1032,1004,1009,1022,1017,1023,1014,1010,1016,1018,1019,1028,1036,1002,1003] n=32 m=113 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded td t0 warm base t=7213 [1006,1011,1021,1024,1027,1030,1033,1034,1015,1020,1026,1029,1001,1013,1005,1007,1008,1025,1031,1012,1035,1032,1004,1009,1022,1017,1023,1014,1010,1016,1018,1019,1028,1036,1002,1003] n=32 m=69 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded td t3 cold w1 t=7328 [1005,1007,1008] n=6 m=24 r=5 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded td t3 warm w1 t=7365 [1005,1007,1008] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded td t1 cold base,w2 t=7395 [1020] n=1 m=6 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded td t1 warm base,w2 t=7416 [1020] n=1 m=6 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded bu t0 cold w3 t=7700 [1015,1019,1029,1001,1031,1022] n=32 m=69 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded bu t0 warm w3 t=8012 [1015,1019,1029,1001,1031,1022] n=32 m=69 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded bu t3 cold base,w0 t=8046 [1020,1026,1029] n=1 m=6 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded bu t3 warm base,w0 t=8066 [1020,1026,1029] n=1 m=6 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded bu t1 cold w4 t=8517 [1019] n=26 m=94 r=25 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded bu t1 warm w4 t=8558 [1019] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded lp t0 cold w5 t=8599 [1032,1004,1009,1022,1014,1010,1016,1018,1028,1036] n=32 m=35 r=1 l=6 ch=0 c=1 rt=0 cb=9 cv=26 f=0 fo=0 d=0",
+    "guarded lp t0 warm w5 t=8653 [1032,1004,1009,1022,1014,1010,1016,1018,1028,1036] n=3 m=11 r=2 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded lp t3 cold base,w1 t=8677 [1005,1007,1008] n=1 m=5 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded lp t3 warm base,w1 t=8697 [1005,1007,1008] n=1 m=5 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded lp t1 cold w2 t=8753 [1020] n=6 m=26 r=1 l=2 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded lp t1 warm w2 t=8795 [1020] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
     "replicated=54 backlog=0 cells=4",
-    "guarded pin 1001 t=8949 [1001] n=1 m=4 r=1 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "== guarded warm t=8949",
-    "  kws.coalesced_visits=32",
+    "guarded pin 1001 t=8820 [1001] n=1 m=4 r=1 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "== guarded warm t=8820",
+    "  kws.coalesced_visits=82",
     "  kws.replica_entries=54",
     "  kws.replica_promotion=4",
     "  msg.dolr.insert=183",
     "  msg.dolr.replicate=73",
-    "  msg.kws.batch_reply=16",
+    "  msg.kws.batch_reply=26",
     "  msg.kws.batch_results=3",
     "  msg.kws.done=55",
     "  msg.kws.insert=193",
     "  msg.kws.pin=11",
     "  msg.kws.pin_reply=4",
-    "  msg.kws.results=97",
-    "  msg.kws.t_cont=544",
-    "  msg.kws.t_query=963",
-    "  msg.kws.t_stop=15",
-    "  msg.kws.visit_batch=16",
-    "  net.bytes=170908",
-    "  net.delivered=2470",
-    "  net.local=59",
-    "  net.messages=2470",
-    "  wire=5d4ba4953ecea658 trace=b5ab184832f18633",
-    "lossy td t0 cold base t=11112 [1006,1011,1021,1024,1027,1030,1033,1034,1015,1020,1026,1029,1001,1013,1005,1007,1008,1025,1031,1012,1035,1032,1004,1009,1022,1017,1023,1014,1010,1016,1018,1019,1028,1036,1002,1003] n=32 m=93 r=31 l=0 ch=0 c=1 rt=24 cb=0 cv=0 f=0 fo=0 d=0",
-    "lossy td t0 warm base t=12834 [1006,1011,1021,1024,1027,1030,1033,1034,1015,1020,1026,1029,1001,1013,1005,1007,1008,1025,1031,1012,1035,1032,1004,1009,1022,1017,1023,1014,1010,1016,1018,1019,1028,1036,1002,1003] n=32 m=94 r=31 l=0 ch=0 c=1 rt=18 cb=0 cv=0 f=0 fo=0 d=0",
-    "lossy td t3 cold w1 t=12872 [1005,1007,1008] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "lossy td t3 warm w1 t=13427 [1005,1007,1008] n=6 m=30 r=5 l=0 ch=0 c=0 rt=5 cb=0 cv=0 f=0 fo=0 d=0",
-    "lossy td t1 cold base,w2 t=13451 [1020] n=1 m=7 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "lossy td t1 warm base,w2 t=13510 [1020] n=1 m=6 r=0 l=0 ch=0 c=0 rt=1 cb=0 cv=0 f=0 fo=0 d=0",
-    "lossy bu t0 cold w3 t=15748 [1015,1019,1029,1001,1031,1022] n=32 m=109 r=31 l=0 ch=0 c=1 rt=25 cb=0 cv=0 f=0 fo=0 d=0",
-    "lossy bu t0 warm w3 t=16882 [1015,1019,1029,1001,1031,1022] n=32 m=86 r=31 l=0 ch=0 c=1 rt=12 cb=0 cv=0 f=0 fo=0 d=0",
-    "lossy bu t3 cold base,w0 t=17026 [1020,1026,1029] n=1 m=8 r=0 l=0 ch=0 c=0 rt=2 cb=0 cv=0 f=0 fo=0 d=0",
-    "lossy bu t3 warm base,w0 t=17043 [1020,1026,1029] n=1 m=7 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "lossy bu t1 cold w4 t=19620 [1019] n=26 m=106 r=25 l=0 ch=0 c=0 rt=25 cb=0 cv=0 f=0 fo=0 d=0",
-    "lossy bu t1 warm w4 t=19826 [1019] n=2 m=9 r=1 l=0 ch=1 c=0 rt=3 cb=0 cv=0 f=0 fo=0 d=0",
-    "lossy lp t0 cold w5 t=20891 [1032,1004,1009,1022,1014,1010,1016,1018,1028,1036] n=32 m=106 r=5 l=6 ch=0 c=1 rt=27 cb=4 cv=8 f=0 fo=1 d=1",
-    "lossy lp t0 warm w5 t=21062 [1032,1004,1009,1022,1014,1010,1016,1018,1028,1036] n=3 m=13 r=2 l=0 ch=1 c=1 rt=3 cb=0 cv=0 f=0 fo=0 d=0",
-    "lossy lp t3 cold base,w1 t=21126 [1005,1007,1008] n=1 m=5 r=0 l=0 ch=0 c=0 rt=1 cb=0 cv=0 f=0 fo=0 d=0",
-    "lossy lp t3 warm base,w1 t=21161 [1005,1007,1008] n=1 m=6 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "lossy lp t1 cold w2 t=22128 [] n=0 m=0 r=0 l=0 ch=0 c=0 rt=6 cb=0 cv=0 f=1 fo=0 d=0",
-    "lossy lp t1 warm w2 t=22671 [1020] n=2 m=9 r=1 l=0 ch=1 c=0 rt=5 cb=0 cv=0 f=0 fo=0 d=0",
-    "lossy pin 1002 t=22724 [1002] n=1 m=3 r=1 l=0 ch=0 c=1 rt=1 cb=0 cv=0 f=0 fo=1 d=1",
-    "lossy pin 1003 t=22733 [1003] n=1 m=2 r=1 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "lossy pin 1010 t=22886 [1010,1016] n=1 m=3 r=1 l=0 ch=0 c=1 rt=2 cb=0 cv=0 f=0 fo=2 d=1",
-    "lossy pin absent t=22898 [] n=1 m=3 r=1 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "== guarded lossy t=22898",
-    "  kws.coalesced_visits=40",
-    "  kws.failover=1",
-    "  kws.replica_spread=27",
-    "  kws.request_failed=1",
-    "  kws.retransmit=160",
-    "  msg.kws.batch_reply=18",
-    "  msg.kws.done=74",
-    "  msg.kws.pin=23",
-    "  msg.kws.pin_reply=8",
-    "  msg.kws.results=132",
-    "  msg.kws.t_cont=758",
-    "  msg.kws.t_query=1493",
-    "  msg.kws.t_stop=20",
-    "  msg.kws.visit_batch=20",
-    "  net.bytes=231164",
-    "  net.delivered=3129",
-    "  net.dropped.fault=166",
-    "  net.local=71",
-    "  net.lost=166",
-    "  net.lost.kws.done=3",
-    "  net.lost.kws.pin=3",
-    "  net.lost.kws.results=6",
+    "  msg.kws.results=95",
+    "  msg.kws.t_cont=501",
+    "  msg.kws.t_query=921",
+    "  msg.kws.t_stop=16",
+    "  msg.kws.visit_batch=26",
+    "  net.bytes=167500",
+    "  net.delivered=2404",
+    "  net.local=53",
+    "  net.messages=2404",
+    "  wire=a33425eb7d220398 trace=4bdbaa2f567fed84",
+    "lossy td t0 cold base t=11645 [1006,1011,1021,1024,1027,1030,1033,1034,1015,1020,1026,1029,1001,1013,1005,1007,1008,1025,1031,1012,1035,1032,1004,1009,1022,1017,1023,1014,1010,1016,1018,1019,1028,1036,1002,1003] n=32 m=108 r=31 l=0 ch=0 c=1 rt=30 cb=0 cv=0 f=0 fo=0 d=0",
+    "lossy td t0 warm base t=12577 [1006,1011,1021,1024,1027,1030,1033,1034,1015,1020,1026,1029,1001,1013,1005,1007,1008,1025,1031,1012,1035,1032,1004,1009,1022,1017,1023,1014,1010,1016,1018,1019,1028,1036,1002,1003] n=32 m=84 r=31 l=0 ch=0 c=1 rt=10 cb=0 cv=0 f=0 fo=0 d=0",
+    "lossy td t3 cold w1 t=13537 [] n=0 m=0 r=0 l=0 ch=0 c=0 rt=6 cb=0 cv=0 f=1 fo=0 d=0",
+    "lossy td t3 warm w1 t=13657 [1005,1007,1008] n=2 m=12 r=1 l=0 ch=1 c=0 rt=2 cb=0 cv=0 f=0 fo=0 d=0",
+    "lossy td t1 cold base,w2 t=13734 [1020] n=1 m=8 r=0 l=0 ch=0 c=0 rt=1 cb=0 cv=0 f=0 fo=0 d=0",
+    "lossy td t1 warm base,w2 t=13805 [1020] n=1 m=6 r=0 l=0 ch=0 c=0 rt=1 cb=0 cv=0 f=0 fo=0 d=0",
+    "lossy bu t0 cold w3 t=14565 [1015,1019,1029,1001,1031,1022] n=32 m=82 r=31 l=0 ch=0 c=1 rt=9 cb=0 cv=0 f=0 fo=0 d=0",
+    "lossy bu t0 warm w3 t=16706 [1015,1019,1029,1001,1031,1022] n=32 m=109 r=31 l=0 ch=0 c=1 rt=24 cb=0 cv=0 f=0 fo=0 d=0",
+    "lossy bu t3 cold base,w0 t=16865 [1020,1026,1029] n=1 m=6 r=0 l=0 ch=0 c=0 rt=2 cb=0 cv=0 f=0 fo=0 d=0",
+    "lossy bu t3 warm base,w0 t=16887 [1020,1026,1029] n=1 m=7 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "lossy bu t1 cold w4 t=19214 [1019] n=26 m=113 r=25 l=0 ch=0 c=0 rt=23 cb=0 cv=0 f=0 fo=0 d=0",
+    "lossy bu t1 warm w4 t=19538 [1019] n=2 m=15 r=1 l=0 ch=1 c=0 rt=3 cb=0 cv=0 f=0 fo=0 d=0",
+    "lossy lp t0 cold w5 t=20520 [1032,1004,1009,1022,1014,1010,1016,1018,1028,1036] n=32 m=121 r=1 l=6 ch=0 c=0 rt=32 cb=0 cv=0 f=1 fo=0 d=0",
+    "lossy lp t0 warm w5 t=21073 [1032,1004,1009,1022,1014,1010,1016,1018,1028,1036] n=3 m=12 r=2 l=0 ch=1 c=1 rt=5 cb=0 cv=0 f=0 fo=0 d=0",
+    "lossy lp t3 cold base,w1 t=21174 [1005,1007,1008] n=1 m=6 r=0 l=0 ch=0 c=0 rt=2 cb=0 cv=0 f=0 fo=0 d=0",
+    "lossy lp t3 warm base,w1 t=21241 [1005,1007,1008] n=1 m=7 r=0 l=0 ch=0 c=0 rt=1 cb=0 cv=0 f=0 fo=0 d=0",
+    "lossy lp t1 cold w2 t=21321 [1020] n=2 m=8 r=1 l=0 ch=1 c=0 rt=1 cb=0 cv=0 f=0 fo=0 d=0",
+    "lossy lp t1 warm w2 t=21518 [1020] n=2 m=11 r=1 l=0 ch=1 c=0 rt=3 cb=0 cv=0 f=0 fo=0 d=0",
+    "lossy pin 1002 t=22482 [] n=0 m=4 r=0 l=0 ch=0 c=0 rt=6 cb=0 cv=0 f=1 fo=0 d=0",
+    "lossy pin 1003 t=22530 [1003] n=1 m=2 r=1 l=0 ch=0 c=1 rt=1 cb=0 cv=0 f=0 fo=1 d=1",
+    "lossy pin 1010 t=22547 [1010,1016] n=1 m=3 r=1 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "lossy pin absent t=22605 [] n=1 m=3 r=1 l=0 ch=0 c=1 rt=1 cb=0 cv=0 f=0 fo=1 d=1",
+    "== guarded lossy t=22605",
+    "  kws.replica_spread=30",
+    "  kws.request_failed=3",
+    "  kws.retransmit=163",
+    "  msg.kws.done=75",
+    "  msg.kws.pin=29",
+    "  msg.kws.pin_reply=9",
+    "  msg.kws.results=131",
+    "  msg.kws.t_cont=714",
+    "  msg.kws.t_query=1468",
+    "  msg.kws.t_stop=24",
+    "  net.bytes=228288",
+    "  net.delivered=3078",
+    "  net.dropped.fault=173",
+    "  net.local=64",
+    "  net.lost=173",
+    "  net.lost.kws.done=5",
+    "  net.lost.kws.pin=7",
+    "  net.lost.kws.pin_reply=2",
+    "  net.lost.kws.results=3",
     "  net.lost.kws.t_cont=37",
-    "  net.lost.kws.t_query=115",
-    "  net.lost.kws.visit_batch=2",
-    "  net.messages=3295",
-    "  wire=265a8f06018a8d16 trace=13536723a0cd8318",
+    "  net.lost.kws.t_query=116",
+    "  net.lost.kws.t_stop=3",
+    "  net.messages=3251",
+    "  wire=865f7bfe29021d4e trace=3f0a460b548c3350",
     "victim=7 cell=20",
-    "killed td t0 cold base t=23246 [1006,1011,1021,1024,1027,1030,1033,1034,1015,1005,1007,1008,1025,1031,1012,1035,1032,1004,1009,1022,1017,1023,1014,1010,1016,1018,1019,1028,1036,1002,1003] n=32 m=76 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=4 d=1",
-    "killed td t0 warm base t=23281 [1006,1011,1021,1024,1027,1030,1033,1034,1015,1005,1007,1008,1025,1031,1012,1035,1032,1004,1009,1022,1017,1023,1014,1010,1016,1018,1019,1028,1036,1002,1003] n=3 m=10 r=2 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "killed td t3 cold base,w2 t=23293 [1020,1026,1029] n=1 m=7 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "killed td t3 warm base,w2 t=23332 [1020,1026,1029] n=1 m=7 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "killed td t1 cold base t=23358 [1006] n=1 m=4 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "killed td t1 warm base t=23375 [1006] n=1 m=4 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "killed bu t0 cold base,w2 t=23669 [1018,1002,1003] n=16 m=67 r=15 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "killed bu t0 warm base,w2 t=23986 [1020,1026,1029,1013,1018,1002,1003] n=16 m=64 r=15 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "killed bu t3 cold base t=24011 [1006,1011,1021] n=1 m=4 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "killed bu t3 warm base t=24032 [1006,1011,1021] n=1 m=4 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "killed bu t1 cold base,w2 t=24066 [1020] n=1 m=7 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "killed bu t1 warm base,w2 t=24096 [1018] n=2 m=8 r=1 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "killed lp t0 cold base t=24177 [1006,1011,1021,1024,1027,1030,1033,1034,1015,1020,1026,1029,1001,1013,1005,1007,1008,1025,1031,1012,1035,1032,1004,1009,1022,1017,1023,1014,1010,1016,1018,1019,1028,1036,1002,1003] n=32 m=57 r=5 l=6 ch=0 c=1 rt=0 cb=6 cv=12 f=0 fo=0 d=0",
-    "killed lp t0 warm base t=24267 [1006,1011,1021,1024,1027,1030,1033,1034,1015,1020,1026,1029,1001,1013,1005,1007,1008,1025,1031,1012,1035,1032,1004,1009,1022,1017,1023,1014,1010,1016,1018,1019,1028,1036,1002,1003] n=32 m=59 r=5 l=6 ch=0 c=1 rt=0 cb=5 cv=10 f=0 fo=0 d=0",
-    "killed lp t3 cold base,w2 t=24306 [1018,1002,1003] n=2 m=8 r=1 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "killed lp t3 warm base,w2 t=24324 [1020,1026,1029] n=1 m=7 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "killed lp t1 cold base t=24335 [1006] n=1 m=4 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "killed lp t1 warm base t=24355 [1006] n=1 m=4 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "killed pin 1001 t=24364 [] n=1 m=4 r=1 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain killed td t0 cold base t=24731 [6,11,21,24,27,30,33,34,15,7,25,31,12,35,32,4,9,22,17,23,14,10,16,18,19,28,36,2,3] n=32 m=76 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=4 d=1",
-    "plain killed td t0 warm base t=24769 [6,11,21,24,27,30,33,34,15,7,25,31,12,35,32,4,9,22,17,23,14,10,16,18,19,28,36,2,3] n=3 m=10 r=2 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain killed td t3 cold base,w2 t=24881 [18,2,3] n=5 m=22 r=4 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain killed td t3 warm base,w2 t=24908 [18,2,3] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain killed td t1 cold base t=24923 [6] n=1 m=4 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain killed td t1 warm base t=24934 [6] n=1 m=4 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain killed bu t0 cold base,w2 t=25142 [18,2,3] n=16 m=47 r=15 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain killed bu t0 warm base,w2 t=25184 [18,2,3] n=2 m=8 r=1 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain killed bu t3 cold base t=25196 [6,11,21] n=1 m=4 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain killed bu t3 warm base t=25218 [6,11,21] n=1 m=4 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain killed bu t1 cold base,w2 t=25258 [18] n=2 m=8 r=1 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain killed bu t1 warm base,w2 t=25299 [18] n=2 m=8 r=1 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain killed lp t0 cold base t=25384 [6,11,21,24,27,30,33,34,15,7,25,31,12,35,32,4,9,22,17,23,14,10,16,18,19,28,36,2,3] n=32 m=54 r=5 l=6 ch=0 c=1 rt=0 cb=7 cv=14 f=0 fo=0 d=0",
-    "plain killed lp t0 warm base t=25424 [6,11,21,24,27,30,33,34,15,7,25,31,12,35,32,4,9,22,17,23,14,10,16,18,19,28,36,2,3] n=3 m=10 r=2 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain killed lp t3 cold base,w2 t=25455 [18,2,3] n=2 m=8 r=1 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain killed lp t3 warm base,w2 t=25488 [18,2,3] n=2 m=8 r=1 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain killed lp t1 cold base t=25506 [6] n=1 m=4 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain killed lp t1 warm base t=25525 [6] n=1 m=4 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "killed td t0 cold base t=22975 [1006,1011,1021,1024,1027,1030,1033,1034,1015,1005,1007,1008,1025,1031,1012,1035,1032,1004,1009,1022,1017,1023,1014,1010,1016,1018,1019,1028,1036,1002,1003] n=32 m=76 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=4 d=1",
+    "killed td t0 warm base t=23004 [1006,1011,1021,1024,1027,1030,1033,1034,1015,1005,1007,1008,1025,1031,1012,1035,1032,1004,1009,1022,1017,1023,1014,1010,1016,1018,1019,1028,1036,1002,1003] n=3 m=10 r=2 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "killed td t3 cold base,w2 t=23030 [1020,1026,1029] n=1 m=7 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "killed td t3 warm base,w2 t=23068 [1020,1026,1029] n=1 m=7 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "killed td t1 cold base t=23084 [1006] n=1 m=4 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "killed td t1 warm base t=23096 [1006] n=1 m=4 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "killed bu t0 cold base,w2 t=23396 [1018,1002,1003] n=16 m=65 r=15 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "killed bu t0 warm base,w2 t=23696 [1020,1026,1029,1013,1018,1002,1003] n=16 m=66 r=15 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "killed bu t3 cold base t=23718 [1006,1011,1021] n=1 m=4 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "killed bu t3 warm base t=23731 [1006,1011,1021] n=1 m=4 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "killed bu t1 cold base,w2 t=23764 [1020] n=1 m=7 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "killed bu t1 warm base,w2 t=23806 [1018] n=2 m=8 r=1 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "killed lp t0 cold base t=23837 [1006,1011,1021,1024,1027,1030,1033,1034,1015,1020,1026,1029,1001,1013,1005,1007,1008,1025,1031,1012,1035,1032,1004,1009,1022,1017,1023,1014,1010,1016,1018,1019,1028,1036,1002,1003] n=32 m=37 r=1 l=6 ch=0 c=1 rt=0 cb=8 cv=24 f=0 fo=0 d=0",
+    "killed lp t0 warm base t=23864 [1006,1011,1021,1024,1027,1030,1033,1034,1015,1020,1026,1029,1001,1013,1005,1007,1008,1025,1031,1012,1035,1032,1004,1009,1022,1017,1023,1014,1010,1016,1018,1019,1028,1036,1002,1003] n=32 m=32 r=1 l=6 ch=0 c=1 rt=0 cb=8 cv=26 f=0 fo=0 d=0",
+    "killed lp t3 cold base,w2 t=23897 [1018,1002,1003] n=2 m=8 r=1 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "killed lp t3 warm base,w2 t=23924 [1020,1026,1029] n=1 m=7 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "killed lp t1 cold base t=23938 [1006] n=1 m=4 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "killed lp t1 warm base t=23959 [1006] n=1 m=4 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "killed pin 1001 t=23985 [] n=1 m=4 r=1 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain killed td t0 cold base t=24321 [6,11,21,24,27,30,33,34,15,7,25,31,12,35,32,4,9,22,17,23,14,10,16,18,19,28,36,2,3] n=32 m=76 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=4 d=1",
+    "plain killed td t0 warm base t=24346 [6,11,21,24,27,30,33,34,15,7,25,31,12,35,32,4,9,22,17,23,14,10,16,18,19,28,36,2,3] n=3 m=10 r=2 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain killed td t3 cold base,w2 t=24454 [18,2,3] n=5 m=22 r=4 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain killed td t3 warm base,w2 t=24493 [18,2,3] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain killed td t1 cold base t=24506 [6] n=1 m=4 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain killed td t1 warm base t=24517 [6] n=1 m=4 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain killed bu t0 cold base,w2 t=24742 [18,2,3] n=16 m=47 r=15 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain killed bu t0 warm base,w2 t=24777 [18,2,3] n=2 m=8 r=1 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain killed bu t3 cold base t=24799 [6,11,21] n=1 m=4 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain killed bu t3 warm base t=24824 [6,11,21] n=1 m=4 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain killed bu t1 cold base,w2 t=24851 [18] n=2 m=8 r=1 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain killed bu t1 warm base,w2 t=24879 [18] n=2 m=8 r=1 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain killed lp t0 cold base t=24898 [6,11,21,24,27,30,33,34,15,7,25,31,12,35,32,4,9,22,17,23,14,10,16,18,19,28,36,2,3] n=32 m=29 r=1 l=6 ch=0 c=1 rt=0 cb=8 cv=27 f=0 fo=0 d=0",
+    "plain killed lp t0 warm base t=24934 [6,11,21,24,27,30,33,34,15,7,25,31,12,35,32,4,9,22,17,23,14,10,16,18,19,28,36,2,3] n=3 m=10 r=2 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain killed lp t3 cold base,w2 t=24966 [18,2,3] n=2 m=8 r=1 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain killed lp t3 warm base,w2 t=25007 [18,2,3] n=2 m=8 r=1 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain killed lp t1 cold base t=25021 [6] n=1 m=4 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain killed lp t1 warm base t=25043 [6] n=1 m=4 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
     "misplaced plain=14 guarded=16",
     "repair plain=14",
     "repair guarded budget=3 moved=3",
@@ -718,119 +715,119 @@ constexpr const char* kGolden[] = {
     "replication copied=9 backlog=0",
     "replication copied=9 backlog=0",
     "replication copied=0 backlog=0",
-    "hot cells=4 holders=8 promotions=5 demotions=1 spread=43 copied=72",
-    "== churn repair t=25525",
+    "hot cells=4 holders=8 promotions=5 demotions=1 spread=44 copied=72",
+    "== churn repair t=25043",
     "  dht.failures=1",
     "  dht.maintenance.msgs=4980",
     "  dht.stabilize_rounds=40",
-    "  kws.coalesced_visits=76",
+    "  kws.coalesced_visits=159",
     "  kws.entries_lost=10",
-    "  kws.failover=9",
+    "  kws.failover=8",
     "  kws.repair_entries=30",
     "  kws.replica_demotion=1",
     "  kws.replica_entries=72",
     "  kws.replica_promotion=5",
     "  kws.replica_restore=5",
-    "  kws.replica_spread=43",
+    "  kws.replica_spread=44",
     "  msg.dht.fix_finger=1881",
     "  msg.dht.join=42",
-    "  msg.kws.batch_reply=36",
-    "  msg.kws.batch_results=6",
-    "  msg.kws.done=107",
-    "  msg.kws.pin=26",
-    "  msg.kws.pin_reply=9",
-    "  msg.kws.results=180",
-    "  msg.kws.t_cont=921",
-    "  msg.kws.t_query=1871",
-    "  msg.kws.t_stop=28",
-    "  msg.kws.visit_batch=38",
-    "  net.bytes=287672",
-    "  net.delivered=3802",
-    "  net.local=94",
-    "  net.messages=5891",
-    "  wire=cdb022aa1874529a trace=dd88efa04ba6b5a6",
-    "plain repaired td t0 cold base t=26118 [6,11,21,24,27,30,33,34,15,7,25,31,12,35,32,4,9,22,17,23,14,10,16,18,19,28,36,2,3] n=32 m=120 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain repaired td t0 warm base t=26158 [6,11,21,24,27,30,33,34,15,7,25,31,12,35,32,4,9,22,17,23,14,10,16,18,19,28,36,2,3] n=3 m=10 r=2 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain repaired td t3 cold w1 t=26307 [7,25,31] n=6 m=29 r=5 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain repaired td t3 warm w1 t=26340 [7,25,31] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain repaired td t1 cold base,w2 t=26461 [18] n=5 m=24 r=4 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain repaired td t1 warm base,w2 t=26505 [18] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain repaired bu t0 cold w3 t=26801 [15,19,31,22] n=32 m=68 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain repaired bu t0 warm w3 t=26834 [15,19,31,22] n=3 m=10 r=2 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain repaired bu t3 cold base,w0 t=27095 [18,19,28] n=16 m=55 r=15 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain repaired bu t3 warm base,w0 t=27135 [18,19,28] n=2 m=8 r=1 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain repaired bu t1 cold w4 t=27618 [19] n=26 m=105 r=25 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain repaired bu t1 warm w4 t=27645 [19] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain repaired lp t0 cold w5 t=27745 [32,4,9,22,14,10,16,18,28,36] n=32 m=64 r=5 l=6 ch=0 c=1 rt=0 cb=3 cv=6 f=0 fo=0 d=0",
-    "plain repaired lp t0 warm w5 t=27788 [32,4,9,22,14,10,16,18,28,36] n=3 m=11 r=2 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain repaired lp t3 cold base,w1 t=27806 [7,25,31] n=1 m=5 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain repaired lp t3 warm base,w1 t=27828 [7,25,31] n=1 m=5 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain repaired lp t1 cold w2 t=27891 [18] n=16 m=67 r=2 l=3 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain repaired lp t1 warm w2 t=27926 [18] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded repaired td t0 cold base t=28493 [1006,1011,1021,1024,1027,1030,1033,1034,1015,1020,1026,1029,1001,1013,1005,1007,1008,1025,1031,1012,1035,1032,1004,1009,1022,1017,1023,1014,1010,1016,1018,1019,1028,1036,1002,1003] n=32 m=118 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded repaired td t0 warm base t=29114 [1006,1011,1021,1024,1027,1030,1033,1034,1015,1020,1026,1029,1001,1013,1005,1007,1008,1025,1031,1012,1035,1032,1004,1009,1022,1017,1023,1014,1010,1016,1018,1019,1028,1036,1002,1003] n=32 m=122 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded repaired td t3 cold w1 t=29242 [1005,1007,1008] n=6 m=26 r=5 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded repaired td t3 warm w1 t=29297 [1005,1007,1008] n=2 m=11 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded repaired td t1 cold base,w2 t=29319 [1020] n=1 m=7 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded repaired td t1 warm base,w2 t=29349 [1020] n=1 m=7 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded repaired bu t0 cold w3 t=29984 [1015,1019,1029,1001,1031,1022] n=32 m=132 r=31 l=0 ch=0 c=1 rt=1 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded repaired bu t0 warm w3 t=30306 [1015,1019,1029,1001,1031,1022] n=32 m=69 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded repaired bu t3 cold base,w0 t=30345 [1020,1026,1029] n=1 m=7 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded repaired bu t3 warm base,w0 t=30372 [1020,1026,1029] n=1 m=6 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded repaired bu t1 cold w4 t=30882 [1019] n=26 m=103 r=25 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded repaired bu t1 warm w4 t=30907 [1019] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded repaired lp t0 cold w5 t=31013 [1032,1004,1009,1022,1014,1010,1016,1018,1028,1036] n=32 m=64 r=5 l=6 ch=0 c=1 rt=0 cb=3 cv=6 f=0 fo=0 d=0",
-    "guarded repaired lp t0 warm w5 t=31062 [1032,1004,1009,1022,1014,1010,1016,1018,1028,1036] n=3 m=11 r=2 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded repaired lp t3 cold base,w1 t=31088 [1005,1007,1008] n=1 m=5 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded repaired lp t3 warm base,w1 t=31110 [1005,1007,1008] n=1 m=6 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded repaired lp t1 cold w2 t=31157 [1020] n=6 m=23 r=1 l=2 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded repaired lp t1 warm w2 t=31196 [1020] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "plain repaired pin 1 t=31225 [] n=1 m=5 r=1 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded repaired pin 1001 t=31244 [1001] n=1 m=5 r=1 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded browse2 base p0 t=31265 [1006,1011] n=1 m=5 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded browse2 base p1 t=31275 [1021,1024] n=1 m=3 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded browse2 base p2 t=31285 [1027,1030] n=1 m=3 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded browse2 base p3 t=31290 [1033,1034] n=1 m=3 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded browse2 base p4 t=31347 [1015,1020] n=4 m=13 r=3 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded browse2 base p5 t=31370 [1026,1029] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded browse2 base p6 t=31390 [1001,1013] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded browse2 base p7 t=31417 [1005,1007] n=3 m=7 r=2 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded browse2 base p8 t=31428 [1008,1025] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded browse2 base p9 t=31457 [1031,1012] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded browse2 base p10 t=31473 [1035,1032] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded browse2 base p11 t=31496 [1004,1009] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded browse2 base p12 t=31520 [1022,1017] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded browse2 base p13 t=31530 [1023,1014] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded browse2 base p14 t=31549 [1010,1016] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded browse2 base p15 t=31655 [1018,1019] n=10 m=21 r=9 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded browse2 base p16 t=31683 [1028,1036] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded browse2 base p17 t=31705 [1002,1003] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
-    "guarded browse2 base p18 t=31858 [] n=18 m=36 r=17 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "  msg.kws.batch_reply=50",
+    "  msg.kws.batch_results=5",
+    "  msg.kws.done=108",
+    "  msg.kws.pin=32",
+    "  msg.kws.pin_reply=10",
+    "  msg.kws.results=178",
+    "  msg.kws.t_cont=836",
+    "  msg.kws.t_query=1805",
+    "  msg.kws.t_stop=32",
+    "  msg.kws.visit_batch=50",
+    "  net.bytes=280644",
+    "  net.delivered=3679",
+    "  net.local=87",
+    "  net.messages=5775",
+    "  wire=f44ca125ce06c9f4 trace=88699dce402a44fd",
+    "plain repaired td t0 cold base t=25634 [6,11,21,24,27,30,33,34,15,7,25,31,12,35,32,4,9,22,17,23,14,10,16,18,19,28,36,2,3] n=32 m=120 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain repaired td t0 warm base t=25654 [6,11,21,24,27,30,33,34,15,7,25,31,12,35,32,4,9,22,17,23,14,10,16,18,19,28,36,2,3] n=3 m=10 r=2 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain repaired td t3 cold w1 t=25789 [7,25,31] n=6 m=29 r=5 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain repaired td t3 warm w1 t=25825 [7,25,31] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain repaired td t1 cold base,w2 t=25948 [18] n=5 m=24 r=4 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain repaired td t1 warm base,w2 t=25982 [18] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain repaired bu t0 cold w3 t=26322 [15,19,31,22] n=32 m=68 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain repaired bu t0 warm w3 t=26356 [15,19,31,22] n=3 m=10 r=2 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain repaired bu t3 cold base,w0 t=26636 [18,19,28] n=16 m=55 r=15 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain repaired bu t3 warm base,w0 t=26672 [18,19,28] n=2 m=8 r=1 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain repaired bu t1 cold w4 t=27174 [19] n=26 m=105 r=25 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain repaired bu t1 warm w4 t=27210 [19] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain repaired lp t0 cold w5 t=27255 [32,4,9,22,14,10,16,18,28,36] n=32 m=42 r=1 l=6 ch=0 c=1 rt=0 cb=9 cv=23 f=0 fo=0 d=0",
+    "plain repaired lp t0 warm w5 t=27299 [32,4,9,22,14,10,16,18,28,36] n=3 m=11 r=2 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain repaired lp t3 cold base,w1 t=27323 [7,25,31] n=1 m=5 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain repaired lp t3 warm base,w1 t=27353 [7,25,31] n=1 m=5 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain repaired lp t1 cold w2 t=27430 [18] n=16 m=67 r=2 l=3 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain repaired lp t1 warm w2 t=27472 [18] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded repaired td t0 cold base t=28008 [1006,1011,1021,1024,1027,1030,1033,1034,1015,1020,1026,1029,1001,1013,1005,1007,1008,1025,1031,1012,1035,1032,1004,1009,1022,1017,1023,1014,1010,1016,1018,1019,1028,1036,1002,1003] n=32 m=114 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded repaired td t0 warm base t=28606 [1006,1011,1021,1024,1027,1030,1033,1034,1015,1020,1026,1029,1001,1013,1005,1007,1008,1025,1031,1012,1035,1032,1004,1009,1022,1017,1023,1014,1010,1016,1018,1019,1028,1036,1002,1003] n=32 m=123 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded repaired td t3 cold w1 t=28755 [1005,1007,1008] n=6 m=29 r=5 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded repaired td t3 warm w1 t=28809 [1005,1007,1008] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded repaired td t1 cold base,w2 t=28840 [1020] n=1 m=7 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded repaired td t1 warm base,w2 t=28869 [1020] n=1 m=7 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded repaired bu t0 cold w3 t=29493 [1015,1019,1029,1001,1031,1022] n=32 m=127 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded repaired bu t0 warm w3 t=29804 [1015,1019,1029,1001,1031,1022] n=32 m=71 r=31 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded repaired bu t3 cold base,w0 t=29839 [1020,1026,1029] n=1 m=7 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded repaired bu t3 warm base,w0 t=29864 [1020,1026,1029] n=1 m=6 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded repaired bu t1 cold w4 t=30412 [1019] n=26 m=105 r=25 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded repaired bu t1 warm w4 t=30450 [1019] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded repaired lp t0 cold w5 t=30491 [1032,1004,1009,1022,1014,1010,1016,1018,1028,1036] n=32 m=46 r=1 l=6 ch=0 c=1 rt=0 cb=8 cv=20 f=0 fo=0 d=0",
+    "guarded repaired lp t0 warm w5 t=30541 [1032,1004,1009,1022,1014,1010,1016,1018,1028,1036] n=3 m=11 r=2 l=0 ch=1 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded repaired lp t3 cold base,w1 t=30564 [1005,1007,1008] n=1 m=5 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded repaired lp t3 warm base,w1 t=30588 [1005,1007,1008] n=1 m=6 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded repaired lp t1 cold w2 t=30637 [1020] n=6 m=23 r=1 l=2 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded repaired lp t1 warm w2 t=30686 [1020] n=2 m=8 r=1 l=0 ch=1 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "plain repaired pin 1 t=30706 [] n=1 m=5 r=1 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded repaired pin 1001 t=30733 [1001] n=1 m=5 r=1 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded browse2 base p0 t=30750 [1006,1011] n=1 m=5 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded browse2 base p1 t=30756 [1021,1024] n=1 m=3 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded browse2 base p2 t=30767 [1027,1030] n=1 m=3 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded browse2 base p3 t=30777 [1033,1034] n=1 m=3 r=0 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded browse2 base p4 t=30828 [1015,1020] n=4 m=13 r=3 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded browse2 base p5 t=30852 [1026,1029] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded browse2 base p6 t=30880 [1001,1013] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded browse2 base p7 t=30909 [1005,1007] n=3 m=7 r=2 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded browse2 base p8 t=30933 [1008,1025] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded browse2 base p9 t=30954 [1031,1012] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded browse2 base p10 t=30979 [1035,1032] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded browse2 base p11 t=31000 [1004,1009] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded browse2 base p12 t=31021 [1022,1017] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded browse2 base p13 t=31032 [1023,1014] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded browse2 base p14 t=31056 [1010,1016] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded browse2 base p15 t=31185 [1018,1019] n=10 m=23 r=9 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded browse2 base p16 t=31202 [1028,1036] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded browse2 base p17 t=31222 [1002,1003] n=2 m=5 r=1 l=0 ch=0 c=0 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
+    "guarded browse2 base p18 t=31392 [] n=18 m=36 r=17 l=0 ch=0 c=1 rt=0 cb=0 cv=0 f=0 fo=0 d=0",
     "guarded has_entry=36 epochs=42/45",
-    "== repaired t=31858",
-    "  kws.coalesced_visits=88",
+    "== repaired t=31392",
+    "  kws.coalesced_visits=202",
     "  kws.replica_spread=65",
-    "  kws.retransmit=161",
-    "  msg.kws.batch_reply=42",
+    "  msg.kws.batch_reply=67",
+    "  msg.kws.batch_results=7",
     "  msg.kws.c_cont=127",
     "  msg.kws.c_done=46",
     "  msg.kws.c_next=42",
     "  msg.kws.c_open=12",
-    "  msg.kws.c_query=152",
+    "  msg.kws.c_query=154",
     "  msg.kws.c_results=45",
-    "  msg.kws.done=142",
-    "  msg.kws.pin=34",
-    "  msg.kws.pin_reply=11",
-    "  msg.kws.results=237",
-    "  msg.kws.t_cont=1251",
-    "  msg.kws.t_query=2753",
-    "  msg.kws.t_stop=42",
-    "  msg.kws.visit_batch=44",
-    "  net.bytes=393052",
-    "  net.delivered=5286",
-    "  net.local=117",
-    "  net.messages=7375",
-    "  wire=1e14998f68736275 trace=dac34e24723b530a",
+    "  msg.kws.done=143",
+    "  msg.kws.pin=40",
+    "  msg.kws.pin_reply=12",
+    "  msg.kws.results=233",
+    "  msg.kws.t_cont=1134",
+    "  msg.kws.t_query=2653",
+    "  msg.kws.t_stop=46",
+    "  msg.kws.visit_batch=67",
+    "  net.bytes=383584",
+    "  net.delivered=5121",
+    "  net.local=110",
+    "  net.messages=7217",
+    "  wire=b0c40fb9be58f555 trace=9a512740d133d339",
 };
 
 TEST(OverlayGolden, SeededRunMatchesItsCheckedInTranscript) {
