@@ -145,22 +145,22 @@ constexpr std::uint64_t kChordChurnSeed = 11;
 constexpr const char* kDigests[] = {
     "chord/top-down/1 searches=12 mutations=58 cancels=1 faults=3 violations=0 trace=7fa2a32cff665058",
     "chord/bottom-up/1 searches=12 mutations=58 cancels=1 faults=3 violations=0 trace=6a6c9bd3ca1f0cef",
-    "chord/level-parallel/1 searches=12 mutations=58 cancels=1 faults=3 violations=0 trace=cfe3609a650b090b",
+    "chord/level-parallel/1 searches=12 mutations=58 cancels=1 faults=3 violations=0 trace=934e905b4d4d83d5",
     "pastry/top-down/1 searches=12 mutations=58 cancels=1 faults=7 violations=0 trace=28ad1ca6843c25be",
     "pastry/bottom-up/1 searches=12 mutations=58 cancels=1 faults=7 violations=0 trace=9418108c6f7fefbc",
-    "pastry/level-parallel/1 searches=12 mutations=58 cancels=1 faults=8 violations=0 trace=4192d90444ae5846",
+    "pastry/level-parallel/1 searches=12 mutations=58 cancels=1 faults=8 violations=0 trace=268f2c91bc761496",
     "mirrored/top-down/1 searches=12 mutations=58 cancels=2 faults=6 violations=0 trace=d8e63fe31520e87b",
     "mirrored/bottom-up/1 searches=12 mutations=58 cancels=2 faults=6 violations=0 trace=fc74348b9d05f809",
-    "mirrored/level-parallel/1 searches=12 mutations=58 cancels=2 faults=6 violations=0 trace=137e1482f9bc72ab",
+    "mirrored/level-parallel/1 searches=12 mutations=58 cancels=2 faults=8 violations=0 trace=2481cc61c6068810",
     "chord/top-down/2 searches=18 mutations=61 cancels=3 faults=2 violations=0 trace=4d71cafabde95cc0",
     "chord/bottom-up/2 searches=18 mutations=61 cancels=3 faults=2 violations=0 trace=1d14d614ffc60e70",
-    "chord/level-parallel/2 searches=18 mutations=61 cancels=3 faults=2 violations=0 trace=4fd8da79124b944a",
+    "chord/level-parallel/2 searches=18 mutations=61 cancels=3 faults=2 violations=0 trace=2efe4d16659380b0",
     "pastry/top-down/2 searches=18 mutations=61 cancels=4 faults=3 violations=0 trace=2282e94a264d38ea",
     "pastry/bottom-up/2 searches=18 mutations=61 cancels=4 faults=4 violations=0 trace=5512e35624ec47a4",
-    "pastry/level-parallel/2 searches=18 mutations=61 cancels=4 faults=4 violations=0 trace=296a3741fecc3b6c",
+    "pastry/level-parallel/2 searches=18 mutations=61 cancels=3 faults=3 violations=0 trace=29537441b6be34a8",
     "mirrored/top-down/2 searches=18 mutations=61 cancels=3 faults=3 violations=0 trace=4e01f1ec0d656015",
     "mirrored/bottom-up/2 searches=18 mutations=61 cancels=3 faults=4 violations=0 trace=e518e3eb3dd246f4",
-    "mirrored/level-parallel/2 searches=18 mutations=61 cancels=3 faults=3 violations=0 trace=5a1b552c7dffd463",
+    "mirrored/level-parallel/2 searches=18 mutations=61 cancels=3 faults=3 violations=0 trace=e34f17f8ff495258",
     "chord/top-down/11 searches=35 mutations=88 cancels=3 faults=5 violations=0 trace=0c96da9796d88843",
     "churn/1 searches=16 mutations=63 cancels=3 faults=21 violations=0 trace=b518539b52098679",
     "churn/2 searches=24 mutations=64 cancels=6 faults=11 violations=0 trace=134d0041adfd891d",
