@@ -44,6 +44,7 @@ void FailureDetector::note_transport_down(sim::EndpointId ep) {
     ack_timers_.erase(m.ack_timer);
     m.ack_timer = 0;
   }
+  m.prober = 0;  // a positive signal: nothing to re-check later
   net_.metrics().count("maint.transport_down");
   confirm(ep);
 }
@@ -103,6 +104,7 @@ void FailureDetector::probe(sim::EndpointId target) {
                         [this, epoch, target] { on_ack(epoch, target); });
             });
   Member& m = members_[target];
+  m.prober = prober;
   m.ack_timer = net_.set_timer(
       cfg_.timeout, [this, target] { on_ack_timeout(target); });
   ack_timers_.emplace(m.ack_timer, target);
@@ -124,6 +126,9 @@ void FailureDetector::on_ack_timeout(sim::EndpointId target) {
   ack_timers_.erase(m.ack_timer);
   m.ack_timer = 0;
   if (!running_ || m.confirmed) return;
+  // The ping went through a prober confirmed dead since: its silence says
+  // nothing about the target, which the next round probes elsewhere.
+  if (members_.at(m.prober).confirmed) return;
   ++m.missed;
   net_.metrics().count("maint.suspicions");
   // Re-probing waits for the next round rather than chaining off the
@@ -137,6 +142,18 @@ void FailureDetector::confirm(sim::EndpointId target) {
   Member& m = members_[target];
   m.confirmed = true;
   ++confirmed_;
+  // Misses counted through the target say nothing about their members, and
+  // a confirmation that rested on them is re-checked: the member is
+  // monitored again from scratch, and the next round probes it through a
+  // trusted prober.
+  for (auto& [ep, other] : members_) {
+    if (other.prober != target) continue;
+    other.missed = 0;
+    if (!other.confirmed) continue;
+    other.confirmed = false;
+    --confirmed_;
+    net_.metrics().count("maint.rechecks");
+  }
   const sim::Time now = net_.now();
   net_.metrics().count("maint.confirmed");
   const auto it = true_failures_.find(target);

@@ -11,11 +11,19 @@
 // believed-alive ring successor ("maint.ping"), which expects a
 // "maint.ack" back within `timeout` ticks. A missed ack marks the target
 // *suspected*; `confirmations` consecutive misses confirm the death and
-// fire the callback exactly once. An ack at any point clears the
-// suspicion, so transient message loss (both kinds are declared lossable
-// to the torture fault injector) only delays detection, it cannot
-// un-confirm a peer or kill a live one — confirmation here never touches
-// the network fabric, it only triggers repair, which is idempotent.
+// fire the callback. An ack at any point clears the suspicion, so
+// transient message loss (both kinds are declared lossable to the torture
+// fault injector) only delays detection, it cannot kill a live peer —
+// confirmation here never touches the network fabric, it only triggers
+// repair, which is idempotent.
+//
+// A miss proves nothing about the target when its prober was the one that
+// died. A miss that lands after its prober was confirmed dead is not
+// counted. When a prober is confirmed, the misses counted through it are
+// cleared, and every member whose confirmation rested on it is re-checked:
+// it is monitored again from scratch, probed through a trusted prober, so
+// a live member clears and its later real death is confirmed like any
+// other.
 //
 // Timer discipline: every armed timer id is tracked and erased first
 // thing in its callback, stop() cancels everything, and armed_timers()
@@ -48,7 +56,9 @@ class FailureDetector {
     std::size_t ping_bytes = 16;  ///< wire size of ping and ack
   };
 
-  /// Invoked exactly once per confirmed death, from a timer event.
+  /// Invoked once per confirmation, from a timer event (or from
+  /// note_transport_down). A member re-checked after its prober's death
+  /// and confirmed again fires it again.
   using DeathCallback = std::function<void(sim::EndpointId)>;
 
   /// @param net       fabric the pings travel on (not owned)
@@ -81,7 +91,8 @@ class FailureDetector {
 
   /// Members with >= 1 consecutive missed ack, not yet confirmed dead.
   std::size_t suspected_count() const;
-  /// Members confirmed dead so far.
+  /// Members currently confirmed dead (a re-checked member leaves the
+  /// count until it is confirmed again).
   std::size_t confirmed_count() const noexcept { return confirmed_; }
   /// Timers currently armed (round timer + outstanding ack timeouts).
   std::size_t armed_timers() const noexcept {
@@ -98,6 +109,8 @@ class FailureDetector {
     int missed = 0;        ///< consecutive missed acks
     bool confirmed = false;
     net::Transport::TimerId ack_timer = 0;  ///< 0 = no ping outstanding
+    /// Prober of the last ping; 0 after a transport-down confirmation.
+    sim::EndpointId prober = 0;
   };
 
   void round();

@@ -126,6 +126,49 @@ TEST(FailureDetector, TransportDownConfirmsImmediately) {
   t.clock.run();
 }
 
+// The order of churn seed 108, replayed: a member's prober dies just after
+// a round's pings went out, so it still answers its own ping but swallows
+// its live target's ack, and the target reaches two misses through it
+// before it is confirmed itself. That confirmation of the target rested on
+// a dead prober: it is re-checked, the live target clears, and when the
+// target really dies later, it is confirmed and the plane converges.
+TEST(FailureDetector, ConfirmationThroughADeadProberIsRechecked) {
+  Plant t(options(true));
+  t.seed_corpus();
+  // An entry holder whose ring successor by endpoint id, its prober, is
+  // neither the searcher nor the last endpoint.
+  sim::EndpointId target = 0;
+  t.service->primary_index().for_each_entry(
+      [&](cube::CubeId, const KeywordSet&, ObjectId, sim::EndpointId ep) {
+        if (target == 0 && ep != 1 && ep < 23) target = ep;
+      });
+  ASSERT_NE(target, 0u);
+  const sim::EndpointId prober = target + 1;
+  const auto& det = t.plane->detector();
+  const auto& metrics = t.net->metrics();
+  const sim::Time start = t.clock.now();
+  t.plane->start();
+
+  // The second round has just sent its pings when the prober dies.
+  t.clock.run_until(start + 2 * det.config().period);
+  t.plane->note_true_failure(prober);
+  t.dht->fail(prober);
+  ASSERT_TRUE(t.pump_until(
+      [&] { return metrics.counter("maint.confirmed") == 2; }));
+  EXPECT_EQ(metrics.counter("maint.rechecks"), 1u);
+  ASSERT_TRUE(t.pump_until([&] { return t.plane->converged(); }));
+  EXPECT_EQ(det.confirmed_count(), 1u);  // the prober only
+
+  t.plane->note_true_failure(target);
+  t.dht->fail(target);
+  ASSERT_TRUE(t.pump_until(
+      [&] { return metrics.counter("maint.confirmed") == 3; }));
+  EXPECT_EQ(det.confirmed_count(), 2u);
+  ASSERT_TRUE(t.pump_until([&] { return t.plane->converged(); }));
+  t.plane->stop();
+  t.clock.run();
+}
+
 TEST(FailureDetector, NoFalsePositivesOnHealthyNetwork) {
   Plant t;
   t.plane->start();
