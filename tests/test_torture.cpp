@@ -162,9 +162,9 @@ constexpr const char* kDigests[] = {
     "mirrored/bottom-up/2 searches=18 mutations=61 cancels=3 faults=4 violations=0 trace=e518e3eb3dd246f4",
     "mirrored/level-parallel/2 searches=18 mutations=61 cancels=3 faults=3 violations=0 trace=e34f17f8ff495258",
     "chord/top-down/11 searches=35 mutations=88 cancels=3 faults=5 violations=0 trace=0c96da9796d88843",
-    "churn/1 searches=16 mutations=63 cancels=3 faults=21 violations=0 trace=b518539b52098679",
-    "churn/2 searches=24 mutations=64 cancels=6 faults=11 violations=0 trace=134d0041adfd891d",
-    "churn/3 searches=20 mutations=70 cancels=3 faults=16 violations=0 trace=126b2b6ce4e97066",
+    "churn/1 searches=16 mutations=63 cancels=3 faults=21 violations=0 trace=fb76546798c48fa5",
+    "churn/2 searches=24 mutations=64 cancels=6 faults=11 violations=0 trace=6ec6e4929752ef9a",
+    "churn/3 searches=20 mutations=70 cancels=3 faults=16 violations=0 trace=db29e07b5f2bb9c4",
     "hot-spot/1 searches=144 mutations=73 cancels=18 faults=21 skew=2.490066 violations=0 trace=e9307533740778f8",
     "hot-spot/2 searches=144 mutations=70 cancels=12 faults=9 skew=2.957746 violations=0 trace=0e32c8d614d8cf28",
     "hot-spot/3 searches=144 mutations=80 cancels=22 faults=16 skew=1.870824 violations=0 trace=b1402f104127c2d8",
