@@ -107,7 +107,7 @@ int main() {
                   seq->stats.rounds, par->stats.levels);
     }
   }
-  std::printf("\nlevel-parallel rounds should equal r - |One| + 1 = the\n"
+  std::printf("\nlevel-parallel levels should equal r - |One| + 1 = the\n"
               "subcube dimension + 1 (the paper's r - |One| speed-up).\n");
 
   // --- Simulated wall-clock latency under random per-message delays -------

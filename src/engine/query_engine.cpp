@@ -392,7 +392,8 @@ void QueryEngine::emit_span(std::uint64_t id, const char* point,
     if (tracer.open_top(id) == "root_lookup") tracer.end(now, id);
     tracer.instant(now, id, "root", "proto", a, b);
   } else if (std::strcmp(point, "level") == 0) {
-    // One span per SBT level; consecutive levels abut.
+    // One span per dispatch round (per SBT level, or one for a search
+    // that visits its whole subcube at once); consecutive spans abut.
     if (tracer.open_top(id) == "level") tracer.end(now, id);
     tracer.begin(now, id, "level", "proto", a, b);
   } else {

@@ -432,7 +432,8 @@ class OverlayIndex {
     }
   };
 
-  /// kPlan: one node at a time in a fixed order; kLevels: level by level.
+  /// kPlan: one node at a time in a fixed order; kLevels: level by level
+  /// (a one_round() search: the whole subcube at once).
   enum class Mode { kPlan, kLevels };
 
   /// The loss-guarded protocol steps (kNode once per cube node).

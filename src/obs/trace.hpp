@@ -5,7 +5,8 @@
 // loadable in chrome://tracing or Perfetto. With tid = query id, each query
 // renders as its own "thread", so a superset query's SBT hop tree is visible
 // level by level: the "query" span encloses "backlog" / "root_lookup" /
-// per-"level" child spans with "scan" and "retransmit" instants inside.
+// per-"level" child spans (one per dispatch round) with "scan" and
+// "retransmit" instants inside.
 //
 // Balance guarantee: the Tracer tracks open spans per tid. end() closes the
 // innermost open span and close_open() closes all of them, so a producer

@@ -6,7 +6,7 @@
 //
 // The phase model matches the spans the query engine emits (see
 // docs/OBSERVABILITY.md): a "query" span enclosing an optional "backlog"
-// span, a "root_lookup" span, and one "level" span per SBT level, with
+// span, a "root_lookup" span, and one "level" span per dispatch round, with
 // "scan" / "retransmit" instants inside and a terminal outcome instant
 // ("complete", "timeout", "failed", or "shed").
 #pragma once
