@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -139,6 +140,15 @@ int main() {
         clock.run();
         return clock.now() - t0;
       }
+
+      /// Sequential and level-parallel times, after a warm-up search that
+      /// learns the contacts, so both pay direct-message latencies.
+      std::pair<sim::Time, sim::Time> times(const KeywordSet& q) {
+        time(q, index::SearchStrategy::kTopDownSequential);
+        const sim::Time seq =
+            time(q, index::SearchStrategy::kTopDownSequential);
+        return {seq, time(q, index::SearchStrategy::kLevelParallel)};
+      }
     };
     Deployment level_rounds(false, corpus), one_round(true, corpus);
 
@@ -148,21 +158,8 @@ int main() {
       for (const auto& q : queries.popular_sets(m, 3)) {
         const auto subcube = level_rounds.idx.cube().subcube_size(
             level_rounds.idx.responsible_node(q));
-        sim::Time seq_time = 0, par_time = 0, one_time = 0;
-        for (Deployment* d : {&level_rounds, &one_round}) {
-          // Warm contacts so every strategy pays direct-message latencies.
-          d->time(q, index::SearchStrategy::kTopDownSequential);
-          const sim::Time seq =
-              d->time(q, index::SearchStrategy::kTopDownSequential);
-          const sim::Time par =
-              d->time(q, index::SearchStrategy::kLevelParallel);
-          if (d == &level_rounds) {
-            seq_time = seq;
-            par_time = par;
-          } else {
-            one_time = par;
-          }
-        }
+        const auto [seq_time, par_time] = level_rounds.times(q);
+        const sim::Time one_time = one_round.times(q).second;
         std::printf("%-4zu %-9llu %14llu %14llu %7.1fx %10llu\n", m,
                     static_cast<unsigned long long>(subcube),
                     static_cast<unsigned long long>(seq_time),
