@@ -2,10 +2,11 @@
 // serving used to allocate one std::vector<Hit> per node scan and copy it
 // into every wire closure (direct results, coalesced batch results, repair
 // re-ships); under sustained load the allocator and the copies dominated
-// the profile. The pool hands out shared_ptr batches instead: a scan fills
-// one buffer once and every closure shares it by pointer, and when the
-// last reference drops the buffer returns to the free list with its
-// capacity intact, so steady-state serving allocates nothing.
+// the profile. The pool hands out shared_ptr batches instead: a scan that
+// matches moves its hits into one batch, every closure shares it by
+// pointer, and when the last reference drops the buffer returns to the
+// free list with its capacity intact. Steady-state serving then allocates
+// only a batch's shared_ptr control block, once per scan that matched.
 //
 // The recycling deleter holds the free list via shared_ptr, so in-flight
 // messages may safely outlive the pool's owner — teardown destroys the

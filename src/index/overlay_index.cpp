@@ -37,6 +37,7 @@ OverlayIndex::OverlayIndex(dht::Dolr& dolr, Config cfg)
   // would work for larger r, but nothing in the paper's regime needs it.
   if (cfg.r > 24)
     throw std::invalid_argument("OverlayIndex: r must be <= 24");
+  slots_.resize(static_cast<std::size_t>(cube_.node_count()));
 }
 
 sim::Time OverlayIndex::resend_delay(int attempt) {
@@ -125,12 +126,13 @@ void OverlayIndex::route_entry(sim::EndpointId from, ObjectId object,
       add ? kCtrlBytes + keywords.size() * 12 : kCtrlBytes,
       [this, u, object, keywords, add, landed = std::move(landed)](
           const dht::Overlay::RouteResult& rr) {
-        PeerState& ps = peer_state(overlay_.endpoint_of(rr.owner));
+        const sim::EndpointId owner = overlay_.endpoint_of(rr.owner);
+        PeerState& ps = peer_state(owner);
         if (add) {
-          if (ps.tables[u].add(keywords, object)) ++mutation_epoch_;
+          if (own_table(owner, ps, u).add(keywords, object)) ++mutation_epoch_;
         } else if (const auto it = ps.tables.find(u); it != ps.tables.end()) {
           if (it->second.remove(keywords, object)) ++mutation_epoch_;
-          if (it->second.empty()) ps.tables.erase(it);
+          if (it->second.empty()) erase_table(ps, it);
         }
         replica_apply(u, keywords, object, add);
         if (const auto cit = ps.caches.find(u); cit != ps.caches.end())
@@ -165,10 +167,9 @@ void OverlayIndex::pin_attempt(std::uint64_t pin_id) {
         if (!p) return;  // already answered by an earlier attempt
         p->stats.messages += static_cast<std::size_t>(rr.hops);
         const sim::EndpointId ep = overlay_.endpoint_of(rr.owner);
-        PeerState& ps = peer_state(ep);
         std::vector<Hit> hits;
-        if (const auto it = ps.tables.find(u); it != ps.tables.end()) {
-          for (ObjectId o : it->second.exact(p->keywords))
+        if (const IndexTable* table = table_at(ep, u, /*replicas=*/false)) {
+          for (ObjectId o : table->exact(p->keywords))
             hits.push_back(Hit{o, p->keywords});
         }
         net_.send(ep, p->searcher, "kws.pin_reply", hits.size() * kHitBytes,
@@ -406,16 +407,18 @@ OverlayIndex::Visit& OverlayIndex::ensure_scan(Request& req, cube::CubeId w,
   if (fresh) {
     v.peer = peer;
     if (cfg_.hot.enabled) popularity_.note(net_.now(), w);
-    PeerState& ps = peer_state(peer);
     // Replica holders scan their write-through copy; the ordered entry map
     // makes the batch byte-identical to the primary's scan.
-    if (const IndexTable* table = table_at(ps, w)) {
+    if (const IndexTable* table = table_at(peer, w, cfg_.hot.enabled)) {
       const std::size_t want = room(req);
-      HitBatchPool::Batch batch = hit_pool_.acquire();
       table->supersets_into(req.query, want == kUnlimited ? 0 : want,
-                            &v.truncated, *batch);
-      // An empty buffer goes straight back to the pool.
-      if (!batch->empty()) v.batch = std::move(batch);
+                            &v.truncated, scan_);
+      if (!scan_.empty()) {
+        // The hits move into a pooled batch, whose empty buffer takes
+        // their place for the next scan.
+        v.batch = hit_pool_.acquire();
+        v.batch->swap(scan_);
+      }
     }
     v.c1 = v.batch ? v.batch->size() : 0;
     // Control verdict is fixed at first scan so retransmitted arrivals
@@ -1034,7 +1037,7 @@ void OverlayIndex::cumulative_next(std::uint64_t session, std::size_t count,
     throw std::invalid_argument("cumulative_next: count must be > 0");
   s->want = count;
   s->got = 0;
-  s->answer = {};
+  s->answer = HitAssembly();
   s->stats = SearchStats{};
   s->done = std::move(done);
 
@@ -1093,19 +1096,19 @@ void OverlayIndex::cumulative_step(std::uint64_t session) {
     CumulativeState* st = find_session(session);
     if (!st) return;
     if (w != st->root_cube) ++st->stats.nodes_contacted;
-    PeerState& ps = peer_state(peer);
-    std::vector<Hit> all;
-    if (const auto it = ps.tables.find(w); it != ps.tables.end())
-      it->second.supersets_into(st->query, 0, nullptr, all);
-    const std::size_t total = all.size();
-    HitBatchPool::Batch batch = hit_pool_.acquire();
-    for (std::size_t i = offset; i < all.size() && batch->size() < room; ++i)
-      batch->push_back(all[i]);
-    const std::size_t taken = batch->size();
+    scan_.clear();
+    if (const IndexTable* table = table_at(peer, w, /*replicas=*/false))
+      table->supersets_into(st->query, 0, nullptr, scan_);
+    const std::size_t total = scan_.size();
+    const std::size_t taken =
+        offset < total ? std::min(room, total - offset) : 0;
     if (taken > 0) {
       // Ship this node's slice straight to the searcher. Distinct kind from
       // the one-shot search's "kws.results": cumulative delivery has no
       // retransmission/dedup layer, so fault injectors must not target it.
+      const auto first = scan_.begin() + static_cast<std::ptrdiff_t>(offset);
+      HitBatchPool::Batch batch = hit_pool_.acquire();
+      batch->assign(first, first + static_cast<std::ptrdiff_t>(taken));
       ++st->answer.expected;
       charge(1);
       net_.send(peer, st->searcher, "kws.c_results", taken * kHitBytes,
@@ -1200,9 +1203,10 @@ std::uint64_t OverlayIndex::repair_placement(std::size_t max_entries) {
     PeerState& src = peers_[m.ep];
     if (const auto it = src.tables.find(m.u); it != src.tables.end()) {
       it->second.remove(m.keywords, m.object);
-      if (it->second.empty()) src.tables.erase(it);
+      if (it->second.empty()) erase_table(src, it);
     }
-    peer_state(peer_of(m.u)).tables[m.u].add(m.keywords, m.object);
+    const sim::EndpointId owner = peer_of(m.u);
+    own_table(owner, peer_state(owner), m.u).add(m.keywords, m.object);
     // A placement move is not a deletion: replicas keep (or gain) the entry.
     replica_apply(m.u, m.keywords, m.object, /*add=*/true);
   }
@@ -1243,13 +1247,12 @@ void OverlayIndex::purge_dead() {
       // Entries held by the dead peer are gone: surviving cached traversals
       // that counted on them are stale from this point on.
       if (!it->second.tables.empty()) ++mutation_epoch_;
-      net_.metrics().count("kws.entries_lost",
-                           [&] {
-                             std::uint64_t n = 0;
-                             for (const auto& [u, t] : it->second.tables)
-                               n += t.object_count();
-                             return n;
-                           }());
+      std::uint64_t lost = 0;
+      for (const auto& [u, t] : it->second.tables) {
+        lost += t.object_count();
+        if (slots_[u].table == &t) slots_[u] = {};  // the table goes below
+      }
+      net_.metrics().count("kws.entries_lost", lost);
       it = peers_.erase(it);
     } else {
       ++it;
@@ -1328,15 +1331,33 @@ sim::EndpointId OverlayIndex::cached_contact(sim::EndpointId coordinator,
   return cit == pit->second.contacts.end() ? 0 : cit->second;
 }
 
-const IndexTable* OverlayIndex::table_at(const PeerState& ps,
-                                         cube::CubeId w) const {
+const IndexTable* OverlayIndex::table_at(sim::EndpointId peer,
+                                         cube::CubeId w, bool replicas) {
+  if (const TableSlot& s = slots_[w]; s.table != nullptr && s.peer == peer)
+    return s.table;
+  // peer_state creates the peer's entry on a miss, whether or not the slot
+  // answered, so peers_'s membership and iteration order (which drive
+  // repair and replication) do not depend on the slots.
+  const PeerState& ps = peer_state(peer);
   if (const auto it = ps.tables.find(w); it != ps.tables.end())
     return &it->second;
-  if (cfg_.hot.enabled)
+  if (replicas)
     if (const auto it = ps.replica_tables.find(w);
         it != ps.replica_tables.end())
       return &it->second;
   return nullptr;
+}
+
+IndexTable& OverlayIndex::own_table(sim::EndpointId peer, PeerState& ps,
+                                    cube::CubeId u) {
+  IndexTable& table = ps.tables[u];
+  slots_[u] = {peer, &table};
+  return table;
+}
+
+void OverlayIndex::erase_table(PeerState& ps, Tables::iterator it) {
+  if (TableSlot& s = slots_[it->first]; s.table == &it->second) s = {};
+  ps.tables.erase(it);
 }
 
 std::uint64_t OverlayIndex::replication_step(std::size_t max_entries) {
@@ -1388,7 +1409,8 @@ std::uint64_t OverlayIndex::replication_step(std::size_t max_entries) {
     if (hit == peers_.end()) continue;
     const auto rtit = hit->second.replica_tables.find(u);
     if (rtit == hit->second.replica_tables.end()) continue;
-    PeerState& owner_ps = peer_state(peer_of(u));
+    const sim::EndpointId owner = peer_of(u);
+    PeerState& owner_ps = peer_state(owner);
     for (const auto& [k, objects] : rtit->second.entries()) {
       if (copied >= max_entries) break;
       for (const ObjectId o : objects) {
@@ -1396,7 +1418,7 @@ std::uint64_t OverlayIndex::replication_step(std::size_t max_entries) {
         if (const auto tit = owner_ps.tables.find(u);
             tit != owner_ps.tables.end() && tit->second.contains(k, o))
           continue;
-        owner_ps.tables[u].add(k, o);
+        own_table(owner, owner_ps, u).add(k, o);
         ++copied;
         restored = true;
         net_.metrics().count("kws.replica_restore");

@@ -56,6 +56,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <memory_resource>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -376,14 +377,23 @@ class OverlayIndex {
   std::uint64_t mutation_epoch() const noexcept { return mutation_epoch_; }
 
  private:
+  using Tables = std::unordered_map<cube::CubeId, IndexTable>;
+
   struct PeerState {
-    std::unordered_map<cube::CubeId, IndexTable> tables;
+    Tables tables;
     std::unordered_map<cube::CubeId, QueryCache> caches;
     std::unordered_map<cube::CubeId, sim::EndpointId> contacts;
     /// Hot-cell replica copies held at this peer, keyed by cube node. Kept
     /// strictly apart from `tables` so placement accounting (misplaced
     /// entries, repair, occupancy, loads) never counts a copy twice.
-    std::unordered_map<cube::CubeId, IndexTable> replica_tables;
+    Tables replica_tables;
+  };
+
+  /// One slot per cube node: a peer and that peer's primary table of the
+  /// node (see slots_).
+  struct TableSlot {
+    sim::EndpointId peer = 0;
+    const IndexTable* table = nullptr;  ///< null: the slot names no table
   };
 
   /// Replication state of one hot cube node.
@@ -466,16 +476,29 @@ class OverlayIndex {
   /// message arrival order (and identical to the LogicalIndex traversal
   /// order on lossless runs).
   struct HitAssembly {
+    explicit HitAssembly(
+        std::pmr::memory_resource* mr = std::pmr::get_default_resource())
+        : batches(mr) {}
     std::vector<cube::CubeId> order;  ///< cube nodes in visit order
     /// Batches that arrived, by origin node (null: written off by repair).
-    std::unordered_map<cube::CubeId, HitBatchPool::Batch> batches;
+    std::pmr::unordered_map<cube::CubeId, HitBatchPool::Batch> batches;
     std::size_t expected = 0;  ///< result messages the nodes shipped
     bool done = false;         ///< the done notification arrived
     bool complete() const { return done && batches.size() == expected; }
     std::vector<Hit> hits() const;
   };
 
+  /// First chunk of a request's arena. The chunks that follow grow
+  /// geometrically, so an exhaustive scan-read search (about 300 visits)
+  /// takes a handful of allocations in all.
+  static constexpr std::size_t kArenaFirstChunk = 8 << 10;
+
   struct Request {
+    /// The per-node containers below allocate from this arena, which frees
+    /// everything at once when the request ends. libstdc++'s hashed
+    /// containers order their elements independently of the allocator, so
+    /// the order repair_results re-ships in does not depend on the arena.
+    std::pmr::monotonic_buffer_resource arena{kArenaFirstChunk};
     std::uint64_t id = 0;
     /// Prepared once; every visited node's table scan reuses its keys.
     IndexTable::Query query;
@@ -493,10 +516,12 @@ class OverlayIndex {
     std::uint64_t epoch = 0;
     Mode mode = Mode::kPlan;
     SearchStrategy strategy = SearchStrategy::kTopDownSequential;
-    // Loss-tolerance state (all empty/0 when step_timeout == 0).
-    std::unordered_map<cube::CubeId, Visit> visits;     // scanned nodes
-    std::unordered_set<cube::CubeId> answered;          // coordinator dedup
-    std::unordered_map<std::uint64_t, Guard> guards;  // by (node, step)
+    // Per-node state: the scanned nodes, the coordinator's dedup of their
+    // answers, and the step guards by guard_key (empty when step_timeout
+    // == 0).
+    std::pmr::unordered_map<cube::CubeId, Visit> visits{&arena};
+    std::pmr::unordered_set<cube::CubeId> answered{&arena};
+    std::pmr::unordered_map<std::uint64_t, Guard> guards{&arena};
     // kPlan state: BFS (top-down), deepest-first (bottom-up) or cached
     // contributors' order, root excluded.
     std::vector<cube::CubeId> plan;
@@ -513,7 +538,7 @@ class OverlayIndex {
     std::size_t outstanding = 0;
     // Common bookkeeping.
     std::size_t collected = 0;
-    HitAssembly answer;  ///< order: dispatch order, root first
+    HitAssembly answer{&arena};  ///< order: dispatch order, root first
     std::vector<std::pair<cube::CubeId, std::uint32_t>> contributors;
     SearchStats stats;
     SearchCallback done;
@@ -596,9 +621,16 @@ class OverlayIndex {
   sim::EndpointId cached_contact(sim::EndpointId coordinator,
                                  cube::CubeId w) const;
 
-  /// The table to scan for cube node `w` at `ps`: the primary table if
-  /// present, else (hot replication only) the peer's replica copy.
-  const IndexTable* table_at(const PeerState& ps, cube::CubeId w) const;
+  /// The table `peer` scans for cube node `w`: its primary table, else
+  /// (with `replicas`) its replica copy, else nullptr. One indexed load
+  /// when w's slot names `peer`; otherwise a lookup in the peer's maps.
+  const IndexTable* table_at(sim::EndpointId peer, cube::CubeId w,
+                             bool replicas);
+  /// `peer`'s primary table of `u` (its state is `ps`), created if absent.
+  /// The table takes u's slot.
+  IndexTable& own_table(sim::EndpointId peer, PeerState& ps, cube::CubeId u);
+  /// Erases the primary table `it` of `ps`, emptying the slot that names it.
+  void erase_table(PeerState& ps, Tables::iterator it);
 
   /// Whether a T_QUERY for `w` arriving at `peer` can be answered there:
   /// true for the current owner (an empty table is then a real answer) and
@@ -753,6 +785,18 @@ class OverlayIndex {
   cube::Hypercube cube_;
   KeywordHasher hasher_;
   std::unordered_map<sim::EndpointId, PeerState> peers_;
+  /// 2^r slots, 16 B each, indexed by cube node. A slot names a peer and
+  /// its primary table of the node; route_entry, repair_placement and the
+  /// replica restore point it at the table they write, and erase_table and
+  /// purge_dead empty it before the table goes, so it never names an
+  /// erased table. A visit to the peer it names finds its table with one
+  /// load; misplaced tables, replicas and cells the slot does not name
+  /// fall back to the peer's maps.
+  std::vector<TableSlot> slots_;
+  /// Every superset scan fills this buffer, so a scan that matches nothing
+  /// allocates nothing. A visit's matches move into a pooled batch
+  /// (hit_pool_) by swapping buffers; a cumulative page copies its slice.
+  std::vector<Hit> scan_;
   /// Recycled scan buffers for Visit::batch (see hit_pool.hpp). Mutable
   /// bookkeeping only; lookups stay logically const.
   HitBatchPool hit_pool_;
