@@ -693,5 +693,156 @@ TEST(OverlayIndex, LevelRoundsStayWithAThresholdOrWithoutCoalescing) {
   }
 }
 
+// A visit finds its table through a per-cube-node slot, so every path that
+// erases a primary table must keep the slot in step: a withdrawal of a
+// cell's last entry, a repair move after joins, the purge of a dead holder
+// (whose endpoint then comes back while contacts still name it), and the
+// restore of a hot cell's primary from a replica. After each step,
+// exhaustive and thresholded searches rooted across the cube return
+// LogicalIndex's hits, less the entries lost with a dead peer. A slot left naming an
+// erased table would scan freed memory, which ASan reports as a
+// heap-use-after-free.
+TEST(OverlayIndex, TableSlotsFollowEveryPathThatErasesATable) {
+  OverlayIndex::Config cfg{.r = 6};
+  cfg.hot = {.enabled = true, .replicas = 2, .window = 1 << 20,
+             .min_scans = 2, .max_hot = 1};
+  OverlayNet t(12, cfg);
+  LogicalIndex logical({.r = cfg.r, .hash_seed = cfg.hash_seed});
+  const cube::CubeId all_ones = t.index->cube().node_count() - 1;
+
+  // Words whose keyword set lands on the all-ones cell, the only cell of
+  // its own subcube, and objects there beside a random corpus.
+  std::vector<Keyword> words;
+  for (int i = 0; t.index->responsible_node(KeywordSet(words)) != all_ones;
+       ++i) {
+    std::vector<Keyword> more = words;
+    more.push_back("h" + std::to_string(i));
+    if (t.index->responsible_node(KeywordSet(more)) !=
+        t.index->responsible_node(KeywordSet(words)))
+      words = std::move(more);
+  }
+  const KeywordSet hot_query(words);
+  auto objects = random_objects(160, 14, 51);
+  for (ObjectId id = 1001; id <= 1006; ++id) {
+    std::vector<Keyword> k = words;
+    k.push_back("x" + std::to_string(id));
+    objects[id] = KeywordSet(std::move(k));
+  }
+  std::map<ObjectId, sim::EndpointId> publisher;
+  std::size_t next_publisher = 0;
+  for (const auto& [id, k] : objects) {
+    publisher[id] = t.peer(next_publisher++);
+    t.index->publish(publisher[id], id, k);
+    logical.insert(id, k);
+  }
+  t.clock.run();
+
+  std::vector<KeywordSet> queries{hot_query};
+  for (int w = 0; w < 14; ++w)
+    queries.push_back(KeywordSet({"w" + std::to_string(w)}));
+  const auto check = [&](const char* step,
+                         const std::vector<KeywordSet>& qs) {
+    for (const KeywordSet& q : qs) {
+      EXPECT_EQ(t.superset(q, 0, SearchStrategy::kLevelParallel).hits,
+                logical.superset_search(q, 0, SearchStrategy::kLevelParallel)
+                    .hits)
+          << step << ": " << q.to_string();
+      EXPECT_EQ(t.superset(q, 3, SearchStrategy::kTopDownSequential).hits,
+                logical
+                    .superset_search(q, 3, SearchStrategy::kTopDownSequential)
+                    .hits)
+          << step << ": " << q.to_string();
+    }
+  };
+  // The entries `ep` holds; its death loses them.
+  const auto entries_of = [&](sim::EndpointId ep) {
+    std::vector<std::pair<ObjectId, KeywordSet>> held;
+    t.index->for_each_entry([&](cube::CubeId, const KeywordSet& k, ObjectId o,
+                                sim::EndpointId holder) {
+      if (holder == ep) held.emplace_back(o, k);
+    });
+    return held;
+  };
+  const auto lose_entries_of = [&](sim::EndpointId ep) {
+    const auto lost = entries_of(ep);
+    for (const auto& [o, k] : lost) logical.remove(o, k);
+    return lost.size();
+  };
+  check("published", queries);
+
+  // (1) Withdraw every object of one cell: its table goes, then a fresh
+  // table takes the cell again.
+  const cube::CubeId cell = t.index->responsible_node(objects.begin()->second);
+  for (const auto& [id, k] : objects) {
+    if (t.index->responsible_node(k) != cell) continue;
+    t.index->withdraw(publisher[id], id, k);
+    logical.remove(id, k);
+  }
+  t.clock.run();
+  ASSERT_EQ(t.index->table_of(cell), nullptr);
+  check("withdrawn", queries);
+  const KeywordSet again = objects.begin()->second;
+  t.index->publish(t.peer(0), 2001, again);
+  logical.insert(2001, again);
+  t.clock.run();
+  check("republished", queries);
+
+  // (2) Joins move cells to the newcomers; the repair moves their tables.
+  for (sim::EndpointId e = 13; e <= 16; ++e) t.dht->join(e, 1);
+  for (int round = 0; round < 30; ++round) t.dht->stabilize_all();
+  EXPECT_GT(t.index->misplaced_entries(), 0u);
+  t.index->repair_placement();
+  EXPECT_EQ(t.index->misplaced_entries(), 0u);
+  check("repaired", queries);  // also warms every coordinator's contacts
+
+  // (3) A holder dies and is purged; its endpoint comes back (on another
+  // ring id) before any search, so warm contacts send visits to it again.
+  // Only queries whose root owner is unchanged keep warm contacts for all
+  // their visits, so only those run.
+  std::map<KeywordSet, sim::EndpointId> root_owner;
+  std::set<sim::EndpointId> roots;
+  for (const KeywordSet& q : queries) {
+    root_owner[q] = t.index->peer_of(t.index->responsible_node(q));
+    roots.insert(root_owner[q]);
+  }
+  sim::EndpointId victim = 0;
+  for (sim::EndpointId e = 2; e <= 16 && victim == 0; ++e)
+    if (!roots.contains(e) && e != t.index->peer_of(all_ones) &&
+        !entries_of(e).empty())
+      victim = e;
+  ASSERT_NE(victim, 0u);
+  lose_entries_of(victim);
+  t.dht->fail(victim);
+  for (int round = 0; round < 20; ++round) t.dht->stabilize_all();
+  t.index->purge_dead();
+  t.dht->join(victim, 1);
+  for (int round = 0; round < 30; ++round) t.dht->stabilize_all();
+  std::vector<KeywordSet> stable;
+  for (const KeywordSet& q : queries)
+    if (t.index->peer_of(t.index->responsible_node(q)) == root_owner[q])
+      stable.push_back(q);
+  ASSERT_FALSE(stable.empty());
+  check("purged", stable);
+
+  // (4) The all-ones cell turns hot and is replicated; its owner dies, and
+  // the replication step restores the primary at the surrogate owner. The
+  // rotation serves one search in three from the primary.
+  t.index->repair_placement();
+  for (int i = 0; i < 3; ++i) t.superset(hot_query);
+  t.index->replication_step(1000);
+  ASSERT_EQ(t.index->hot_cell_stats().replicated_cells, 1u);
+  const sim::EndpointId hot_owner = t.index->peer_of(all_ones);
+  ASSERT_NE(hot_owner, t.peer(0));
+  EXPECT_GT(lose_entries_of(hot_owner), 0u);
+  t.dht->fail(hot_owner);
+  for (int round = 0; round < 20; ++round) t.dht->stabilize_all();
+  t.index->purge_dead();
+  EXPECT_EQ(t.index->table_of(all_ones), nullptr);
+  EXPECT_GT(t.index->replication_step(1000), 0u);
+  ASSERT_NE(t.index->table_of(all_ones), nullptr);
+  for (ObjectId id = 1001; id <= 1006; ++id) logical.insert(id, objects[id]);
+  for (int round = 0; round < 3; ++round) check("restored", queries);
+}
+
 }  // namespace
 }  // namespace hkws::index
