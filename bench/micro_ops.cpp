@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the primitives every operation is
 // built from: hashing, hypercube math, SBT traversal, index-table access,
-// searches, and DHT lookups.
+// searches (in-process and over the simulated overlay), and DHT lookups.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -10,12 +10,16 @@
 #include "cube/sbt.hpp"
 #include "analysis/occupancy.hpp"
 #include "dht/chord_network.hpp"
+#include "dht/dolr.hpp"
 #include "dht/pastry_network.hpp"
 #include "index/index_table.hpp"
 #include "index/keyword_hash.hpp"
 #include "index/logical_index.hpp"
+#include "index/overlay_index.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/network.hpp"
 #include "workload/corpus_generator.hpp"
+#include "workload/query_generator.hpp"
 
 namespace {
 
@@ -176,6 +180,74 @@ void BM_TableScan(benchmark::State& state) {
   state.counters["hits"] = static_cast<double>(out.size());
 }
 BENCHMARK(BM_TableScan)->Arg(0)->Arg(1);
+
+// One exhaustive superset search on a warm simulator overlay at perfbench's
+// scale: r = 10, 224 Chord peers and the benchmark corpus's first 25 000
+// objects. The search is level-parallel with coalescing on, so it visits
+// its whole subcube in one round. It times the per-visit protocol path
+// (table scans, destination grouping, result assembly and the simulated
+// fabric's event dispatch) without sockets. Queries are
+// drawn uniformly from the corpus's query universe, as perfbench's
+// scan-read draws them, and each ran once before timing, so every
+// coordinator's contacts are warm.
+struct OverlayFixture {
+  sim::EventQueue clock;
+  sim::Network net{clock};
+  dht::ChordNetwork dht = dht::ChordNetwork::build(net, 224, {});
+  dht::Dolr dolr{dht};
+  index::OverlayIndex index{dolr, {.r = 10}};
+  std::vector<KeywordSet> queries;
+  std::vector<sim::EndpointId> searchers;
+
+  OverlayFixture() {
+    workload::CorpusConfig cfg;
+    cfg.object_count = 25000;
+    const workload::Corpus corpus = workload::CorpusGenerator(cfg).generate();
+    for (const dht::RingId id : dht.live_ids())
+      searchers.push_back(dht.endpoint_of(id));
+    std::size_t i = 0;
+    for (const workload::ObjectRecord& rec : corpus.records())
+      index.publish(searchers[i++ % searchers.size()], rec.id, rec.keywords);
+    clock.run();
+    const workload::QueryLogGenerator log(corpus, {});
+    const std::vector<KeywordSet>& universe = log.universe();
+    Rng rng(7);
+    for (int q = 0; q < 256; ++q)
+      queries.push_back(universe[rng.next_below(universe.size())]);
+    for (std::size_t q = 0; q < queries.size(); ++q) search(q);
+  }
+
+  /// Runs query `q` to completion; returns its result's stats.
+  index::SearchStats search(std::size_t q) {
+    index::SearchStats stats;
+    index.superset_search(searchers[q % searchers.size()],
+                          queries[q % queries.size()], 0,
+                          index::SearchStrategy::kLevelParallel,
+                          [&](const index::SearchResult& r) {
+                            stats = r.stats;
+                          });
+    clock.run();
+    return stats;
+  }
+};
+
+void BM_OverlayExhaustiveSearch(benchmark::State& state) {
+  static OverlayFixture fixture;
+  std::size_t q = 0;
+  std::size_t visits = 0;
+  std::size_t messages = 0;
+  for (auto _ : state) {
+    const index::SearchStats stats = fixture.search(q++);
+    benchmark::DoNotOptimize(stats.nodes_contacted);
+    visits += stats.nodes_contacted;
+    messages += stats.messages;
+  }
+  const auto searches = static_cast<double>(state.iterations());
+  state.counters["visits"] = static_cast<double>(visits) / searches;
+  state.counters["msgs"] = static_cast<double>(messages) / searches;
+  state.SetItemsProcessed(static_cast<std::int64_t>(visits));
+}
+BENCHMARK(BM_OverlayExhaustiveSearch)->Unit(benchmark::kMicrosecond);
 
 void BM_ChordLookup(benchmark::State& state) {
   static sim::EventQueue clock;
