@@ -1,6 +1,7 @@
 #include "net/socket_transport.hpp"
 
 #include <arpa/inet.h>
+#include <pthread.h>
 
 #include <algorithm>
 #include <cstring>
@@ -22,7 +23,11 @@ SocketTransport::~SocketTransport() {
 }
 
 void SocketTransport::start_dispatch() {
-  dispatch_thread_ = std::thread([this] { dispatch_loop(); });
+  // Named so profilers, `top -H` and sanitizer reports can tell it apart.
+  dispatch_thread_ = std::thread([this] {
+    pthread_setname_np(pthread_self(), "hk-strand");
+    dispatch_loop();
+  });
 }
 
 bool SocketTransport::begin_stop() {

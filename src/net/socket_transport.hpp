@@ -2,8 +2,9 @@
 // UdpTransport): everything between the Transport interface and the actual
 // sockets lives here, so both backends carry identical semantics —
 //
-//   * the dispatch strand: one thread executing delivered handlers and due
-//     timers serialized, the simulator's single-event-loop discipline;
+//   * the dispatch strand: one thread, named hk-strand (the backends' io
+//     threads are hk-io), executing delivered handlers and due timers
+//     serialized, the simulator's single-event-loop discipline;
 //   * runs: the strand does not write the frames its handlers send one by
 //     one. It queues them in a run per wire destination (the loopback
 //     self-wire, or one remote process's address) and writes each run

@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -78,7 +79,10 @@ TcpTransport::TcpTransport(Config cfg)
     }
   }
 
-  io_thread_ = std::thread([this] { io_loop(); });
+  io_thread_ = std::thread([this] {
+    pthread_setname_np(pthread_self(), "hk-io");
+    io_loop();
+  });
   start_dispatch();
 }
 

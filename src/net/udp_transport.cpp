@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -38,7 +39,10 @@ UdpTransport::UdpTransport(Config cfg)
     throw std::runtime_error("UdpTransport: pipe failed");
   }
 
-  io_thread_ = std::thread([this] { io_loop(); });
+  io_thread_ = std::thread([this] {
+    pthread_setname_np(pthread_self(), "hk-io");
+    io_loop();
+  });
   start_dispatch();
 }
 
