@@ -37,7 +37,7 @@ OverlayIndex::OverlayIndex(dht::Dolr& dolr, Config cfg)
   // would work for larger r, but nothing in the paper's regime needs it.
   if (cfg.r > 24)
     throw std::invalid_argument("OverlayIndex: r must be <= 24");
-  slots_.resize(static_cast<std::size_t>(cube_.node_count()));
+  table_slots_.resize(static_cast<std::size_t>(cube_.node_count()));
 }
 
 sim::Time OverlayIndex::resend_delay(int attempt) {
@@ -1250,7 +1250,7 @@ void OverlayIndex::purge_dead() {
       std::uint64_t lost = 0;
       for (const auto& [u, t] : it->second.tables) {
         lost += t.object_count();
-        if (slots_[u].table == &t) slots_[u] = {};  // the table goes below
+        release_slot(u, t);  // the table goes below
       }
       net_.metrics().count("kws.entries_lost", lost);
       it = peers_.erase(it);
@@ -1333,11 +1333,14 @@ sim::EndpointId OverlayIndex::cached_contact(sim::EndpointId coordinator,
 
 const IndexTable* OverlayIndex::table_at(sim::EndpointId peer,
                                          cube::CubeId w, bool replicas) {
-  if (const TableSlot& s = slots_[w]; s.table != nullptr && s.peer == peer)
+  // A slot names `peer` only while it points into that peer's `tables`
+  // (own_table), so a hit implies peers_ already holds `peer`. On a miss,
+  // peer_state creates the entry. Either way peers_'s membership and
+  // iteration order (which drive repair and replication) are those of a
+  // lookup through the maps alone.
+  if (const TableSlot& s = table_slots_[w];
+      s.table != nullptr && s.peer == peer)
     return s.table;
-  // peer_state creates the peer's entry on a miss, whether or not the slot
-  // answered, so peers_'s membership and iteration order (which drive
-  // repair and replication) do not depend on the slots.
   const PeerState& ps = peer_state(peer);
   if (const auto it = ps.tables.find(w); it != ps.tables.end())
     return &it->second;
@@ -1351,13 +1354,17 @@ const IndexTable* OverlayIndex::table_at(sim::EndpointId peer,
 IndexTable& OverlayIndex::own_table(sim::EndpointId peer, PeerState& ps,
                                     cube::CubeId u) {
   IndexTable& table = ps.tables[u];
-  slots_[u] = {peer, &table};
+  table_slots_[u] = {peer, &table};
   return table;
 }
 
 void OverlayIndex::erase_table(PeerState& ps, Tables::iterator it) {
-  if (TableSlot& s = slots_[it->first]; s.table == &it->second) s = {};
+  release_slot(it->first, it->second);
   ps.tables.erase(it);
+}
+
+void OverlayIndex::release_slot(cube::CubeId u, const IndexTable& t) {
+  if (TableSlot& s = table_slots_[u]; s.table == &t) s = {};
 }
 
 std::uint64_t OverlayIndex::replication_step(std::size_t max_entries) {

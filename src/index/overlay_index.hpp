@@ -390,7 +390,7 @@ class OverlayIndex {
   };
 
   /// One slot per cube node: a peer and that peer's primary table of the
-  /// node (see slots_).
+  /// node (see table_slots_).
   struct TableSlot {
     sim::EndpointId peer = 0;
     const IndexTable* table = nullptr;  ///< null: the slot names no table
@@ -626,11 +626,15 @@ class OverlayIndex {
   /// when w's slot names `peer`; otherwise a lookup in the peer's maps.
   const IndexTable* table_at(sim::EndpointId peer, cube::CubeId w,
                              bool replicas);
-  /// `peer`'s primary table of `u` (its state is `ps`), created if absent.
-  /// The table takes u's slot.
+  /// `peer`'s primary table of `u`, created if absent. `ps` must be
+  /// peers_'s entry for `peer`: the table takes u's slot, and table_at
+  /// relies on a slot naming a peer only while that peer's entry holds the
+  /// table.
   IndexTable& own_table(sim::EndpointId peer, PeerState& ps, cube::CubeId u);
   /// Erases the primary table `it` of `ps`, emptying the slot that names it.
   void erase_table(PeerState& ps, Tables::iterator it);
+  /// Empties u's slot if it names `t`; called before `t` is erased.
+  void release_slot(cube::CubeId u, const IndexTable& t);
 
   /// Whether a T_QUERY for `w` arriving at `peer` can be answered there:
   /// true for the current owner (an empty table is then a real answer) and
@@ -787,12 +791,12 @@ class OverlayIndex {
   std::unordered_map<sim::EndpointId, PeerState> peers_;
   /// 2^r slots, 16 B each, indexed by cube node. A slot names a peer and
   /// its primary table of the node; route_entry, repair_placement and the
-  /// replica restore point it at the table they write, and erase_table and
-  /// purge_dead empty it before the table goes, so it never names an
+  /// replica restore point it at the table they write (own_table), and
+  /// every erasure empties it first (release_slot), so it never names an
   /// erased table. A visit to the peer it names finds its table with one
   /// load; misplaced tables, replicas and cells the slot does not name
   /// fall back to the peer's maps.
-  std::vector<TableSlot> slots_;
+  std::vector<TableSlot> table_slots_;
   /// Every superset scan fills this buffer, so a scan that matches nothing
   /// allocates nothing. A visit's matches move into a pooled batch
   /// (hit_pool_) by swapping buffers; a cumulative page copies its slice.

@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Summarizes a profile written by the hkprof sampler (tools/profile).
 
-  report.py PROFILE [--top N] [--thread NAME] [--from S] [--to S]
-            [--expect NAME:TEXT ...]
+  report.py PROFILE [--thread NAME] [--from S] [--expect NAME:TEXT ...]
 
 Prints, for each thread name, the share of all samples its threads took
-and three tables of shares of that thread's samples:
+and three tables of shares of that thread's samples, at most 15 rows each:
 
   self        the function each sample was in. Library code is counted in
               the nearest hkws:: function that called it: std:: templates
@@ -19,8 +18,8 @@ and three tables of shares of that thread's samples:
               apart.
   inclusive   every hkws:: function on the sample's stack, once per sample.
 
---from and --to keep the samples taken in that many seconds after the
-first sample, to leave out a benchmark's set-up. Addresses are symbolized
+--from keeps the samples taken from that many seconds after the first
+sample on, to leave out a benchmark's set-up. Addresses are symbolized
 with addr2line (binutils), inlined frames included, from the executable
 mappings the sampler recorded. With --expect, the exit status is 1 unless
 thread NAME is in the profile and an hkws:: function containing TEXT is on
@@ -36,6 +35,7 @@ import subprocess
 import sys
 
 PROJECT = "hkws::"
+ROWS = 15  # per table
 
 
 def elf_segments(path):
@@ -182,10 +182,8 @@ def main():
     p = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("profile")
-    p.add_argument("--top", type=int, default=15)
     p.add_argument("--thread", action="append", default=[])
     p.add_argument("--from", dest="start", type=float, default=0.0)
-    p.add_argument("--to", dest="stop", type=float, default=float("inf"))
     p.add_argument("--expect", action="append", default=[],
                    metavar="NAME:TEXT")
     args = p.parse_args()
@@ -194,7 +192,7 @@ def main():
     if samples:
         first = min(ns for _, ns, _, _ in samples)
         samples = [(tid, name, pcs) for tid, ns, name, pcs in samples
-                   if args.start <= (ns - first) * 1e-9 < args.stop]
+                   if (ns - first) * 1e-9 >= args.start]
     m = Maps(maps)
     where = {}
     wanted = collections.defaultdict(set)
@@ -211,8 +209,8 @@ def main():
     for tid, name, pcs in samples:
         by_thread.setdefault(name, []).append((tid, pcs))
     total = len(samples)
-    window = "" if args.start == 0 and args.stop == float("inf") else (
-        f", {args.start:g} s to {args.stop:g} s after the first")
+    window = "" if args.start == 0 else (
+        f", from {args.start:g} s after the first")
     print(f"hkprof: {total} samples ({header}{window})")
     on_stack = collections.defaultdict(set)
     for name, group in sorted(by_thread.items(), key=lambda kv: -len(kv[1])):
@@ -248,7 +246,7 @@ def main():
                                ("inclusive", incl_count)):
             print(f"  {title}:")
             rows = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
-            for fn, c in rows[:args.top]:
+            for fn, c in rows[:ROWS]:
                 print(f"    {100.0 * c / n:5.1f}% {c:7d}  {fn}")
 
     status = 0

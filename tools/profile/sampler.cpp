@@ -1,12 +1,12 @@
 // A sampling CPU profiler, loaded into any program with LD_PRELOAD:
 //
-//   HKPROF_OUT=run.hkprof [HKPROF_HZ=1000] LD_PRELOAD=libhkprof.so program
+//   HKPROF_OUT=run.hkprof LD_PRELOAD=libhkprof.so program
 //   python3 tools/profile/report.py run.hkprof
 //
-// ITIMER_PROF sends SIGPROF after every 1/HKPROF_HZ s of CPU time the
-// process consumes, to the thread that was running; the kernel checks the
-// timer at its scheduler tick, so a 250 Hz kernel samples each busy CPU at
-// most 250 times a second whatever HKPROF_HZ asks. The handler records
+// ITIMER_PROF sends SIGPROF after every 1 ms of CPU time the process
+// consumes, to the thread that was running; the kernel checks the timer at
+// its scheduler tick, so a 250 Hz kernel samples each busy CPU at most 250
+// times a second. The handler records
 // that thread's id, its name (pthread_setname_np; the socket runtime names
 // its threads hk-strand and hk-io), the time and its call stack into a buffer
 // allocated up front. When the process exits, the buffer and the process's
@@ -37,6 +37,7 @@
 namespace {
 
 constexpr int kMaxDepth = 48;
+constexpr long kPeriodUs = 1000;  // of process CPU time per sample
 constexpr std::size_t kCapacity = 1 << 18;  // about 90 s at 1 kHz, 3 cores
 
 // Trivial, so calloc'd zero pages are valid samples and only the samples
@@ -54,7 +55,6 @@ struct Profile {
   Sample* samples = nullptr;  ///< kCapacity of them
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> dropped{0};
-  long hz = 1000;
   const char* out = nullptr;
 };
 
@@ -113,7 +113,7 @@ void write_profile() {
   }
   const std::size_t taken =
       std::min(profile.next.load(std::memory_order_relaxed), kCapacity);
-  std::fprintf(f, "# hkprof 1 hz=%ld dropped=%zu\n", profile.hz,
+  std::fprintf(f, "# hkprof 1 period_us=%ld dropped=%zu\n", kPeriodUs,
                profile.dropped.load(std::memory_order_relaxed));
   // Executable mappings: "start-end perms offset dev inode path".
   if (std::FILE* maps = std::fopen("/proc/self/maps", "r")) {
@@ -147,9 +147,6 @@ void write_profile() {
 __attribute__((constructor)) void start_profile() {
   profile.out = std::getenv("HKPROF_OUT");
   if (profile.out == nullptr || profile.out[0] == '\0') return;
-  if (const char* hz = std::getenv("HKPROF_HZ"))
-    profile.hz = std::strtol(hz, nullptr, 10);
-  if (profile.hz <= 0 || profile.hz > 100000) profile.hz = 1000;
   profile.samples =
       static_cast<Sample*>(std::calloc(kCapacity, sizeof(Sample)));
   if (profile.samples == nullptr) return;
@@ -158,10 +155,8 @@ __attribute__((constructor)) void start_profile() {
   sa.sa_flags = SA_SIGINFO | SA_RESTART;
   sigemptyset(&sa.sa_mask);
   sigaction(SIGPROF, &sa, nullptr);
-  const long usec = 1000000 / profile.hz;
   itimerval period = {};
-  period.it_interval.tv_sec = usec / 1000000;
-  period.it_interval.tv_usec = usec % 1000000;
+  period.it_interval.tv_usec = kPeriodUs;
   period.it_value = period.it_interval;
   setitimer(ITIMER_PROF, &period, nullptr);
 }
