@@ -497,16 +497,37 @@ TEST(Wire, TruncatedAddressedEnvelopeIsRejected) {
     EXPECT_FALSE(decode_frame(frame.data(), len).has_value()) << len;
 }
 
+/// FNV-1a, folded one value at a time (little-endian bytes).
+struct Fnv1a {
+  std::uint64_t h = 1469598103934665603ULL;
+  void byte(std::uint8_t b) {
+    h ^= b;
+    h *= 1099511628211ULL;
+  }
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  void bytes(const std::vector<std::uint8_t>& v) {
+    for (const std::uint8_t b : v) byte(b);
+  }
+};
+
 // The fuzz-ish corpus: seeded random corruptions of valid frames. Every
 // outcome must be "decoded something" or "rejected" — never a crash, hang,
 // or sanitizer report. Single-bit flips, multi-byte stomps, and random
 // splices all run through the same decode entry points the transport uses.
+// Each verdict folds into a digest — a rejection as such, an acceptance
+// with its kind, frame size and re-encoded bytes — pinned to the value the
+// codec gave when the corpus was recorded, so a decoder that accepts a
+// different set of frames, or reads an accepted one differently, fails.
 TEST(Wire, SeededCorruptionCorpusNeverMisbehaves) {
   const auto frames = sample_frames();
   Rng corrupt(0x5eed'c0de'2026'0808ull);
+  constexpr std::size_t kCorpus = 80000;
   std::size_t rejected = 0, survived = 0;
+  Fnv1a verdicts;
 
-  for (int iter = 0; iter < 4000; ++iter) {
+  for (std::size_t iter = 0; iter < kCorpus; ++iter) {
     const auto& [kind, msg] =
         frames[corrupt.next_below(frames.size())];
     std::vector<std::uint8_t> frame = encode_frame(kind, msg);
@@ -528,14 +549,21 @@ TEST(Wire, SeededCorruptionCorpusNeverMisbehaves) {
       frame.resize(keep);
     }
     const auto decoded = decode_frame(frame.data(), frame.size());
-    if (decoded.has_value())
+    verdicts.byte(decoded.has_value() ? 1 : 0);
+    if (decoded.has_value()) {
       ++survived;  // corruption hit padding/ignored bits; still well-formed
-    else
+      verdicts.u64(static_cast<std::uint64_t>(decoded->kind));
+      verdicts.u64(decoded->frame_size);
+      verdicts.bytes(encode_frame(decoded->kind, decoded->msg));
+    } else {
       ++rejected;
+    }
   }
   // The corpus must actually exercise the rejection paths.
-  EXPECT_GT(rejected, 1000u);
-  EXPECT_EQ(rejected + survived, 4000u);
+  EXPECT_GT(rejected, kCorpus / 4);
+  EXPECT_EQ(rejected + survived, kCorpus);
+  EXPECT_EQ(survived, 25757u);
+  EXPECT_EQ(verdicts.h, 0xd587'7a9d'0e56'7807ull);
 }
 
 TEST(Wire, PureGarbageNeverDecodes) {
