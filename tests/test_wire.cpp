@@ -418,6 +418,44 @@ TEST(Wire, HostileLengthPrefixesRejectedBeforeAllocation) {
       0xFF, 0xFF, 0xFF, 0xFF,                   // hit count = 0xFFFFFFFF
   };
   EXPECT_FALSE(decode_frame(hitsf.data(), hitsf.size()).has_value());
+
+  // Every other collection field, and one keyword's string length: the
+  // body is the fields before it, then a length prefix of 2^32-1.
+  const std::vector<std::uint8_t> one = {1, 0, 0, 0};  // a count of 1
+  const auto zeros = [](std::size_t n) {
+    return std::vector<std::uint8_t>(n, 0);
+  };
+  const auto cat = [](std::vector<std::uint8_t> a,
+                      const std::vector<std::uint8_t>& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+  };
+  const struct {
+    const char* field;
+    MsgKind kind;
+    std::vector<std::uint8_t> before;
+  } cases[] = {
+      {"visit_batch nodes", MsgKind::kKwsVisitBatch, zeros(16)},
+      {"batch_results batches", MsgKind::kKwsBatchResults, zeros(8)},
+      {"batch_results hits", MsgKind::kKwsBatchResults,
+       cat(cat(zeros(8), one), zeros(8))},
+      {"batch_reply verdicts", MsgKind::kKwsBatchReply, zeros(8)},
+      {"s_reply hits", MsgKind::kKwsSReply, zeros(8 * 5 + 2)},
+      {"fe.reply hits", MsgKind::kFeReply, zeros(1 + 8)},
+      {"pin keyword length", MsgKind::kKwsPin, cat(zeros(16), one)},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.field);
+    const auto id = static_cast<std::uint16_t>(c.kind);
+    std::vector<std::uint8_t> f = {
+        0x48, 0x4B, kWireVersion, 0,
+        static_cast<std::uint8_t>(id & 0xFF), static_cast<std::uint8_t>(id >> 8),
+        0,    0,
+        static_cast<std::uint8_t>(c.before.size() + 4), 0, 0, 0,
+    };
+    f = cat(cat(f, c.before), {0xFF, 0xFF, 0xFF, 0xFF});
+    EXPECT_FALSE(decode_frame(f.data(), f.size()).has_value());
+  }
 }
 
 TEST(Wire, EnvelopePadMustFitBody) {
