@@ -167,7 +167,8 @@ void SocketTransport::send_payload(EndpointId from, EndpointId to,
   }
   EnvelopeMsg env;
   env.payload = encode_frame(kind, msg);
-  // Empty: a layout mismatch, a programming error upstream.
+  // Empty: a layout mismatch (a programming error upstream) or a body over
+  // kMaxBody. Nothing is sent or counted.
   if (env.payload.empty()) return;
   env.inner_kind = kind;
   env.from = from;

@@ -165,7 +165,9 @@ class Transport {
   virtual void send_payload(EndpointId from, EndpointId to, MsgKind kind,
                             const WireMessage& msg) {
     std::vector<std::uint8_t> frame = encode_frame(kind, msg);
-    if (frame.empty()) return;  // layout mismatch: programming error upstream
+    // Empty: a layout mismatch (a programming error upstream) or a body
+    // over kMaxBody. Nothing is sent or counted.
+    if (frame.empty()) return;
     const std::size_t bytes = frame.size();
     send(from, to, kind_name(kind), bytes,
          [this, from, to, frame = std::move(frame)]() {

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <concepts>
 #include <cstring>
+#include <tuple>
 #include <type_traits>
 #include <unordered_map>
+#include <utility>
 
 namespace hkws::net {
 namespace {
@@ -52,14 +55,6 @@ class Writer {
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
     raw(s.data(), s.size());
-  }
-  void strings(const std::vector<std::string>& v) {
-    u32(static_cast<std::uint32_t>(v.size()));
-    for (const auto& s : v) str(s);
-  }
-  void u64s(const std::vector<std::uint64_t>& v) {
-    u32(static_cast<std::uint32_t>(v.size()));
-    for (std::uint64_t x : v) u64(x);
   }
   void bytes(const std::vector<std::uint8_t>& v) {
     u32(static_cast<std::uint32_t>(v.size()));
@@ -143,30 +138,6 @@ class Reader {
     p_ += n;
     return s;
   }
-  std::vector<std::string> strings() {
-    const std::uint32_t n = u32();
-    // Each element costs >= 4 bytes of length prefix, so a count larger
-    // than remaining()/4 is provably a lie — reject before allocating.
-    if (n > kMaxCount || n > remaining() / 4) {
-      fail();
-      return {};
-    }
-    std::vector<std::string> v;
-    v.reserve(n);
-    for (std::uint32_t i = 0; i < n && ok(); ++i) v.push_back(str());
-    return v;
-  }
-  std::vector<std::uint64_t> u64s() {
-    const std::uint32_t n = u32();
-    if (n > kMaxCount || n > remaining() / 8) {
-      fail();
-      return {};
-    }
-    std::vector<std::uint64_t> v;
-    v.reserve(n);
-    for (std::uint32_t i = 0; i < n && ok(); ++i) v.push_back(u64());
-    return v;
-  }
   std::vector<std::uint8_t> bytes() {
     const std::uint32_t n = u32();
     if (n > kMaxBody || !need(n)) {
@@ -203,142 +174,132 @@ class Reader {
   bool ok_ = true;
 };
 
-// --- Per-layout encode/decode ----------------------------------------------
+// --- Field lists ------------------------------------------------------------
+//
+// Each payload layout's fields, once, in wire order. The write() and read()
+// overloads below derive from these lists the encoder, the decoder and the
+// bound that rejects a hostile collection count before allocating, so a
+// layout is changed here and nowhere else. net.envelope alone is written
+// out by hand, after the generic overloads.
 
-void put(Writer& w, const WireHit& h) {
-  w.u64(h.object);
-  w.strings(h.keywords);
+/// M is T or const T, so one list serves the encoder and the decoder.
+template <typename M, typename T>
+concept Is = std::same_as<std::remove_const_t<M>, T>;
+
+auto fields(Is<WireHit> auto& m) { return std::tie(m.object, m.keywords); }
+auto fields(Is<RefMsg> auto& m) { return std::tie(m.key, m.object, m.holder); }
+auto fields(Is<ReadMsg> auto& m) { return std::tie(m.object, m.reader); }
+auto fields(Is<HoldersMsg> auto& m) { return std::tie(m.object, m.holders); }
+auto fields(Is<EntryMsg> auto& m) {
+  return std::tie(m.object, m.keywords, m.request, m.publisher);
 }
-WireHit get_hit(Reader& r) {
-  WireHit h;
-  h.object = r.u64();
-  h.keywords = r.strings();
-  return h;
+auto fields(Is<PinMsg> auto& m) {
+  return std::tie(m.request, m.searcher, m.keywords);
 }
-void put_hits(Writer& w, const std::vector<WireHit>& hits) {
-  w.u32(static_cast<std::uint32_t>(hits.size()));
-  for (const auto& h : hits) put(w, h);
+auto fields(Is<HitsMsg> auto& m) { return std::tie(m.request, m.node, m.hits); }
+auto fields(Is<QueryMsg> auto& m) {
+  return std::tie(m.request, m.node, m.searcher, m.want, m.offset, m.query);
 }
-std::vector<WireHit> get_hits(Reader& r) {
+auto fields(Is<ControlMsg> auto& m) {
+  return std::tie(m.request, m.node, m.count, m.stop);
+}
+auto fields(Is<DoneMsg> auto& m) {
+  return std::tie(m.request, m.results_expected);
+}
+auto fields(Is<SearchReplyMsg> auto& m) {
+  return std::tie(m.request, m.nodes_contacted, m.messages, m.rounds,
+                  m.retransmits, m.complete, m.failed, m.hits);
+}
+auto fields(Is<VisitBatchMsg> auto& m) {
+  return std::tie(m.request, m.want, m.nodes, m.query);
+}
+auto fields(Is<BatchResultsMsg::NodeBatch> auto& m) {
+  return std::tie(m.node, m.hits);
+}
+auto fields(Is<BatchResultsMsg> auto& m) {
+  return std::tie(m.request, m.batches);
+}
+auto fields(Is<BatchReplyMsg::NodeVerdict> auto& m) {
+  return std::tie(m.node, m.count, m.stop);
+}
+auto fields(Is<BatchReplyMsg> auto& m) {
+  return std::tie(m.request, m.verdicts);
+}
+auto fields(Is<COpenMsg> auto& m) {
+  return std::tie(m.session, m.searcher, m.query);
+}
+auto fields(Is<CNextMsg> auto& m) { return std::tie(m.session, m.count); }
+auto fields(Is<JoinMsg> auto& m) { return std::tie(m.joiner, m.bootstrap); }
+auto fields(Is<FixFingerMsg> auto& m) { return std::tie(m.node, m.finger); }
+auto fields(Is<FeQueryMsg> auto& m) {
+  return std::tie(m.threshold, m.strategy, m.keywords);
+}
+auto fields(Is<FeReplyMsg> auto& m) {
+  return std::tie(m.complete, m.messages, m.hits);
+}
+
+/// A struct with a field list above.
+template <typename T>
+concept Layout = requires(T& m) { fields(m); };
+
+/// The fewest bytes one T takes on the wire: a bool one byte, an integer
+/// its width, a string or collection its u32 count, a layout the sum of its
+/// fields'. A collection count above remaining() / min_bytes<element>() is
+/// provably a lie.
+template <typename T>
+constexpr std::size_t min_bytes() {
+  if constexpr (std::is_same_v<T, bool>) {
+    return 1;
+  } else if constexpr (std::is_integral_v<T>) {
+    return sizeof(T);
+  } else if constexpr (Layout<T>) {
+    return []<typename... F>(std::tuple<F&...>*) {
+      return (min_bytes<F>() + ...);
+    }(static_cast<decltype(fields(std::declval<T&>()))*>(nullptr));
+  } else {
+    return 4;
+  }
+}
+
+// --- Generic encode/decode --------------------------------------------------
+
+void write(Writer& w, bool v) { w.u8(v ? 1 : 0); }
+void write(Writer& w, std::uint8_t v) { w.u8(v); }
+void write(Writer& w, std::uint32_t v) { w.u32(v); }
+void write(Writer& w, std::uint64_t v) { w.u64(v); }
+void write(Writer& w, const std::string& s) { w.str(s); }
+template <typename T>
+void write(Writer& w, const std::vector<T>& v) {
+  w.u32(static_cast<std::uint32_t>(v.size()));
+  for (const T& e : v) write(w, e);
+}
+void write(Writer& w, const Layout auto& m) {
+  std::apply([&w](const auto&... f) { (write(w, f), ...); }, fields(m));
+}
+
+void read(Reader& r, bool& v) { v = r.u8() != 0; }
+void read(Reader& r, std::uint8_t& v) { v = r.u8(); }
+void read(Reader& r, std::uint32_t& v) { v = r.u32(); }
+void read(Reader& r, std::uint64_t& v) { v = r.u64(); }
+void read(Reader& r, std::string& s) { s = r.str(); }
+template <typename T>
+void read(Reader& r, std::vector<T>& v) {
   const std::uint32_t n = r.u32();
-  if (n > kMaxCount || n > r.remaining() / 12) {  // u64 + empty strings
-    r.fail();
-    return {};
+  if (n > kMaxCount || n > r.remaining() / min_bytes<T>()) {
+    r.fail();  // rejected before anything is allocated
+    return;
   }
-  std::vector<WireHit> v;
-  v.reserve(n);
-  for (std::uint32_t i = 0; i < n && r.ok(); ++i) v.push_back(get_hit(r));
-  return v;
+  v.resize(n);
+  for (std::uint32_t i = 0; i < n && r.ok(); ++i) read(r, v[i]);
+}
+void read(Reader& r, Layout auto& m) {
+  std::apply([&r](auto&... f) { (read(r, f), ...); }, fields(m));
 }
 
-void put(Writer& w, const RefMsg& m) {
-  w.u64(m.key);
-  w.u64(m.object);
-  w.u64(m.holder);
-}
-void put(Writer& w, const ReadMsg& m) {
-  w.u64(m.object);
-  w.u64(m.reader);
-}
-void put(Writer& w, const HoldersMsg& m) {
-  w.u64(m.object);
-  w.u64s(m.holders);
-}
-void put(Writer& w, const EntryMsg& m) {
-  w.u64(m.object);
-  w.strings(m.keywords);
-  w.u64(m.request);
-  w.u64(m.publisher);
-}
-void put(Writer& w, const PinMsg& m) {
-  w.u64(m.request);
-  w.u64(m.searcher);
-  w.strings(m.keywords);
-}
-void put(Writer& w, const HitsMsg& m) {
-  w.u64(m.request);
-  w.u64(m.node);
-  put_hits(w, m.hits);
-}
-void put(Writer& w, const QueryMsg& m) {
-  w.u64(m.request);
-  w.u64(m.node);
-  w.u64(m.searcher);
-  w.u64(m.want);
-  w.u64(m.offset);
-  w.strings(m.query);
-}
-void put(Writer& w, const ControlMsg& m) {
-  w.u64(m.request);
-  w.u64(m.node);
-  w.u64(m.count);
-  w.u8(m.stop ? 1 : 0);
-}
-void put(Writer& w, const DoneMsg& m) {
-  w.u64(m.request);
-  w.u64(m.results_expected);
-}
-void put(Writer& w, const SearchReplyMsg& m) {
-  w.u64(m.request);
-  w.u64(m.nodes_contacted);
-  w.u64(m.messages);
-  w.u64(m.rounds);
-  w.u64(m.retransmits);
-  w.u8(m.complete ? 1 : 0);
-  w.u8(m.failed ? 1 : 0);
-  put_hits(w, m.hits);
-}
-void put(Writer& w, const VisitBatchMsg& m) {
-  w.u64(m.request);
-  w.u64(m.want);
-  w.u64s(m.nodes);
-  w.strings(m.query);
-}
-void put(Writer& w, const BatchResultsMsg& m) {
-  w.u64(m.request);
-  w.u32(static_cast<std::uint32_t>(m.batches.size()));
-  for (const auto& b : m.batches) {
-    w.u64(b.node);
-    put_hits(w, b.hits);
-  }
-}
-void put(Writer& w, const BatchReplyMsg& m) {
-  w.u64(m.request);
-  w.u32(static_cast<std::uint32_t>(m.verdicts.size()));
-  for (const auto& v : m.verdicts) {
-    w.u64(v.node);
-    w.u64(v.count);
-    w.u8(v.stop ? 1 : 0);
-  }
-}
-void put(Writer& w, const COpenMsg& m) {
-  w.u64(m.session);
-  w.u64(m.searcher);
-  w.strings(m.query);
-}
-void put(Writer& w, const CNextMsg& m) {
-  w.u64(m.session);
-  w.u64(m.count);
-}
-void put(Writer& w, const JoinMsg& m) {
-  w.u64(m.joiner);
-  w.u64(m.bootstrap);
-}
-void put(Writer& w, const FixFingerMsg& m) {
-  w.u64(m.node);
-  w.u32(m.finger);
-}
-void put(Writer& w, const FeQueryMsg& m) {
-  w.u64(m.threshold);
-  w.u8(m.strategy);
-  w.strings(m.keywords);
-}
-void put(Writer& w, const FeReplyMsg& m) {
-  w.u8(m.complete ? 1 : 0);
-  w.u64(m.messages);
-  put_hits(w, m.hits);
-}
-void put(Writer& w, const EnvelopeMsg& m) {
+// net.envelope, by hand: the label is present only for an opaque inner kind,
+// the payload is capped at kMaxBody rather than kMaxCount, and `pad` zero
+// bytes follow the fields.
+void write(Writer& w, const EnvelopeMsg& m) {
   w.u16(static_cast<std::uint16_t>(m.inner_kind));
   if (m.inner_kind == MsgKind::kOpaque) w.str(m.label);
   w.u64(m.msg_id);
@@ -349,209 +310,34 @@ void put(Writer& w, const EnvelopeMsg& m) {
   w.u32(m.pad);
   w.zeros(m.pad);
 }
-
-template <typename T>
-std::optional<WireMessage> finish(Reader& r, T&& msg) {
-  if (!r.done()) return std::nullopt;
-  return WireMessage{std::forward<T>(msg)};
+void read(Reader& r, EnvelopeMsg& m) {
+  m.inner_kind = static_cast<MsgKind>(r.u16());
+  if (m.inner_kind == MsgKind::kOpaque)
+    m.label = r.str();
+  else if (kind_name(m.inner_kind)[0] == '\0')
+    r.fail();  // unknown inner kind id
+  m.msg_id = r.u64();
+  m.from = r.u64();
+  m.to = r.u64();
+  m.declared_bytes = r.u64();
+  m.payload = r.bytes();
+  m.pad = r.u32();
+  r.skip(m.pad);
 }
 
-std::optional<WireMessage> decode_body(MsgKind kind, Reader& r) {
-  switch (kind) {
-    case MsgKind::kDolrInsert:
-    case MsgKind::kDolrReplicate:
-    case MsgKind::kDolrDelete:
-    case MsgKind::kDolrUnreplicate: {
-      RefMsg m;
-      m.key = r.u64();
-      m.object = r.u64();
-      m.holder = r.u64();
-      return finish(r, m);
-    }
-    case MsgKind::kDolrRead: {
-      ReadMsg m;
-      m.object = r.u64();
-      m.reader = r.u64();
-      return finish(r, m);
-    }
-    case MsgKind::kDolrReply: {
-      HoldersMsg m;
-      m.object = r.u64();
-      m.holders = r.u64s();
-      return finish(r, m);
-    }
-    case MsgKind::kKwsInsert:
-    case MsgKind::kKwsDelete:
-    case MsgKind::kHcInsert:
-    case MsgKind::kHcDelete: {
-      EntryMsg m;
-      m.object = r.u64();
-      m.keywords = r.strings();
-      m.request = r.u64();
-      m.publisher = r.u64();
-      return finish(r, m);
-    }
-    case MsgKind::kKwsPin:
-    case MsgKind::kHcPin: {
-      PinMsg m;
-      m.request = r.u64();
-      m.searcher = r.u64();
-      m.keywords = r.strings();
-      return finish(r, m);
-    }
-    case MsgKind::kKwsPinReply:
-    case MsgKind::kKwsResults:
-    case MsgKind::kKwsCResults:
-    case MsgKind::kHcPinReply:
-    case MsgKind::kHcResults: {
-      HitsMsg m;
-      m.request = r.u64();
-      m.node = r.u64();
-      m.hits = get_hits(r);
-      return finish(r, m);
-    }
-    case MsgKind::kKwsTQuery:
-    case MsgKind::kKwsCQuery:
-    case MsgKind::kHcSQuery: {
-      QueryMsg m;
-      m.request = r.u64();
-      m.node = r.u64();
-      m.searcher = r.u64();
-      m.want = r.u64();
-      m.offset = r.u64();
-      m.query = r.strings();
-      return finish(r, m);
-    }
-    case MsgKind::kKwsTCont:
-    case MsgKind::kKwsTStop:
-    case MsgKind::kKwsCCont:
-    case MsgKind::kHcSDone: {
-      ControlMsg m;
-      m.request = r.u64();
-      m.node = r.u64();
-      m.count = r.u64();
-      m.stop = r.u8() != 0;
-      return finish(r, m);
-    }
-    case MsgKind::kKwsDone:
-    case MsgKind::kKwsCDone:
-    case MsgKind::kHcDone: {
-      DoneMsg m;
-      m.request = r.u64();
-      m.results_expected = r.u64();
-      return finish(r, m);
-    }
-    case MsgKind::kKwsSReply: {
-      SearchReplyMsg m;
-      m.request = r.u64();
-      m.nodes_contacted = r.u64();
-      m.messages = r.u64();
-      m.rounds = r.u64();
-      m.retransmits = r.u64();
-      m.complete = r.u8() != 0;
-      m.failed = r.u8() != 0;
-      m.hits = get_hits(r);
-      return finish(r, m);
-    }
-    case MsgKind::kKwsVisitBatch: {
-      VisitBatchMsg m;
-      m.request = r.u64();
-      m.want = r.u64();
-      m.nodes = r.u64s();
-      m.query = r.strings();
-      return finish(r, m);
-    }
-    case MsgKind::kKwsBatchResults: {
-      BatchResultsMsg m;
-      m.request = r.u64();
-      const std::uint32_t n = r.u32();
-      if (n > kMaxCount || n > r.remaining() / 12) return std::nullopt;
-      m.batches.reserve(n);
-      for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-        BatchResultsMsg::NodeBatch b;
-        b.node = r.u64();
-        b.hits = get_hits(r);
-        m.batches.push_back(std::move(b));
-      }
-      return finish(r, std::move(m));
-    }
-    case MsgKind::kKwsBatchReply: {
-      BatchReplyMsg m;
-      m.request = r.u64();
-      const std::uint32_t n = r.u32();
-      if (n > kMaxCount || n > r.remaining() / 17) return std::nullopt;
-      m.verdicts.reserve(n);
-      for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-        BatchReplyMsg::NodeVerdict v;
-        v.node = r.u64();
-        v.count = r.u64();
-        v.stop = r.u8() != 0;
-        m.verdicts.push_back(v);
-      }
-      return finish(r, std::move(m));
-    }
-    case MsgKind::kKwsCOpen: {
-      COpenMsg m;
-      m.session = r.u64();
-      m.searcher = r.u64();
-      m.query = r.strings();
-      return finish(r, m);
-    }
-    case MsgKind::kKwsCNext: {
-      CNextMsg m;
-      m.session = r.u64();
-      m.count = r.u64();
-      return finish(r, m);
-    }
-    case MsgKind::kDhtJoin: {
-      JoinMsg m;
-      m.joiner = r.u64();
-      m.bootstrap = r.u64();
-      return finish(r, m);
-    }
-    case MsgKind::kDhtFixFinger: {
-      FixFingerMsg m;
-      m.node = r.u64();
-      m.finger = r.u32();
-      return finish(r, m);
-    }
-    case MsgKind::kFeQuery: {
-      FeQueryMsg m;
-      m.threshold = r.u64();
-      m.strategy = r.u8();
-      m.keywords = r.strings();
-      return finish(r, m);
-    }
-    case MsgKind::kFeReply: {
-      FeReplyMsg m;
-      m.complete = r.u8() != 0;
-      m.messages = r.u64();
-      m.hits = get_hits(r);
-      return finish(r, m);
-    }
-    case MsgKind::kEnvelope: {
-      EnvelopeMsg m;
-      const std::uint16_t inner = r.u16();
-      m.inner_kind = static_cast<MsgKind>(inner);
-      if (m.inner_kind != MsgKind::kOpaque &&
-          kind_name(m.inner_kind)[0] == '\0')
-        return std::nullopt;  // unknown inner kind id
-      if (m.inner_kind == MsgKind::kOpaque) m.label = r.str();
-      m.msg_id = r.u64();
-      m.from = r.u64();
-      m.to = r.u64();
-      m.declared_bytes = r.u64();
-      m.payload = r.bytes();
-      m.pad = r.u32();
-      if (m.pad > r.remaining()) return std::nullopt;
-      r.skip(m.pad);
-      return finish(r, std::move(m));
-    }
-    case MsgKind::kOpaque:
-      return std::nullopt;  // opaque kinds travel only inside envelopes
-  }
-  return std::nullopt;  // unknown kind id
+/// Decodes a body of layout M straight into `out`. True if the body was
+/// well-formed and wholly consumed.
+template <typename M>
+bool read_body(Reader& r, WireMessage& out) {
+  read(r, out.emplace<M>());
+  return r.done();
 }
+
+/// read_body per WireMessage alternative, indexed by the layout a kind's
+/// kKinds entry records.
+constexpr auto kReadBody = []<std::size_t... I>(std::index_sequence<I...>) {
+  return std::array{&read_body<std::variant_alternative_t<I, WireMessage>>...};
+}(std::make_index_sequence<std::variant_size_v<WireMessage>>{});
 
 struct KindEntry {
   MsgKind kind;
@@ -655,7 +441,7 @@ std::vector<std::uint8_t> encode_frame(MsgKind kind, const WireMessage& msg) {
   if (e == nullptr || e->layout != msg.index()) return out;
   Writer w(out);
   w.begin_frame(kind);
-  std::visit([&w](const auto& m) { put(w, m); }, msg);
+  std::visit([&w](const auto& m) { write(w, m); }, msg);
   w.end_frame();
   return out;
 }
@@ -664,7 +450,7 @@ std::size_t append_envelope(std::vector<std::uint8_t>& out,
                             const EnvelopeMsg& env) {
   Writer w(out);
   w.begin_frame(MsgKind::kEnvelope);
-  put(w, env);
+  write(w, env);
   return w.end_frame();
 }
 
@@ -684,20 +470,20 @@ std::optional<std::size_t> frame_size(const std::uint8_t* data,
 
 std::optional<DecodedFrame> decode_frame(const std::uint8_t* data,
                                          std::size_t len) {
+  std::optional<DecodedFrame> out;  // the one object returned (NRVO)
   const std::optional<std::size_t> total = frame_size(data, len);
-  if (!total.has_value() || *total == 0 || *total > len) return std::nullopt;
-  Reader h(data, kWireHeaderSize);
-  h.u16();  // magic (validated by frame_size)
-  h.u8();   // version
-  h.u8();
-  const MsgKind kind = static_cast<MsgKind>(h.u16());
-  h.u16();
-  h.u32();
+  if (!total.has_value() || *total == 0 || *total > len) return out;
+  Reader id(data + 4, 2);  // the kind; frame_size checked the rest
+  const MsgKind kind = static_cast<MsgKind>(id.u16());
+  const KindEntry* e = entry_of(kind);
+  if (e == nullptr) return out;  // opaque kinds travel only inside envelopes
 
   Reader body(data + kWireHeaderSize, *total - kWireHeaderSize);
-  std::optional<WireMessage> msg = decode_body(kind, body);
-  if (!msg.has_value()) return std::nullopt;
-  return DecodedFrame{kind, std::move(*msg), *total};
+  out.emplace();
+  out->kind = kind;
+  out->frame_size = *total;
+  if (!kReadBody[e->layout](body, out->msg)) out.reset();
+  return out;
 }
 
 }  // namespace hkws::net

@@ -16,9 +16,14 @@
 //   8       4     body length in bytes (<= kMaxBody)
 //   12      n     body — kind-specific fields, see the payload structs
 //
-// Field encodings: u8/u16/u32/u64 fixed-width little-endian; strings and
-// vectors are length-prefixed (u32 count, then elements). Strings cap at
-// kMaxString bytes, collections at kMaxCount elements.
+// Field encodings: u8/u16/u32/u64 fixed-width little-endian, bool as one u8;
+// strings and vectors are length-prefixed (u32 count, then elements).
+// Strings cap at kMaxString bytes, collections at kMaxCount elements.
+//
+// Each payload struct's wire order is its field list in wire.cpp
+// (`fields(m)`), written once: the encoder, the decoder and each
+// collection's allocation bound are derived from it. net.envelope alone is
+// encoded and decoded by hand there.
 //
 // Decode discipline — malformed input is DATA, not a programming error:
 // every decode path returns std::nullopt on any violation (bad magic,
@@ -363,8 +368,8 @@ using WireMessage =
 // --- Encode / decode --------------------------------------------------------
 
 /// Serializes one frame (header + body). The message's alternative must
-/// match `kind`'s layout (checked; mismatch returns an empty vector, which
-/// encode never otherwise produces).
+/// match `kind`'s layout (checked). Returns an empty vector, and so no
+/// frame, on a mismatch or when the body would exceed kMaxBody.
 std::vector<std::uint8_t> encode_frame(MsgKind kind, const WireMessage& msg);
 
 /// Appends the frame encode_frame(MsgKind::kEnvelope, env) returns to the

@@ -332,12 +332,35 @@ TEST(Wire, ExtraBytesAfterFrameAreIgnored) {
 
 TEST(Wire, EncodeRejectsLayoutMismatch) {
   // dolr.insert carries a RefMsg; handing it a DoneMsg is a programming
-  // error encode reports by returning the (otherwise impossible) empty
-  // vector rather than framing garbage.
+  // error encode reports by returning an empty vector (as it does for a
+  // body over kMaxBody) rather than framing garbage.
   EXPECT_TRUE(encode_frame(MsgKind::kDolrInsert, WireMessage{DoneMsg{}}).empty());
   EXPECT_TRUE(encode_frame(MsgKind::kOpaque, WireMessage{DoneMsg{}}).empty());
   EXPECT_TRUE(
       encode_frame(static_cast<MsgKind>(0x7777), WireMessage{DoneMsg{}}).empty());
+}
+
+TEST(Wire, EncodeRefusesABodyOverMaxBody) {
+  // 257 hits of one kMaxString-byte keyword each: every string and count is
+  // within its own cap, but the body is over kMaxBody, so there is no frame.
+  HitsMsg big{1, 2, {}};
+  for (std::uint64_t i = 0; i < 257; ++i)
+    big.hits.push_back(WireHit{i, {std::string(kMaxString, 'k')}});
+  EXPECT_TRUE(encode_frame(MsgKind::kKwsResults, WireMessage{big}).empty());
+
+  // append_envelope refuses such a payload and leaves the buffer's earlier
+  // frame as it was.
+  EnvelopeMsg env;
+  env.inner_kind = MsgKind::kKwsDone;
+  env.msg_id = 1;
+  std::vector<std::uint8_t> out;
+  const std::size_t first = append_envelope(out, env);
+  ASSERT_GT(first, 0u);
+  const std::vector<std::uint8_t> before = out;
+  env.payload.assign(kMaxBody + 1, 0xAB);
+  EXPECT_EQ(append_envelope(out, env), 0u);
+  EXPECT_EQ(out.size(), first);
+  EXPECT_EQ(out, before);
 }
 
 TEST(Wire, HeaderRejections) {
