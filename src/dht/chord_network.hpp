@@ -1,31 +1,23 @@
 // The Chord-style overlay realizing the paper's generalized DHT model
 // (§2.1): an a-bit identifier circle, a deterministic owner mapping with
 // surrogate routing (owner of key k = successor(k)), and hop-by-hop routing
-// over the simulated network. Upper layers (the DOLR reference service and
-// the hypercube keyword-index layer) address peers only by ring key.
+// over fingers and successor lists. Upper layers (the DOLR reference
+// service and the hypercube keyword-index layer) address peers only by
+// ring key. Membership and the routing walk live in the Overlay base.
 //
-// Simulation notes:
-//  * route() — the path every measured operation takes — is fully
-//    event-driven: each overlay hop is one simulated network message.
-//  * Ring maintenance (join, stabilize, fix-fingers) manipulates node state
-//    synchronously but charges the messages it would cost to the
-//    "dht.maintenance" counters; experiments never measure maintenance
-//    latency, only its message volume.
+// Simulation note: ring maintenance (join, stabilize, fix-fingers)
+// manipulates node state synchronously but charges the messages it would
+// cost to the "dht.maintenance" counters; experiments never measure
+// maintenance latency, only its message volume.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <memory>
 #include <optional>
-#include <set>
-#include <string>
 #include <vector>
 
 #include "dht/chord_node.hpp"
 #include "dht/node_id.hpp"
 #include "dht/overlay.hpp"
-#include "sim/network.hpp"
 
 namespace hkws::dht {
 
@@ -51,12 +43,9 @@ class ChordNetwork final : public Overlay {
   RingId join(sim::EndpointId endpoint, sim::EndpointId bootstrap);
 
   /// Graceful departure: hands references to the successor, splices the
-  /// ring. The endpoint stops receiving messages.
+  /// ring. The endpoint stops receiving messages. (Abrupt failure is the
+  /// base's fail().)
   void leave(sim::EndpointId endpoint);
-
-  /// Abrupt failure: the node vanishes with its state. Other nodes discover
-  /// this through timeouts during routing/stabilization.
-  void fail(sim::EndpointId endpoint);
 
   /// Runs one stabilization round at every live node (successor liveness
   /// check + predecessor reconciliation + successor-list refresh +
@@ -68,72 +57,32 @@ class ChordNetwork final : public Overlay {
   /// idle ring converges to. Experiments start from this.
   static ChordNetwork build(net::Transport& net, std::size_t n, Config cfg);
 
-  // --- Introspection (Overlay interface + Chord extras) --------------------
+  // --- Overlay rules and Chord state ----------------------------------------
 
-  std::size_t size() const override { return by_id_.size(); }
-  const RingSpace& space() const override { return space_; }
-  bool is_live(sim::EndpointId endpoint) const override;
-  std::optional<RingId> ring_id_of(sim::EndpointId endpoint) const override;
-  sim::EndpointId endpoint_of(RingId id) const override;
-  ChordNode& node(RingId id);
-  const ChordNode& node(RingId id) const;
-  ChordNode& node_at(sim::EndpointId endpoint);
-  OverlayNode& state_of(RingId id) override { return node(id); }
-  const OverlayNode& state_of(RingId id) const override { return node(id); }
-
-  /// Live ring ids in increasing order.
-  std::vector<RingId> live_ids() const override;
-
-  // --- Ownership / routing ----------------------------------------------
+  ChordNode& node(RingId id) { return static_cast<ChordNode&>(state_of(id)); }
+  const ChordNode& node(RingId id) const {
+    return static_cast<const ChordNode&>(state_of(id));
+  }
 
   /// Ground-truth owner of `key`: the first live node clockwise from key
   /// (surrogate routing S). O(log n); global knowledge — used by placement
   /// experiments and as a test oracle, never by routed protocols.
   RingId owner_of(RingId key) const override;
 
-  /// Routes a `kind` message of `payload_bytes` from the node at
-  /// `from` toward the owner of `key`, hop by hop via fingers; invokes
-  /// `on_owner` at the owner (as a simulated event). Dead fingers are
-  /// skipped (modeling timeout + successor-list fallback). If the origin
-  /// endpoint itself is dead, the message is dropped silently.
-  void route(sim::EndpointId from, RingId key, std::string kind,
-             std::size_t payload_bytes, RouteCallback on_owner) override;
-
-  /// Synchronous lookup walking the same hop sequence route() would take,
-  /// returning the owner and hop count without scheduling events. Charges
-  /// `kind` messages to metrics. Used by maintenance and by tests that
-  /// check route() against an immediate walk.
-  RouteResult lookup_now(RingId start, RingId key,
-                         const std::string& kind) override;
-
   /// Replicas of content owned by `owner` go to its first `count` live
   /// successors.
   std::vector<RingId> replica_targets(RingId owner, int count) const override;
 
-  net::Transport& transport() override { return net_; }
-
  private:
-  RingId unique_ring_id(sim::EndpointId endpoint);
+  /// Next hop toward `key` over live fingers and successors. A hop to the
+  /// successor when the key lies in (us, successor] is final: the
+  /// predecessor decides ownership, since with failed-but-not-yet-repaired
+  /// predecessors the target could not prove it locally. Dead links are
+  /// skipped (modeling timeout + successor-list fallback).
+  std::optional<Hop> next_hop(const OverlayNode& at, RingId key) const override;
   void fix_all_fingers(ChordNode& n, bool charge);
 
-  /// Next hop toward `key` from `at`, using live links only. `final` set
-  /// means the hop target IS the owner (decided here, at its predecessor,
-  /// per Chord — the target must not re-evaluate: with failed-but-not-yet-
-  /// repaired predecessors it could not prove ownership locally).
-  struct Hop {
-    RingId next;
-    bool final;
-  };
-  std::optional<Hop> next_hop(const ChordNode& at, RingId key) const;
-  void route_step(std::shared_ptr<struct RouteState> state, RingId at,
-                  bool arrived_final);
-
-  net::Transport& net_;
   Config cfg_;
-  RingSpace space_;
-  std::map<RingId, std::unique_ptr<ChordNode>> by_id_;  // live nodes
-  std::map<sim::EndpointId, RingId> by_endpoint_;       // live nodes
-  std::set<RingId> dead_;  // ids that failed (for timeout modeling)
 };
 
 }  // namespace hkws::dht

@@ -1,10 +1,10 @@
 #include "dht/pastry_network.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 
 #include "common/bitops.hpp"
-#include "common/hash.hpp"
 
 namespace hkws::dht {
 
@@ -12,17 +12,10 @@ namespace {
 constexpr std::uint64_t kRpcCost = 2;  // request + reply
 }
 
-// In-flight state of one routed message.
-struct PastryRouteState {
-  RingId key = 0;
-  std::string kind;
-  std::size_t bytes = 0;
-  Overlay::RouteCallback on_owner;
-  int hops = 0;
-};
-
+// Node ids hash with seed ^ 0x9a57, a salt of Pastry's own.
 PastryNetwork::PastryNetwork(net::Transport& net, Config cfg)
-    : net_(net), cfg_(cfg), space_(cfg.id_bits) {
+    : Overlay(net, cfg.id_bits, cfg.seed ^ 0x9a57ULL, cfg.max_route_hops),
+      cfg_(cfg) {
   if (cfg.id_bits < 1 || cfg.id_bits > 64)
     throw std::invalid_argument("PastryNetwork: id_bits must be in [1,64]");
   if (cfg.digit_bits < 1 || cfg.digit_bits > 8 ||
@@ -50,22 +43,15 @@ std::uint64_t PastryNetwork::circular_distance(RingId a, RingId b) const {
   return std::min(space_.distance(a, b), space_.distance(b, a));
 }
 
-RingId PastryNetwork::unique_ring_id(sim::EndpointId endpoint) {
-  for (std::uint64_t salt = 0;; ++salt) {
-    const RingId id = space_.clamp(
-        mix64(mix64(endpoint ^ seeds::kNodeId ^ cfg_.seed ^ 0x9a57ULL) + salt));
-    if (!by_id_.contains(id) && !dead_.contains(id)) return id;
-  }
-}
-
 RingId PastryNetwork::owner_of(RingId key) const {
-  if (by_id_.empty()) throw std::logic_error("owner_of: empty overlay");
+  if (size() == 0) throw std::logic_error("owner_of: empty overlay");
   key = space_.clamp(key);
   // Numerically closest node; ties go to the clockwise side.
-  auto cw = by_id_.lower_bound(key);
-  if (cw == by_id_.end()) cw = by_id_.begin();
-  auto ccw = by_id_.lower_bound(key);
-  if (ccw == by_id_.begin()) ccw = by_id_.end();
+  const auto& ring = nodes();
+  auto cw = ring.lower_bound(key);
+  if (cw == ring.end()) cw = ring.begin();
+  auto ccw = ring.lower_bound(key);
+  if (ccw == ring.begin()) ccw = ring.end();
   --ccw;
   const std::uint64_t dcw = space_.distance(key, cw->first);
   const std::uint64_t dccw = space_.distance(ccw->first, key);
@@ -75,19 +61,20 @@ RingId PastryNetwork::owner_of(RingId key) const {
 void PastryNetwork::rebuild_state(PastryNode& n) {
   // Leaf sets: the leaf_size/2 nearest live nodes on each side.
   const int half = cfg_.leaf_size / 2;
+  const auto& ring = nodes();
   std::vector<RingId> cw, ccw;
-  if (by_id_.size() > 1) {
-    auto it = by_id_.upper_bound(n.id());
+  if (ring.size() > 1) {
+    auto it = ring.upper_bound(n.id());
     while (static_cast<int>(cw.size()) < half) {
-      if (it == by_id_.end()) it = by_id_.begin();
+      if (it == ring.end()) it = ring.begin();
       if (it->first == n.id()) break;
       if (std::find(cw.begin(), cw.end(), it->first) != cw.end()) break;
       cw.push_back(it->first);
       ++it;
     }
-    auto rit = by_id_.find(n.id());
+    auto rit = ring.find(n.id());
     while (static_cast<int>(ccw.size()) < half) {
-      if (rit == by_id_.begin()) rit = by_id_.end();
+      if (rit == ring.begin()) rit = ring.end();
       --rit;
       if (rit->first == n.id()) break;
       if (std::find(ccw.begin(), ccw.end(), rit->first) != ccw.end()) break;
@@ -110,8 +97,8 @@ void PastryNetwork::rebuild_state(PastryNode& n) {
           (n.id() & ~low_mask(cfg_.id_bits - row * cfg_.digit_bits)) |
           (static_cast<RingId>(col) << below_bits);
       const RingId last = base | low_mask(below_bits);
-      auto it = by_id_.lower_bound(base);
-      if (it != by_id_.end() && it->first <= last)
+      auto it = ring.lower_bound(base);
+      if (it != ring.end() && it->first <= last)
         n.set_table_entry(row, col, it->first);
       else
         n.set_table_entry(row, col, std::nullopt);
@@ -120,14 +107,12 @@ void PastryNetwork::rebuild_state(PastryNode& n) {
 }
 
 RingId PastryNetwork::create(sim::EndpointId endpoint) {
-  if (!by_endpoint_.empty())
+  if (size() != 0)
     throw std::logic_error("create: overlay already exists");
   const RingId id = unique_ring_id(endpoint);
-  by_id_[id] = std::make_unique<PastryNode>(id, endpoint, digits_,
-                                            1 << cfg_.digit_bits);
-  by_endpoint_[endpoint] = id;
-  net_.register_endpoint(endpoint);
-  rebuild_state(*by_id_[id]);
+  add_node(std::make_unique<PastryNode>(id, endpoint, digits_,
+                                        1 << cfg_.digit_bits));
+  rebuild_state(node(id));
   return id;
 }
 
@@ -145,9 +130,7 @@ RingId PastryNetwork::join(sim::EndpointId endpoint,
   auto joiner = std::make_unique<PastryNode>(id, endpoint, digits_,
                                              1 << cfg_.digit_bits);
   PastryNode& placed = *joiner;
-  by_id_[id] = std::move(joiner);
-  by_endpoint_[endpoint] = id;
-  net_.register_endpoint(endpoint);
+  add_node(std::move(joiner));
   rebuild_state(placed);
   // State transfer: one row per path node plus the owner's leaf set.
   net_.metrics().count("dht.maintenance.msgs",
@@ -186,34 +169,22 @@ void PastryNetwork::leave(sim::EndpointId endpoint) {
   PastryNode& n = node(id);
   auto refs = n.extract_refs_if([](RingId) { return false; });
   const auto neighbors = n.known_nodes();
-  by_id_.erase(id);
-  by_endpoint_.erase(endpoint);
-  net_.unregister_endpoint(endpoint);
-  if (!by_id_.empty()) {
+  remove_node(id);
+  if (size() != 0) {
     for (const auto& ref : refs) node(owner_of(ref.key)).add_ref(ref);
     net_.metrics().count("dht.maintenance.msgs", refs.size());
     for (RingId nb : neighbors) {
-      if (!by_id_.contains(nb)) continue;
+      if (!has_node(nb)) continue;
       rebuild_state(node(nb));
       net_.metrics().count("dht.maintenance.msgs", 1);
     }
   }
 }
 
-void PastryNetwork::fail(sim::EndpointId endpoint) {
-  const auto idOpt = ring_id_of(endpoint);
-  if (!idOpt) throw std::invalid_argument("fail: endpoint not live");
-  dead_.insert(*idOpt);
-  by_id_.erase(*idOpt);
-  by_endpoint_.erase(endpoint);
-  net_.unregister_endpoint(endpoint);
-  net_.metrics().count("dht.failures");
-}
-
 std::uint64_t PastryNetwork::repair_all() {
   std::uint64_t charged = 0;
-  for (const auto& [id, nodeptr] : by_id_) {
-    rebuild_state(*nodeptr);
+  for (const auto& [id, _] : nodes()) {
+    rebuild_state(node(id));
     charged += kRpcCost + static_cast<std::uint64_t>(cfg_.leaf_size);
   }
   net_.metrics().count("dht.maintenance.msgs", charged);
@@ -225,49 +196,13 @@ PastryNetwork PastryNetwork::build(net::Transport& net, std::size_t n,
   PastryNetwork overlay(net, cfg);
   for (std::size_t i = 0; i < n; ++i) {
     const auto endpoint = static_cast<sim::EndpointId>(i + 1);
-    const RingId id = overlay.unique_ring_id(endpoint);
-    overlay.by_id_[id] = std::make_unique<PastryNode>(
-        id, endpoint, overlay.digits_, 1 << cfg.digit_bits);
-    overlay.by_endpoint_[endpoint] = id;
-    net.register_endpoint(endpoint);
+    overlay.add_node(std::make_unique<PastryNode>(
+        overlay.unique_ring_id(endpoint), endpoint, overlay.digits_,
+        1 << cfg.digit_bits));
   }
-  for (auto& [id, nodeptr] : overlay.by_id_)
-    overlay.rebuild_state(*nodeptr);
+  for (const auto& [id, _] : overlay.nodes())
+    overlay.rebuild_state(overlay.node(id));
   return overlay;
-}
-
-bool PastryNetwork::is_live(sim::EndpointId endpoint) const {
-  return by_endpoint_.contains(endpoint);
-}
-
-std::optional<RingId> PastryNetwork::ring_id_of(
-    sim::EndpointId endpoint) const {
-  const auto it = by_endpoint_.find(endpoint);
-  if (it == by_endpoint_.end()) return std::nullopt;
-  return it->second;
-}
-
-sim::EndpointId PastryNetwork::endpoint_of(RingId id) const {
-  return node(id).endpoint();
-}
-
-std::vector<RingId> PastryNetwork::live_ids() const {
-  std::vector<RingId> ids;
-  ids.reserve(by_id_.size());
-  for (const auto& [id, _] : by_id_) ids.push_back(id);
-  return ids;
-}
-
-PastryNode& PastryNetwork::node(RingId id) {
-  const auto it = by_id_.find(id);
-  if (it == by_id_.end()) throw std::out_of_range("PastryNetwork::node");
-  return *it->second;
-}
-
-const PastryNode& PastryNetwork::node(RingId id) const {
-  const auto it = by_id_.find(id);
-  if (it == by_id_.end()) throw std::out_of_range("PastryNetwork::node");
-  return *it->second;
 }
 
 std::vector<RingId> PastryNetwork::replica_targets(RingId owner,
@@ -278,12 +213,12 @@ std::vector<RingId> PastryNetwork::replica_targets(RingId owner,
   std::size_t i = 0;
   while (static_cast<int>(targets.size()) < count) {
     bool any = false;
-    if (i < n.leaf_cw().size() && by_id_.contains(n.leaf_cw()[i])) {
+    if (i < n.leaf_cw().size() && has_node(n.leaf_cw()[i])) {
       targets.push_back(n.leaf_cw()[i]);
       any = true;
     }
     if (static_cast<int>(targets.size()) < count &&
-        i < n.leaf_ccw().size() && by_id_.contains(n.leaf_ccw()[i])) {
+        i < n.leaf_ccw().size() && has_node(n.leaf_ccw()[i])) {
       targets.push_back(n.leaf_ccw()[i]);
       any = true;
     }
@@ -293,9 +228,10 @@ std::vector<RingId> PastryNetwork::replica_targets(RingId owner,
   return targets;
 }
 
-std::optional<RingId> PastryNetwork::next_hop(const PastryNode& at,
-                                              RingId key) const {
-  auto alive = [&](RingId x) { return by_id_.contains(x); };
+std::optional<Overlay::Hop> PastryNetwork::next_hop(const OverlayNode& state,
+                                                    RingId key) const {
+  const auto& at = static_cast<const PastryNode&>(state);
+  auto alive = [&](RingId x) { return has_node(x); };
 
   // 1. Leaf-set case: if the key falls within the span of our leaf sets,
   //    deliver to the numerically closest of {self} ∪ leaf sets. When the
@@ -305,7 +241,7 @@ std::optional<RingId> PastryNetwork::next_hop(const PastryNode& at,
   const RingId ccw_edge =
       at.leaf_ccw().empty() ? at.id() : at.leaf_ccw().back();
   const std::size_t half = static_cast<std::size_t>(cfg_.leaf_size) / 2;
-  bool covers_ring = by_id_.size() == 1 || at.leaf_cw().size() < half ||
+  bool covers_ring = size() == 1 || at.leaf_cw().size() < half ||
                      at.leaf_ccw().size() < half;
   if (!covers_ring) {
     for (RingId x : at.leaf_cw()) {
@@ -333,14 +269,14 @@ std::optional<RingId> PastryNetwork::next_hop(const PastryNode& at,
     for (RingId x : at.leaf_cw()) consider(x);
     for (RingId x : at.leaf_ccw()) consider(x);
     if (best == at.id()) return std::nullopt;  // we own it
-    return best;
+    return Hop{best, /*final=*/false};
   }
 
   // 2. Prefix routing: the table entry matching one more digit of the key.
   const int l = shared_prefix_digits(at.id(), key);
   if (l < digits_) {
     const auto entry = at.table_entry(l, digit_at(key, l));
-    if (entry && alive(*entry)) return *entry;
+    if (entry && alive(*entry)) return Hop{*entry, /*final=*/false};
   }
 
   // 3. Rare case: any known node at least as prefix-close and numerically
@@ -355,65 +291,8 @@ std::optional<RingId> PastryNetwork::next_hop(const PastryNode& at,
       best_d = d;
     }
   }
-  return best;  // nullopt => deliver here (best-effort surrogate)
-}
-
-void PastryNetwork::route_step(std::shared_ptr<PastryRouteState> state,
-                               RingId at) {
-  const auto it = by_id_.find(at);
-  if (it == by_id_.end()) {
-    net_.metrics().count("dht.route_lost");
-    return;
-  }
-  PastryNode& n = *it->second;
-  const auto hop = next_hop(n, state->key);
-  if (!hop || state->hops >= cfg_.max_route_hops) {
-    if (state->hops >= cfg_.max_route_hops)
-      net_.metrics().count("dht.route_overflow");
-    state->on_owner(RouteResult{at, state->hops});
-    return;
-  }
-  const RingId next = *hop;
-  ++state->hops;
-  net_.send(n.endpoint(), endpoint_of(next), state->kind, state->bytes,
-            [this, state, next] { route_step(std::move(state), next); });
-}
-
-void PastryNetwork::route(sim::EndpointId from, RingId key, std::string kind,
-                          std::size_t payload_bytes, RouteCallback on_owner) {
-  const auto start = ring_id_of(from);
-  if (!start) {
-    net_.metrics().count("dht.route_lost");
-    return;
-  }
-  auto state = std::make_shared<PastryRouteState>();
-  state->key = space_.clamp(key);
-  state->kind = std::move(kind);
-  state->bytes = payload_bytes;
-  state->on_owner = std::move(on_owner);
-  net_.schedule_in(0, [this, state, at = *start]() mutable {
-    route_step(std::move(state), at);
-  });
-}
-
-Overlay::RouteResult PastryNetwork::lookup_now(RingId start, RingId key,
-                                               const std::string& kind) {
-  key = space_.clamp(key);
-  RingId at = start;
-  int hops = 0;
-  while (true) {
-    const PastryNode& n = node(at);
-    const auto hop = next_hop(n, key);
-    if (!hop || hops >= cfg_.max_route_hops) {
-      if (hops >= cfg_.max_route_hops)
-        net_.metrics().count("dht.route_overflow");
-      return RouteResult{at, hops};
-    }
-    at = *hop;
-    ++hops;
-    net_.metrics().count("net.messages");
-    net_.metrics().count("msg." + kind);
-  }
+  if (!best) return std::nullopt;  // deliver here (best-effort surrogate)
+  return Hop{*best, /*final=*/false};
 }
 
 }  // namespace hkws::dht

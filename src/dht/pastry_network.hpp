@@ -6,19 +6,16 @@
 // is exactly the point: the keyword-search layer above cannot tell the
 // difference.
 //
-// Simulation note: like ChordNetwork, route()/lookup_now() use node-local
-// state only (leaf sets + routing tables); membership maintenance
-// (join/leave/fail repair) recomputes affected state from global knowledge
-// while charging the messages the Pastry protocols would cost, since the
-// experiments measure routing and search, not maintenance fidelity.
+// Simulation note: routing (the base's route()/lookup_now() walk over
+// next_hop) uses node-local state only (leaf sets + routing tables);
+// membership maintenance (join/leave/fail repair) recomputes affected state
+// from global knowledge while charging the messages the Pastry protocols
+// would cost, since the experiments measure routing and search, not
+// maintenance fidelity.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <optional>
-#include <set>
-#include <string>
 #include <vector>
 
 #include "dht/overlay.hpp"
@@ -50,38 +47,25 @@ class PastryNetwork final : public Overlay {
   /// routing table, takes over the keys now numerically closest to it.
   RingId join(sim::EndpointId endpoint, sim::EndpointId bootstrap);
 
-  /// Graceful departure with reference handoff.
+  /// Graceful departure with reference handoff. (Abrupt failure is the
+  /// base's fail().)
   void leave(sim::EndpointId endpoint);
-
-  /// Abrupt failure.
-  void fail(sim::EndpointId endpoint);
 
   /// Repairs leaf sets and prunes/refills dead routing-table entries at
   /// every live node. Returns messages charged.
   std::uint64_t repair_all();
 
-  // --- Overlay interface ------------------------------------------------------
+  // --- Overlay rules ---------------------------------------------------------
 
-  std::size_t size() const override { return by_id_.size(); }
-  const RingSpace& space() const override { return space_; }
-  bool is_live(sim::EndpointId endpoint) const override;
-  std::optional<RingId> ring_id_of(sim::EndpointId endpoint) const override;
-  sim::EndpointId endpoint_of(RingId id) const override;
-  std::vector<RingId> live_ids() const override;
-  OverlayNode& state_of(RingId id) override { return node(id); }
-  const OverlayNode& state_of(RingId id) const override { return node(id); }
   RingId owner_of(RingId key) const override;
-  void route(sim::EndpointId from, RingId key, std::string kind,
-             std::size_t payload_bytes, RouteCallback on_owner) override;
-  RouteResult lookup_now(RingId start, RingId key,
-                         const std::string& kind) override;
   std::vector<RingId> replica_targets(RingId owner, int count) const override;
-  net::Transport& transport() override { return net_; }
 
   // --- Pastry specifics (tests, diagnostics) ---------------------------------
 
-  PastryNode& node(RingId id);
-  const PastryNode& node(RingId id) const;
+  PastryNode& node(RingId id) { return static_cast<PastryNode&>(state_of(id)); }
+  const PastryNode& node(RingId id) const {
+    return static_cast<const PastryNode&>(state_of(id));
+  }
   int digit_count() const noexcept { return digits_; }
 
   /// Digit `position` of `id` (0 = most significant).
@@ -94,21 +78,14 @@ class PastryNetwork final : public Overlay {
   std::uint64_t circular_distance(RingId a, RingId b) const;
 
  private:
-  RingId unique_ring_id(sim::EndpointId endpoint);
   /// Next hop toward `key` from `at` using only local state; nullopt if
-  /// `at` believes it is the owner.
-  std::optional<RingId> next_hop(const PastryNode& at, RingId key) const;
+  /// `at` believes it is the owner. Pastry hops are never final.
+  std::optional<Hop> next_hop(const OverlayNode& at, RingId key) const override;
   /// Recomputes `n`'s leaf sets and routing table from global knowledge.
   void rebuild_state(PastryNode& n);
-  void route_step(std::shared_ptr<struct PastryRouteState> state, RingId at);
 
-  net::Transport& net_;
   Config cfg_;
-  RingSpace space_;
   int digits_;
-  std::map<RingId, std::unique_ptr<PastryNode>> by_id_;
-  std::map<sim::EndpointId, RingId> by_endpoint_;
-  std::set<RingId> dead_;
 };
 
 }  // namespace hkws::dht
