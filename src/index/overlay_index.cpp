@@ -318,7 +318,7 @@ void OverlayIndex::count_failover(Request& req, std::uint64_t a,
 bool OverlayIndex::cancel(std::uint64_t request) {
   Request* req = find(request);
   if (!req) return false;
-  release_timers(*req);
+  retire(*req);
   net_.metrics().count("kws.cancelled");
   if (req->root_resolved) {
     // Abandonment notice: a T_STOP tells the coordinator to stop exploring
@@ -696,7 +696,6 @@ void OverlayIndex::send_visit_batch(std::uint64_t req_id, sim::EndpointId peer,
   ++req->stats.messages;
   ++req->stats.coalesced_batches;
   req->stats.coalesced_visits += nodes.size();
-  net_.metrics().count("kws.coalesced_visits", nodes.size());
   emit(req_id, "coalesce", peer, nodes.size());
   net_.send(req->root_peer, peer, "kws.visit_batch",
             kCtrlBytes + nodes.size() * 8,
@@ -959,10 +958,13 @@ void OverlayIndex::count_retransmit(SearchStats& stats, std::uint64_t req_id,
   if (req_id != 0) emit(req_id, "retransmit", a, b);
 }
 
-void OverlayIndex::release_timers(Request& req) {
+void OverlayIndex::retire(Request& req) {
   for (const auto& [key, g] : req.guards)
     if (g.timer != 0) net_.cancel_timer(g.timer);
   req.guards.clear();
+  // A zero delta would still add the key to the registry.
+  if (req.stats.coalesced_visits != 0)
+    net_.metrics().count("kws.coalesced_visits", req.stats.coalesced_visits);
 }
 
 void OverlayIndex::abort_request(std::uint64_t req_id) {
@@ -993,7 +995,7 @@ void OverlayIndex::maybe_complete(std::uint64_t req_id) {
 }
 
 void OverlayIndex::deliver(Request& req) {
-  release_timers(req);
+  retire(req);
   SearchResult result;
   result.hits = req.answer.hits();
   result.stats = req.stats;

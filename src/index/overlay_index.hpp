@@ -750,9 +750,12 @@ class OverlayIndex {
                         cube::CubeId a, std::uint64_t b);
   /// Gives up on the request: delivers partial hits with stats.failed set.
   void abort_request(std::uint64_t req_id);
-  /// Cancels every pending timer owned by the request.
-  void release_timers(Request& req);
-  /// A search's one way to end: release its timers, erase it, call back.
+  /// As a search ends (delivered or cancelled): cancels its pending timers
+  /// and adds its coalesced visits to kws.coalesced_visits. One count per
+  /// search, not per batch: a socket transport's metrics() folds every
+  /// counter slot on each call.
+  void retire(Request& req);
+  /// A search's one way to end: retire it, erase it, call back.
   void deliver(Request& req);
   /// Ends the walk: records its summary in the root's cache, sends done.
   void finish(std::uint64_t req_id, bool stopped_early);
