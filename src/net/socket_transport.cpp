@@ -501,7 +501,7 @@ void SocketTransport::dispatch_loop() {
     // still writes once its oldest queued frame has waited a tick: holding
     // frames longer would idle the io thread that reads them back.
     if (unwritten_ &&
-        (ready_.empty() || Clock::now() - held_since_ >= common_.tick)) {
+        (ready_.empty() || Clock::now() - held_since_ >= kTick)) {
       lk.unlock();
       write_runs();
       lk.lock();
@@ -554,14 +554,14 @@ void SocketTransport::dispatch_loop() {
 
 Time SocketTransport::now() const {
   const auto elapsed = Clock::now() - start_;
-  return static_cast<Time>(elapsed / common_.tick);
+  return static_cast<Time>(elapsed / kTick);
 }
 
 void SocketTransport::schedule_in(Time delay, Handler fn) {
   {
     std::lock_guard<std::mutex> lk(strand_mu_);
     if (stopping_) return;
-    const ScheduleKey key{Clock::now() + common_.tick * delay, next_seq_++};
+    const ScheduleKey key{Clock::now() + kTick * delay, next_seq_++};
     schedule_.emplace(key, TimerEntry{0, std::move(fn)});
     ++pending_events_;
   }
@@ -574,7 +574,7 @@ Transport::TimerId SocketTransport::set_timer(Time delay, Handler fn) {
     std::lock_guard<std::mutex> lk(strand_mu_);
     if (stopping_) return 0;
     id = next_timer_++;
-    const ScheduleKey key{Clock::now() + common_.tick * delay, next_seq_++};
+    const ScheduleKey key{Clock::now() + kTick * delay, next_seq_++};
     schedule_.emplace(key, TimerEntry{id, std::move(fn)});
     timer_keys_.emplace(id, key);
   }

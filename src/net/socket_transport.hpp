@@ -87,12 +87,13 @@ namespace hkws::net {
 
 class SocketTransport : public Transport {
  public:
+  /// Wall-clock duration of one transport tick. Protocol timeout constants
+  /// are written in ticks (sim convention: ~1ms); 100 us compresses them
+  /// 10x so loss recovery stays fast.
+  static constexpr std::chrono::microseconds kTick{100};
+
   /// Knobs every socket backend shares (each backend's Config embeds one).
   struct CommonConfig {
-    /// Wall-clock duration of one transport tick. Protocol timeout
-    /// constants are written in ticks (sim convention: ~1ms); the default
-    /// compresses them 10x so loss-recovery tests stay fast.
-    std::chrono::microseconds tick{100};
     /// How long a parked delivery handler may wait for its envelope before
     /// the sweep declares the frame dead on the wire (net.dropped.conn).
     /// Generous vs loopback latency; tests shrink it to exercise the sweep.
@@ -180,8 +181,8 @@ class SocketTransport : public Transport {
   /// invariant reads this; parity with sim::EventQueue::live_timer_count).
   std::size_t live_timer_count() const;
 
-  /// Wall-clock duration of one transport tick (backend-configured).
-  std::chrono::microseconds tick() const noexcept { return common_.tick; }
+  /// Wall-clock duration of one transport tick.
+  static constexpr std::chrono::microseconds tick() noexcept { return kTick; }
 
   /// Wire frames that failed envelope (or inner payload) decode — 0 in a
   /// healthy runtime.

@@ -41,7 +41,7 @@ std::uint64_t addr_key(const sockaddr_in& sa) {
 }  // namespace
 
 TcpTransport::TcpTransport(Config cfg)
-    : SocketTransport(CommonConfig{cfg.tick, cfg.parked_ttl}, kMaxPad),
+    : SocketTransport(CommonConfig{cfg.parked_ttl}, kMaxPad),
       backoff_rng_(cfg.seed) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) throw std::runtime_error("TcpTransport: socket failed");

@@ -50,10 +50,6 @@ namespace hkws::net {
 class TcpTransport final : public SocketTransport {
  public:
   struct Config {
-    /// Wall-clock duration of one transport tick. Protocol timeout
-    /// constants are written in ticks (sim convention: ~1ms); the default
-    /// compresses them 10x so loss-recovery tests stay fast.
-    std::chrono::microseconds tick{100};
     /// Deadline for parked delivery handlers (see CommonConfig::parked_ttl).
     std::chrono::milliseconds parked_ttl{3000};
     /// Seed for the backoff jitter RNG (determinism discipline: every

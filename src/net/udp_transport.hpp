@@ -50,8 +50,6 @@ class UdpTransport final : public SocketTransport {
   static constexpr auto kMaxPad = static_cast<std::uint32_t>(kMaxDatagram / 2);
 
   struct Config {
-    /// Wall-clock duration of one transport tick (see TcpTransport).
-    std::chrono::microseconds tick{100};
     /// Deadline for parked delivery handlers (see CommonConfig::parked_ttl).
     std::chrono::milliseconds parked_ttl{3000};
   };

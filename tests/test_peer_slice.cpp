@@ -39,7 +39,6 @@ std::uint64_t counter(const net::SocketTransport& t, const std::string& key) {
 
 TcpTransport::Config fast_tcp() {
   TcpTransport::Config cfg;
-  cfg.tick = std::chrono::microseconds{100};
   return cfg;
 }
 
@@ -335,7 +334,6 @@ TEST(PeerSlice, SplitOverlaySurvivesSeededUdpLossWithRetransmission) {
   for (const auto& [o, k] : corpus) logical.insert(o, k);
 
   UdpTransport::Config ucfg;
-  ucfg.tick = std::chrono::microseconds{100};
   UdpTransport ta(ucfg);
   UdpTransport tb(ucfg);
 

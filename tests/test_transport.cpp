@@ -33,7 +33,6 @@ constexpr auto kIdle = 5s;  // generous; loopback settles in milliseconds
 
 TcpTransport::Config fast_config() {
   TcpTransport::Config cfg;
-  cfg.tick = std::chrono::microseconds{100};
   return cfg;
 }
 
@@ -378,7 +377,6 @@ TEST(TransportParity, SimAndTcpCountIdentically) {
 
   TcpTransport tcp(fast_config());
   UdpTransport::Config ucfg;
-  ucfg.tick = fast_config().tick;
   UdpTransport udp(ucfg);
   for (SocketTransport* sock : {static_cast<SocketTransport*>(&tcp),
                                 static_cast<SocketTransport*>(&udp)}) {

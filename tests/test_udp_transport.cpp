@@ -29,7 +29,6 @@ constexpr auto kIdle = 5s;  // generous; loopback settles in milliseconds
 
 UdpTransport::Config fast_config() {
   UdpTransport::Config cfg;
-  cfg.tick = std::chrono::microseconds{100};
   return cfg;
 }
 
