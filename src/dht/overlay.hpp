@@ -104,8 +104,11 @@ class Overlay {
   /// @param max_route_hops  loop guard for walks over stale links
   Overlay(net::Transport& net, int id_bits, std::uint64_t id_seed,
           int max_route_hops);
-  /// The virtual destructor would suppress it; build() returns by value.
+  /// build() returns by value; the virtual destructor would suppress this.
   Overlay(Overlay&&) = default;
+  Overlay(const Overlay&) = delete;
+  Overlay& operator=(const Overlay&) = delete;
+  Overlay& operator=(Overlay&&) = delete;
 
   /// One routing step. `final` means the target IS the owner, decided by
   /// the node sending it (Chord's predecessor rule); the target then

@@ -242,9 +242,11 @@ std::uint64_t routing_digest(Kind kind) {
   // hashes also land on the ids of failed nodes.
   Ring grown(kind, 0, 64);
   d.u64(grown.create());
-  for (int i = 0; i < 39; ++i) d.u64(grown.join(grown.random_live_endpoint(rng)));
+  for (int i = 0; i < 39; ++i)
+    d.u64(grown.join(grown.random_live_endpoint(rng)));
   for (int i = 0; i < 30; ++i) grown.fail(grown.random_live_endpoint(rng));
-  for (int i = 0; i < 30; ++i) d.u64(grown.join(grown.random_live_endpoint(rng)));
+  for (int i = 0; i < 30; ++i)
+    d.u64(grown.join(grown.random_live_endpoint(rng)));
   probe_lookups(grown, rng, d, 40);
   probe_routes(grown, rng, d, 40);
   fold_counters(grown, d);
