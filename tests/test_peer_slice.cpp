@@ -37,11 +37,6 @@ std::uint64_t counter(const net::SocketTransport& t, const std::string& key) {
   return t.metrics().counter(key);
 }
 
-TcpTransport::Config fast_tcp() {
-  TcpTransport::Config cfg;
-  return cfg;
-}
-
 /// One-shot result mailbox: the search callback fires on the transport's
 /// dispatch strand, the test thread blocks here. put() notifies while it
 /// holds the lock: the woken test thread may return and destroy the box as
@@ -188,7 +183,7 @@ void expect_matches_logical(const SearchResult& got,
 // The ownership map is pure config: two ranks must derive identical
 // node-to-peer assignments or the overlay silently shears apart.
 TEST(PeerSlice, OwnershipMapAgreesAcrossRanks) {
-  TcpTransport ta(fast_tcp()), tb(fast_tcp());
+  TcpTransport ta, tb;
   PeerSlice::Config cfg;
   cfg.r = 6;
   cfg.n_peers = 6;
@@ -213,7 +208,7 @@ TEST(PeerSlice, SingleProcessSliceMatchesLogicalIndex) {
   LogicalIndex logical(LogicalIndex::Config{6, seeds::kKeywordHash, 0});
   for (const auto& [o, k] : corpus) logical.insert(o, k);
 
-  TcpTransport t(fast_tcp());
+  TcpTransport t;
   PeerSlice::Config cfg;
   cfg.r = 6;
   cfg.n_peers = 4;
@@ -248,7 +243,7 @@ TEST(PeerSlice, SplitOverlayMatchesLogicalIndexByteForByte) {
   LogicalIndex logical(LogicalIndex::Config{6, seeds::kKeywordHash, 0});
   for (const auto& [o, k] : corpus) logical.insert(o, k);
 
-  TcpTransport ta(fast_tcp()), tb(fast_tcp());
+  TcpTransport ta, tb;
   PeerSlice::Config cfg;
   cfg.r = 6;
   cfg.n_peers = 6;

@@ -31,13 +31,8 @@ using namespace std::chrono_literals;
 
 constexpr auto kIdle = 5s;  // generous; loopback settles in milliseconds
 
-TcpTransport::Config fast_config() {
-  TcpTransport::Config cfg;
-  return cfg;
-}
-
 TEST(TcpTransport, LocalSendIsFreeAndAsync) {
-  TcpTransport t(fast_config());
+  TcpTransport t;
   t.register_endpoint(1);
   std::atomic<int> ran{0};
   t.send(1, 1, "kws.t_query", 64, [&] { ++ran; });
@@ -50,7 +45,7 @@ TEST(TcpTransport, LocalSendIsFreeAndAsync) {
 }
 
 TEST(TcpTransport, UnregisteredDestinationDrops) {
-  TcpTransport t(fast_config());
+  TcpTransport t;
   t.register_endpoint(1);
   std::atomic<int> ran{0};
   t.send(1, 99, "dolr.read", 32, [&] { ++ran; });
@@ -65,7 +60,7 @@ TEST(TcpTransport, UnregisteredDestinationDrops) {
 }
 
 TEST(TcpTransport, WireSendDeliversThroughSocketAndCounts) {
-  TcpTransport t(fast_config());
+  TcpTransport t;
   t.register_endpoint(1);
   t.register_endpoint(2);
   std::atomic<int> ran{0};
@@ -83,7 +78,7 @@ TEST(TcpTransport, WireSendDeliversThroughSocketAndCounts) {
 TEST(TcpTransport, OpaqueKindCrossesWire) {
   // Kinds without a registered wire id (ad-hoc maintenance pings) travel as
   // kOpaque envelopes carrying the label inline.
-  TcpTransport t(fast_config());
+  TcpTransport t;
   t.register_endpoint(1);
   t.register_endpoint(2);
   std::atomic<int> ran{0};
@@ -95,7 +90,7 @@ TEST(TcpTransport, OpaqueKindCrossesWire) {
 }
 
 TEST(TcpTransport, ObserverSeesEveryWireSend) {
-  TcpTransport t(fast_config());
+  TcpTransport t;
   t.register_endpoint(1);
   t.register_endpoint(2);
   std::mutex mu;
@@ -121,7 +116,7 @@ TEST(TcpTransport, HandlersAreSerializedOnTheStrand) {
   // Many threads send concurrently; handlers must never overlap (the
   // protocol state machines are not thread-safe — the strand is the
   // guarantee that lets them run unchanged on this backend).
-  TcpTransport t(fast_config());
+  TcpTransport t;
   for (EndpointId id = 1; id <= 8; ++id) t.register_endpoint(id);
   std::atomic<int> inside{0};
   std::atomic<int> max_inside{0};
@@ -159,7 +154,7 @@ TEST(TcpTransport, HandlersAreSerializedOnTheStrand) {
 }
 
 TEST(TcpTransport, TimersFireInDeadlineOrderAndCancel) {
-  TcpTransport t(fast_config());
+  TcpTransport t;
   std::mutex mu;
   std::condition_variable cv;
   std::vector<int> order;
@@ -181,7 +176,7 @@ TEST(TcpTransport, TimersFireInDeadlineOrderAndCancel) {
 }
 
 TEST(TcpTransport, ScheduleInRunsOnStrandAndNowAdvances) {
-  TcpTransport t(fast_config());
+  TcpTransport t;
   const Time t0 = t.now();
   std::atomic<bool> ran{false};
   t.schedule_in(5, [&] { ran = true; });
@@ -191,7 +186,7 @@ TEST(TcpTransport, ScheduleInRunsOnStrandAndNowAdvances) {
 }
 
 TEST(TcpTransport, StopIsIdempotentAndJoins) {
-  auto t = std::make_unique<TcpTransport>(fast_config());
+  auto t = std::make_unique<TcpTransport>();
   t->register_endpoint(1);
   t->register_endpoint(2);
   t->send(1, 2, "kws.done", 8, [] {});
@@ -208,7 +203,7 @@ TEST(TcpTransport, StopIsIdempotentAndJoins) {
 // net.lost(.kind), the observer sees SendRecord.lost = true, and the
 // peer-down hook fires (once per endpoint) for the failure detector.
 TEST(TcpTransport, ConnectionDeathIsAccountedAsLoss) {
-  TcpTransport t(fast_config());
+  TcpTransport t;
   t.register_endpoint(1);
   t.register_endpoint(2);
   std::mutex mu;
@@ -245,7 +240,7 @@ TEST(TcpTransport, ConnectionDeathIsAccountedAsLoss) {
 }
 
 TEST(TcpTransport, PeerDownObserverFiresOncePerEndpoint) {
-  TcpTransport t(fast_config());
+  TcpTransport t;
   t.register_endpoint(1);
   t.register_endpoint(2);
   t.register_endpoint(3);
@@ -278,7 +273,7 @@ TEST(TcpTransport, PeerDownObserverFiresOncePerEndpoint) {
 }
 
 TEST(TcpTransport, DrainAndStopCompletesPendingWorkThenStops) {
-  TcpTransport t(fast_config());
+  TcpTransport t;
   t.register_endpoint(1);
   t.register_endpoint(2);
   std::atomic<int> ran{0};
@@ -295,7 +290,7 @@ TEST(TcpTransport, DrainAndStopCompletesPendingWorkThenStops) {
 // threads racing the dispatch strand that fires them, plus live_timer_count
 // reads — every shared-state path in the scheduler under contention.
 TEST(TcpTransport, TimerStressConcurrentSetCancelFire) {
-  TcpTransport t(fast_config());
+  TcpTransport t;
   std::atomic<int> fired{0};
   std::atomic<int> cancelled{0};
   constexpr int kThreads = 4;
@@ -375,7 +370,7 @@ TEST(TransportParity, SimAndTcpCountIdentically) {
   EXPECT_EQ(sim_ran.load(), 7);  // 8 sends - drop - unregistered + dup
   EXPECT_EQ(simnet.metrics().counter("net.dropped.fault"), 1u);
 
-  TcpTransport tcp(fast_config());
+  TcpTransport tcp;
   UdpTransport::Config ucfg;
   UdpTransport udp(ucfg);
   for (SocketTransport* sock : {static_cast<SocketTransport*>(&tcp),
@@ -400,7 +395,7 @@ TEST(TransportParity, SimAndTcpCountIdentically) {
 TEST(TransportParity, PolymorphicUseThroughTheInterface) {
   sim::EventQueue clock;
   sim::Network simnet(clock);
-  TcpTransport tcp(fast_config());
+  TcpTransport tcp;
   std::vector<Transport*> backends = {&simnet, &tcp};
   for (Transport* tr : backends) {
     tr->register_endpoint(7);
@@ -427,7 +422,7 @@ TEST(TransportParity, PolymorphicUseThroughTheInterface) {
 // pins the socket side.)
 TEST(TransportParity, ObsTracingAttachesToBothBackends) {
   obs::Tracer tracer;
-  TcpTransport tcp(fast_config());
+  TcpTransport tcp;
   attach_network(tracer, tcp);  // through Transport&, not a concrete type
   tcp.register_endpoint(1);
   tcp.register_endpoint(2);
@@ -448,7 +443,7 @@ TEST(TransportParity, ObsTracingAttachesToBothBackends) {
 // slots, the fault hook's armed check, the off-strand run write — must be
 // race-free. Run under TSan (the CI tsan job builds this binary).
 TEST(TcpTransport, ConcurrentSendsFromManyThreadsAreRaceFree) {
-  TcpTransport t(fast_config());
+  TcpTransport t;
   constexpr int kThreads = 4;
   constexpr int kPerThread = 100;
   for (EndpointId id = 1; id <= kThreads + 1; ++id) t.register_endpoint(id);
@@ -480,7 +475,7 @@ TEST(TcpTransport, ConcurrentSendsFromManyThreadsAreRaceFree) {
 // deadline sweep now reclaims the entry as a connection loss. Pre-fix,
 // this test fails: wait_idle times out and net.dropped.conn stays 0.
 TEST(TcpTransport, ParkedHandlerSweepReclaimsFramesDeadOnTheWire) {
-  TcpTransport::Config cfg = fast_config();
+  TcpTransport::Config cfg;
   cfg.parked_ttl = std::chrono::milliseconds{100};  // fast sweep for the test
   TcpTransport t(cfg);
   t.register_endpoint(1);
@@ -513,7 +508,7 @@ TEST(TcpTransport, ParkedHandlerSweepReclaimsFramesDeadOnTheWire) {
 // that loop. Under TSan (the CI tsan job) this reported a data race before
 // the sweep's counts moved off the registry.
 TEST(TcpTransport, SweepCountsLossesWhileTheStrandWritesMetrics) {
-  TcpTransport::Config cfg = fast_config();
+  TcpTransport::Config cfg;
   cfg.parked_ttl = std::chrono::milliseconds{50};
   TcpTransport t(cfg);
   t.register_endpoint(1);
@@ -549,7 +544,7 @@ TEST(TcpTransport, SweepCountsLossesWhileTheStrandWritesMetrics) {
 // used to compute `round_robin_ % out_fds_.size()` after the lanes were
 // torn down. Sends after stop must be counted losses, not crashes.
 TEST(TcpTransport, SendAfterStopIsCountedLossNotCrash) {
-  TcpTransport t(fast_config());
+  TcpTransport t;
   t.register_endpoint(1);
   t.register_endpoint(2);
   t.send(1, 2, "kws.t_query", 16, [] {});
@@ -574,7 +569,7 @@ TEST(TcpTransport, SendAfterStopIsCountedLossNotCrash) {
 // the turn ends: nothing is written (or observed) inside the turn, and then
 // every frame arrives, each with one truthful observer record.
 TEST(TcpTransport, StrandTurnSendsGoOutAsOneRun) {
-  TcpTransport t(fast_config());
+  TcpTransport t;
   constexpr int kN = 50;
   for (EndpointId id = 0; id <= kN; ++id) t.register_endpoint(id);
   std::mutex mu;
@@ -611,7 +606,7 @@ TEST(TcpTransport, StrandTurnSendsGoOutAsOneRun) {
 // one net.dropped.conn loss and one lost observer record, its parked
 // handler is released unrun, and each endpoint is reported down once.
 TEST(TcpTransport, SeveredWireLosesEveryFrameOfAStrandRun) {
-  TcpTransport t(fast_config());
+  TcpTransport t;
   for (EndpointId id = 1; id <= 4; ++id) t.register_endpoint(id);
   std::mutex mu;
   std::vector<SendRecord> seen;
@@ -650,7 +645,7 @@ TEST(TcpTransport, SeveredWireLosesEveryFrameOfAStrandRun) {
 // cap is reached, while the io thread keeps reading: every frame arrives
 // and nothing deadlocks, even past what the socket buffers hold.
 TEST(TcpTransport, TurnPastTheRunCapIsDeliveredInFull) {
-  TcpTransport t(fast_config());
+  TcpTransport t;
   t.register_endpoint(1);
   t.register_endpoint(2);
   constexpr int kN = 2000;
@@ -675,8 +670,8 @@ TEST(TcpTransport, TurnPastTheRunCapIsDeliveredInFull) {
 // must have been written and settled. The slow observer stretches the
 // write, so returning early cannot go unnoticed.
 TEST(TcpTransport, WaitIdleCoversTheStrandsUnwrittenRun) {
-  TcpTransport a(fast_config());
-  TcpTransport b(fast_config());
+  TcpTransport a;
+  TcpTransport b;
   a.register_endpoint(1);
   b.register_endpoint(2);
   ASSERT_TRUE(a.set_peer_address(2, PeerAddr{"127.0.0.1", b.port()}));
@@ -720,8 +715,8 @@ TEST(TcpTransport, WaitIdleCoversTheStrandsUnwrittenRun) {
 // net.messages + net.delivered + net.remote.out; the receiver counts only
 // net.remote.in.
 TEST(TcpTransport, PayloadCrossesBetweenInstancesBothDirections) {
-  TcpTransport a(fast_config());
-  TcpTransport b(fast_config());
+  TcpTransport a;
+  TcpTransport b;
   a.register_endpoint(1);
   b.register_endpoint(2);
   ASSERT_TRUE(a.set_peer_address(2, PeerAddr{"127.0.0.1", b.port()}));
@@ -795,7 +790,7 @@ TEST(TcpTransport, PayloadCrossesBetweenInstancesBothDirections) {
 // local self-wire instead: same codec coverage, local accounting (no
 // net.remote.*), handler dispatched on this instance's strand.
 TEST(TcpTransport, PayloadWithoutAddressLoopsThroughLocalWire) {
-  TcpTransport t(fast_config());
+  TcpTransport t;
   t.register_endpoint(1);
   t.register_endpoint(2);
   std::mutex mu;

@@ -27,17 +27,12 @@ using namespace std::chrono_literals;
 
 constexpr auto kIdle = 5s;  // generous; loopback settles in milliseconds
 
-UdpTransport::Config fast_config() {
-  UdpTransport::Config cfg;
-  return cfg;
-}
-
 std::uint64_t counter(const UdpTransport& t, const std::string& key) {
   return t.metrics().counter(key);
 }
 
 TEST(UdpTransport, WireSendDeliversThroughDatagramAndCounts) {
-  UdpTransport t(fast_config());
+  UdpTransport t;
   t.register_endpoint(1);
   t.register_endpoint(2);
   std::atomic<int> ran{0};
@@ -61,7 +56,7 @@ TEST(UdpTransport, WireSendDeliversThroughDatagramAndCounts) {
 // identity closes exactly, every loss attributed to fault injection
 // (net.dropped.fault) — and packet loss is never reported as peer death.
 TEST(UdpTransport, SeededLossIsAttributedAndConserved) {
-  UdpTransport t(fast_config());
+  UdpTransport t;
   t.set_fault_model(std::make_unique<BernoulliDrop>(0.3), 42);
   t.register_endpoint(1);
   t.register_endpoint(2);
@@ -93,7 +88,7 @@ TEST(UdpTransport, SeededLossIsAttributedAndConserved) {
 TEST(UdpTransport, SeededLossIsDeterministic) {
   std::vector<std::uint64_t> lost_counts;
   for (int run = 0; run < 2; ++run) {
-    UdpTransport t(fast_config());
+    UdpTransport t;
     t.set_fault_model(std::make_unique<BernoulliDrop>(0.25), 7);
     t.register_endpoint(1);
     t.register_endpoint(2);
@@ -112,7 +107,7 @@ TEST(UdpTransport, SeededLossInOneRunIsAttributedPerFrame) {
   constexpr int kN = 100;
   std::vector<std::vector<bool>> lost_flags;
   for (int run = 0; run < 2; ++run) {
-    UdpTransport t(fast_config());
+    UdpTransport t;
     t.set_fault_model(std::make_unique<BernoulliDrop>(0.3), 11);
     t.register_endpoint(1);
     t.register_endpoint(2);
@@ -150,7 +145,7 @@ TEST(UdpTransport, SeededLossInOneRunIsAttributedPerFrame) {
 // ordering guarantee, so this is the supported way to keep the publish
 // phase intact).
 TEST(UdpTransport, DropRateArmsAndDisarmsAtRuntime) {
-  UdpTransport t(fast_config());
+  UdpTransport t;
   t.register_endpoint(1);
   t.register_endpoint(2);
   for (int i = 0; i < 20; ++i) t.send(1, 2, "kws.insert", 32, [] {});
@@ -177,7 +172,7 @@ TEST(UdpTransport, DropRateArmsAndDisarmsAtRuntime) {
 // datagram the read side swallowed — the UDP analogue of kernel-side
 // buffer loss. Without the sweep this wedges wait_idle forever.
 TEST(UdpTransport, SweepReclaimsSwallowedDatagram) {
-  UdpTransport::Config cfg = fast_config();
+  UdpTransport::Config cfg;
   cfg.parked_ttl = std::chrono::milliseconds{100};
   UdpTransport t(cfg);
   t.register_endpoint(1);
@@ -197,8 +192,8 @@ TEST(UdpTransport, SweepReclaimsSwallowedDatagram) {
 // per-instance accounting split (sender: net.messages + net.delivered +
 // net.remote.out; receiver: net.remote.in only).
 TEST(UdpTransport, PayloadCrossesBetweenInstances) {
-  UdpTransport a(fast_config());
-  UdpTransport b(fast_config());
+  UdpTransport a;
+  UdpTransport b;
   a.register_endpoint(1);
   b.register_endpoint(2);
   ASSERT_TRUE(a.set_peer_address(2, PeerAddr{"127.0.0.1", b.port()}));
@@ -257,8 +252,8 @@ TEST(UdpTransport, PayloadCrossesBetweenInstances) {
 // An armed fault model applies to cross-process payload frames too, and the
 // sender's conservation identity still closes (the loss is the sender's).
 TEST(UdpTransport, PayloadLossIsAccountedAtTheSender) {
-  UdpTransport a(fast_config());
-  UdpTransport b(fast_config());
+  UdpTransport a;
+  UdpTransport b;
   a.register_endpoint(1);
   b.register_endpoint(2);
   ASSERT_TRUE(a.set_peer_address(2, PeerAddr{"127.0.0.1", b.port()}));
@@ -281,8 +276,8 @@ TEST(UdpTransport, PayloadLossIsAccountedAtTheSender) {
 // A frame too large for one datagram cannot be carried: counted as a
 // connection loss at send, conservation intact, no crash.
 TEST(UdpTransport, OversizedPayloadFrameIsConnLoss) {
-  UdpTransport a(fast_config());
-  UdpTransport b(fast_config());
+  UdpTransport a;
+  UdpTransport b;
   a.register_endpoint(1);
   b.register_endpoint(2);
   ASSERT_TRUE(a.set_peer_address(2, PeerAddr{"127.0.0.1", b.port()}));
@@ -300,7 +295,7 @@ TEST(UdpTransport, OversizedPayloadFrameIsConnLoss) {
 // stop() racing late sends: losses, not crashes (the shared lane-guard
 // regression, pinned on the UDP backend too).
 TEST(UdpTransport, SendAfterStopIsCountedLossNotCrash) {
-  UdpTransport t(fast_config());
+  UdpTransport t;
   t.register_endpoint(1);
   t.register_endpoint(2);
   t.stop();
